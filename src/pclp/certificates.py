@@ -165,6 +165,8 @@ def check_certificate(instance, outcome: Outcome,
 
     Infeasible and Null outcomes are vacuously accepted here; their
     soundness is established against the exact oracle in the test suite.
+    Every other tag must carry a vector of finite coordinates: a NaN
+    would pass every comparison below by failing it.
     """
     tol = slack.abs_tol
     v: list[Violation] = []
@@ -175,7 +177,11 @@ def check_certificate(instance, outcome: Outcome,
         if vec is not None:
             v.append(Violation("VectorOnNullOutcome", -1, 0.0))
         return CertificateReport(not v, v)
-    assert vec is not None, f"{tag} outcome must carry a vector"
+    if vec is None:
+        return CertificateReport(False, [Violation("MissingVector", -1, 0.0)])
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if len(bad):
+        return CertificateReport(False, [Violation("NonFinite", int(bad[0]), float(vec[bad[0]]))])
 
     if tag is OutcomeTag.COVERING_PRIMAL:
         mat = instance.C
@@ -203,6 +209,8 @@ def check_certificate(instance, outcome: Outcome,
         mat = instance.P
         if len(vec) != mat.n:
             return CertificateReport(False, [Violation("BadLength", len(vec), 0.0)])
+        if np.any(vec < -tol):
+            v.append(Violation("NegativeCoordinate", int(np.argmin(vec)), float(vec.min())))
         total = float(vec.sum())
         if total > slack.primal_sum_max + tol:
             v.append(Violation("SumAboveBound", -1, total - slack.primal_sum_max))
@@ -213,6 +221,8 @@ def check_certificate(instance, outcome: Outcome,
         mat = instance.P
         if len(vec) != mat.m:
             return CertificateReport(False, [Violation("BadLength", len(vec), 0.0)])
+        if np.any(vec < -tol):
+            v.append(Violation("NegativeCoordinate", int(np.argmin(vec)), float(vec.min())))
         total = float(vec.sum())
         if total < slack.dual_sum_min - tol:
             v.append(Violation("SumBelowBound", -1, total - slack.dual_sum_min))

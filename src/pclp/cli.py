@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import generate
-from .certificates import CertificateSlack, OutcomeTag, check_certificate
+from .certificates import CertificateSlack, Outcome, OutcomeTag, check_certificate
 from .formats import ParseError, emit_instance, emit_updates, parse_instance, parse_updates
 from .greedy import solve_static_positive
 from .instances import (
@@ -65,12 +65,14 @@ def _load(path: str, eps: float):
     return instance
 
 
-def _verify_covering(instance, outcome, slack) -> dict:
+def _verify(payload: dict, instance, outcome, slack) -> int:
+    """Check the outcome's certificate into the payload; the exit code."""
     report = check_certificate(instance, outcome, slack)
     result = {"ok": bool(report.ok)}
     if not report.ok:
         result["violation"] = str(report.worst())
-    return result
+    payload["verify_result"] = result
+    return 0 if report.ok else 2
 
 
 def cmd_solve(args) -> int:
@@ -87,9 +89,7 @@ def cmd_solve(args) -> int:
                "stats": stats}
     code = 0
     if args.verify:
-        res = _verify_covering(instance, outcome, CertificateSlack.whack_static(instance.eps))
-        payload["verify_result"] = res
-        code = 0 if res["ok"] else 2
+        code = _verify(payload, instance, outcome, CertificateSlack.whack_static(instance.eps))
     _report(args, payload)
     return code
 
@@ -108,10 +108,7 @@ def cmd_packing(args) -> int:
                "stats": stats}
     code = 0
     if args.verify:
-        res = _verify_covering(instance, outcome,
-                               CertificateSlack.packing_template(instance.eps))
-        payload["verify_result"] = res
-        code = 0 if res["ok"] else 2
+        code = _verify(payload, instance, outcome, CertificateSlack.packing_template(instance.eps))
     _report(args, payload)
     return code
 
@@ -138,10 +135,7 @@ def cmd_dynamic(args) -> int:
                          "updates_after_terminal": frozen}}
     code = 0
     if args.verify:
-        slack = CertificateSlack.whack_dynamic(instance.eps)
-        res = _verify_covering(instance, outcome, slack)
-        payload["verify_result"] = res
-        code = 0 if res["ok"] else 2
+        code = _verify(payload, instance, outcome, CertificateSlack.whack_dynamic(instance.eps))
     _report(args, payload)
     return code
 
@@ -155,8 +149,12 @@ def cmd_stream(args) -> int:
     outcome, stats = solve_stream(cursor, instance.eps)
     payload = {"outcome_tag": outcome.tag.value, "vector": _digest(outcome.vector),
                "stats": stats.as_dict()}
+    code = 0
+    if args.verify:
+        # a primal-only run that hits the budget returns null: vacuously ok
+        code = _verify(payload, instance, outcome, CertificateSlack.whack_static(instance.eps))
     _report(args, payload)
-    return 0
+    return code
 
 
 def cmd_online(args) -> int:
@@ -165,23 +163,31 @@ def cmd_online(args) -> int:
         raise ParseError("online expects a covering instance")
     state = OnlineState(instance.n, instance.lam, instance.eps)
     lines = []
-    outcome_tag = "covering_primal"
     for i in range(instance.m):
         cols, vals = instance.C.row(i)
         result = state.insert_row(cols, vals)
         if result.terminal is not None:
-            outcome_tag = result.terminal.tag.value
-            lines.append({"row": i, "terminal": outcome_tag,
+            lines.append({"row": i, "terminal": result.terminal.tag.value,
                           "recourse": state.recourse_total()})
             break
         lines.append({"row": i, "sum": float(result.maintained.sum()),
                       "recourse": state.recourse_total()})
-    payload = {"outcome_tag": outcome_tag, "steps": lines,
+    if result.terminal is not None:
+        # the dual covers the rows seen; rows never read carry zero weight
+        y = result.terminal.vector
+        outcome = Outcome.packing_dual(np.concatenate([y, np.zeros(instance.m - len(y))]))
+    else:
+        outcome = Outcome.covering_primal(result.maintained)
+    payload = {"outcome_tag": outcome.tag.value, "steps": lines,
                "stats": {"recourse": state.recourse_total(),
                          "phase_transitions": state.phase_transitions,
                          "recourse_bound": state.recourse_bound()}}
+    code = 0
+    if args.verify:
+        # the maintained vector is x_hat/W, so the dynamic sum bound applies
+        code = _verify(payload, instance, outcome, CertificateSlack.whack_dynamic(instance.eps))
     _report(args, payload)
-    return 0
+    return code
 
 
 def cmd_positive(args) -> int:
@@ -202,16 +208,14 @@ def cmd_positive(args) -> int:
     payload = {"outcome_tag": outcome.tag.value, "vector": _digest(outcome.vector),
                "stats": state.stats.as_dict()}
     code = 0
-    if args.verify:
-        if outcome.tag is OutcomeTag.POSITIVE_SOLUTION:
-            res = _verify_covering(instance, outcome,
-                                   CertificateSlack.greedy_positive(instance.eps))
-        else:
-            try:
-                feasible, _ = positive_feasible_exact(instance.P, instance.C)
-                res = {"ok": not feasible, "oracle_feasible": feasible}
-            except TooLarge:
-                res = {"ok": True, "oracle_feasible": None}
+    if args.verify and outcome.tag is OutcomeTag.POSITIVE_SOLUTION:
+        code = _verify(payload, instance, outcome, CertificateSlack.greedy_positive(instance.eps))
+    elif args.verify:
+        try:
+            feasible, _ = positive_feasible_exact(instance.P, instance.C)
+            res = {"ok": not feasible, "oracle_feasible": feasible}
+        except TooLarge:
+            res = {"ok": True, "oracle_feasible": None}
         payload["verify_result"] = res
         code = 0 if res["ok"] else 2
     _report(args, payload)

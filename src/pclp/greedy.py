@@ -23,7 +23,9 @@ invariant allows:
 Relaxing updates to the packing matrix are absorbed by a padding column
 (the extended variable is pinned at one) so packing weights never fall;
 covering relaxations refresh one row. RHS translations are ignored until
-they accumulate a (1+eps) factor and are then replayed as row scalings.
+they accumulate a (1+eps) factor and are then replayed as row scalings;
+a later entry update on a scaled row names the instance's value and is
+divided by the right-hand side applied to that row.
 
 Weights span exp(+-3 eta); mantissas are rescaled against a shared log
 offset per side long before products of two of them can overflow.
@@ -626,11 +628,20 @@ class GreedyState:
                 self.stats.heap_readjusts += 1
 
     def relax_packing_entry(self, i: int, k: int, new: float) -> Outcome:
+        """Lower P[i,k] to ``new``, given in the instance's units: once a
+        packing translation has been applied, the stored row i is the
+        instance's row divided by the right-hand side applied so far."""
+        scale = self.rhs_applied_p[i]
         old = self.P.get(i, k)
-        if not new < old:
-            raise NonMonotoneUpdate(f"P[{i},{k}] must decrease: {new} >= {old}")
+        if not new / scale < old:
+            raise NonMonotoneUpdate(f"P[{i},{k}] must decrease: {new} >= {old * scale}")
         if new < 0:
             raise NonMonotoneUpdate(f"P[{i},{k}] negative: {new}")
+        return self._relax_packing_entry(i, k, new / scale)
+
+    def _relax_packing_entry(self, i: int, k: int, new: float) -> Outcome:
+        """Relaxing entry update in stored units."""
+        old = self.P.get(i, k)
         if self.solved:
             self.P.set(i, k, new)  # solution stays valid under relaxation
             return self.current_outcome()
@@ -678,9 +689,18 @@ class GreedyState:
         self.colver[k] += 1
 
     def relax_covering_entry(self, j: int, k: int, new: float) -> Outcome:
+        """Raise C[j,k] to ``new``, given in the instance's units: once a
+        covering translation has been applied, the stored row j is the
+        instance's row divided by the right-hand side applied so far."""
+        scale = self.rhs_applied_c[j]
         old = self.C.get(j, k)
-        if not new > old:
-            raise NonMonotoneUpdate(f"C[{j},{k}] must increase: {new} <= {old}")
+        if not new / scale > old:
+            raise NonMonotoneUpdate(f"C[{j},{k}] must increase: {new} <= {old * scale}")
+        return self._relax_covering_entry(j, k, new / scale)
+
+    def _relax_covering_entry(self, j: int, k: int, new: float) -> Outcome:
+        """Relaxing entry update in stored units."""
+        old = self.C.get(j, k)
         if self.solved:
             self.C.set(j, k, new)
             return self.current_outcome()
@@ -733,7 +753,7 @@ class GreedyState:
         self.stats.translations_applied += 1
         out = self.current_outcome()
         for k, v in list(self.prow[i]):
-            out = self.relax_packing_entry(i, k, v * factor)
+            out = self._relax_packing_entry(i, k, v * factor)
         return out
 
     def translate_covering_rhs(self, j: int, new_rhs: float) -> Outcome:
@@ -748,7 +768,7 @@ class GreedyState:
         self.stats.translations_applied += 1
         out = self.current_outcome()
         for k, v in list(self.crow[j]):
-            out = self.relax_covering_entry(j, k, v * factor)
+            out = self._relax_covering_entry(j, k, v * factor)
         return out
 
     # -- dual extraction -------------------------------------------------------------------

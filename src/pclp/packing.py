@@ -3,7 +3,9 @@
 The structure mirrors the covering solvers with every inequality flipped:
 weights shrink when a row is whacked, a phase closes when the weight total
 falls by a (1 - eps/2) factor, and the fast scan enforces rows whose
-anchored value exceeds 1 + eps/2. The fast primal is reported as
+anchored value exceeds 1 + eps/2. As in the covering scan, a row's dot is
+computed from x_hat when the scan reaches it, so an enforcement touches
+only the enforced row's support. The fast primal is reported as
 x_hat / W, which keeps both the sum and the row bounds inside the
 plain (1 +/- eps) band.
 """
@@ -16,7 +18,7 @@ import numpy as np
 
 from .certificates import Outcome
 from .instances import PackingInstanceView
-from .whack_static import PreconditionViolated, total_rounds
+from .whack_static import PreconditionViolated, first_step, total_rounds
 
 _RESCALE_BELOW = 1e-120
 
@@ -39,28 +41,13 @@ def step_size_packing(instance: PackingInstanceView, i: int, t: int,
     budget = T - t
     if len(cols) == 0:
         raise PreconditionViolated(f"row {i} is empty and cannot be violated")
-    base = vals * x_hat[cols]
-    if float(base.sum()) <= (1.0 + instance.eps / 2.0) * W:
+    xh = x_hat[cols]
+    # the same dot the phase scan compares, so a row it enforces passes here
+    if float(vals @ xh) <= (1.0 + instance.eps / 2.0) * W:
         raise PreconditionViolated(f"row {i} already near-satisfied")
+    base = vals * xh
     decay = np.log1p(-instance.eps * vals / instance.lam)
-
-    def resid(d: int) -> float:
-        return float(base @ np.exp(d * decay))
-
-    if resid(budget) > W:
-        return budget
-    hi = 1
-    while resid(hi) > W:
-        hi *= 2
-    hi = min(hi, budget)
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if resid(mid) <= W:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return first_step(lambda d: float(base @ np.exp(d * decay)) <= W, budget)
 
 
 @dataclass
@@ -122,19 +109,12 @@ def solve_packing_fast(instance: PackingInstanceView) -> tuple[Outcome, PackingS
     while True:
         stats.phases += 1
         W = float(x_hat.sum())
-        row_dots = P.matvec(x_hat)
         broke = False
         for i in range(m):
-            if row_dots[i] > (1.0 + eps / 2.0) * W:
+            if P.dot_row(i, x_hat) > (1.0 + eps / 2.0) * W:
                 delta = step_size_packing(instance, i, t, x_hat, W, T)
                 cols, vals = P.row(i)
-                old = x_hat[cols].copy()
-                x_hat[cols] = old * np.exp(delta * np.log1p(-eps * vals / lam))
-                dx = x_hat[cols] - old
-                for idx in range(len(cols)):
-                    rows_r, vals_r = P.col(int(cols[idx]))
-                    row_dots[rows_r] += vals_r * dx[idx]
-                row_dots[i] = P.dot_row(i, x_hat)
+                x_hat[cols] *= np.exp(delta * np.log1p(-eps * vals / lam))
                 counts[i] += delta
                 t += delta
                 stats.enforcements += 1
@@ -144,7 +124,6 @@ def solve_packing_fast(instance: PackingInstanceView) -> tuple[Outcome, PackingS
                     peak = float(x_hat.max())
                     x_hat /= peak
                     W /= peak
-                    row_dots /= peak
                     log_scale += math.log(peak)
                 if t >= T:
                     stats.outcome = "covering_dual"

@@ -1,18 +1,13 @@
 """Covering certificates maintained under restricting entry updates.
 
-Preprocessing runs the static phase loop. Afterwards each update touches
-one entry C_ij, so only constraint i can newly fail; the state keeps two
-residual views of it:
-
-* ``est_dots`` -- (C z / W) where z_j = (1+eps)^kappa_j is the power-grid
-  estimate of x_hat_j. This is the O(1) screen: z stays within a (1+eps)
-  factor above x_hat, so est below the trigger proves the constraint
-  violated without touching the row.
-* ``row_dots`` -- the exact dots, kept current by the enforcement's column
-  propagation. The enforcement trigger itself compares the exact residual
-  against 1 - eps/2 so the maintained vector x_hat/W keeps the full
-  (1-eps) covering guarantee after every update; both residuals are logged
-  so the detection slack can be audited.
+Preprocessing runs the static phase scan (``whack_static.run_phases``).
+Afterwards each update lowers one entry C_ij, so only constraint i can
+newly fail: the update is applied, and row i's residual is computed fresh
+from x_hat and compared against 1 - eps/2. A violated row is enforced in
+place, which keeps the maintained vector x_hat/W inside the full (1-eps)
+covering guarantee after every update; an enforcement that pushes the
+weight total past the phase cap restarts the static scan from a new
+anchor.
 
 Once a dual is returned it is frozen: restricting updates only shrink
 C^T y, so the certificate stands forever.
@@ -20,14 +15,14 @@ C^T y, so the certificate stands forever.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import Outcome
+from .certificates import Outcome, OutcomeTag
 from .instances import NormalizedCoveringInstance
 from .sparse import NonMonotoneUpdate, UpdateEvent, UpdateKind
-from .whack_static import WhackState
+from .whack_static import WhackState, WhackStats, run_phases
 
 
 class UpdateAfterTerminal(RuntimeError):
@@ -35,125 +30,48 @@ class UpdateAfterTerminal(RuntimeError):
 
 
 @dataclass
-class DynamicStats:
+class DynamicStats(WhackStats):
     updates: int = 0
-    enforcements: int = 0
-    phases: int = 0
-    column_touches: int = 0
-    residual_log: list[tuple[float, float]] = field(default_factory=list)
+    column_touches: int = 0  # coordinates of x_hat changed by enforcements
 
     def as_dict(self) -> dict:
         return {"updates": self.updates, "enforcements": self.enforcements,
                 "phases": self.phases, "column_touches": self.column_touches}
 
 
-class DynamicWhackState:
-    """Whack state plus per-coordinate power estimates and per-row tallies."""
+class DynamicWhackState(WhackState):
+    """Whack state kept certified under updates, with per-row enforcement tallies."""
 
-    def __init__(self, instance: NormalizedCoveringInstance, log_residuals: bool = False):
-        self.instance = instance
-        self.inner = WhackState(instance)
-        self.eps = instance.eps
-        self.l1p = math.log1p(instance.eps)
-        self.z_exp = np.zeros(instance.n, dtype=np.int64)
-        self.est_dots = np.zeros(instance.m)
+    __slots__ = ("terminal", "enforce_log")
+
+    def __init__(self, instance: NormalizedCoveringInstance):
+        super().__init__(instance)
+        self.stats = DynamicStats()
         self.terminal: Outcome | None = None
         self.enforce_log = np.zeros(instance.m, dtype=np.int64)
-        self.refresh_counts = np.zeros(instance.n, dtype=np.int64)
-        self.stats = DynamicStats()
-        self.log_residuals = log_residuals
-
-    # -- representation helpers --------------------------------------------
-
-    def z_value(self, j: int) -> float:
-        return math.exp(self.z_exp[j] * self.l1p)
-
-    def true_W(self) -> float:
-        return self.inner.W * math.exp(self.inner.log_scale)
-
-    def true_x_hat(self, j: int) -> float:
-        return self.inner.x_hat[j] * math.exp(self.inner.log_scale)
 
     def maintained_vector(self) -> np.ndarray:
-        return self.inner.anchored_primal_vector()
+        return self.anchored_primal_vector()
 
     def current_outcome(self) -> Outcome:
         if self.terminal is not None:
             return self.terminal
         return Outcome.covering_primal(self.maintained_vector())
 
-    def estimate_sandwich_ok(self, tol: float = 1e-9) -> bool:
-        """x_hat_j <= z_j <= (1+eps) x_hat_j for every coordinate."""
-        for j in range(self.instance.n):
-            lx = math.log(self.inner.x_hat[j]) + self.inner.log_scale
-            lz = self.z_exp[j] * self.l1p
-            if lz < lx - tol or lz > lx + self.l1p + tol:
-                return False
-        return True
-
-    # -- estimate maintenance ------------------------------------------------
-
-    def _needed_exp(self, j: int) -> int:
-        lx = math.log(self.inner.x_hat[j]) + self.inner.log_scale
-        return max(0, math.ceil(lx / self.l1p - 1e-12))
-
-    def refresh_estimate(self, j: int) -> None:
-        """Raise z_j to the smallest power of (1+eps) at or above x_hat_j."""
-        needed = self._needed_exp(j)
-        if needed <= self.z_exp[j]:
-            return
-        delta = math.exp(needed * self.l1p) - math.exp(self.z_exp[j] * self.l1p)
-        rows, vals = self.instance.C.col(j)
-        if len(rows):
-            self.est_dots[rows] += vals * (delta / self.true_W())
-            self.stats.column_touches += len(rows)
-        self.z_exp[j] = needed
-        self.refresh_counts[j] += 1
-
-    def _rebuild_estimates(self) -> None:
-        C = self.instance.C
-        W = self.true_W()
-        for j in range(self.instance.n):
-            self.z_exp[j] = self._needed_exp(j)
-        zvals = np.exp(self.z_exp * self.l1p)
-        for i in range(self.instance.m):
-            cols, vals = C.row(i)
-            self.est_dots[i] = float(vals @ zvals[cols]) / W if len(cols) else 0.0
-
     # -- enforcement and phases ----------------------------------------------
 
-    def _enforce(self, i: int) -> None:
-        inner = self.inner
-        cols, _ = self.instance.C.row(i)
-        for j in cols:
-            self.stats.column_touches += len(self.instance.C.col_map(int(j)))
-        inner.enforce(i)
+    def enforce(self, i: int) -> int:
+        delta = super().enforce(i)
         self.enforce_log[i] += 1
-        self.stats.enforcements += 1
-        for j in cols:
-            self.refresh_estimate(int(j))
+        self.stats.column_touches += len(self.instance.C.row(i)[0])
+        return delta
 
     def _run_to_certificate(self) -> None:
         """Phase scans until a certificate holds; the preprocessing loop and the
         post-update phase rebuild are the same code path."""
-        inner = self.inner
-        eps = self.eps
-        while True:
-            inner.start_phase()
-            self.stats.phases = inner.phase_count
-            self._rebuild_estimates()
-            broke = False
-            for i in range(inner.m):
-                if inner.row_dots[i] < (1.0 - eps / 2.0) * inner.W:
-                    self._enforce(i)
-                    if inner.t >= inner.T:
-                        self.terminal = Outcome.packing_dual(inner.dual_vector())
-                        return
-                    if inner.phase_exceeded():
-                        broke = True
-                        break
-            if not broke:
-                return
+        outcome = run_phases(self)
+        if outcome.tag is OutcomeTag.PACKING_DUAL:
+            self.terminal = outcome
 
     # -- public operations -----------------------------------------------------
 
@@ -162,37 +80,22 @@ class DynamicWhackState:
             raise UpdateAfterTerminal("dual certificate is frozen")
         if event.kind is not UpdateKind.RESTRICT_COVERING_ENTRY:
             raise NonMonotoneUpdate(f"dynamic covering handles restricting entries, got {event.kind}")
-        i, j = event.row, event.col
         C = self.instance.C
-        old = C.get(i, j)
         C.apply_update(event)  # raises NonMonotoneUpdate / IndexOutOfRange
-        drop = old - event.new_value
-        inner = self.inner
-        inner.row_dots[i] -= drop * inner.x_hat[j]
-        self.est_dots[i] -= drop * self.z_value(j) / self.true_W()
         self.stats.updates += 1
-
-        est_resid = float(self.est_dots[i])
-        exact_resid = inner.row_dots[i] / inner.W
-        if self.log_residuals:
-            self.stats.residual_log.append((float(exact_resid), est_resid))
-        # est >= exact always, so est below the trigger already proves a
-        # violation; the exact comparison additionally catches the slack band
-        # est in [1-eps/2, (1+eps)(1-eps/2)) where the certificate would
-        # otherwise erode below 1-eps.
-        if exact_resid < 1.0 - self.eps / 2.0:
-            self._enforce(i)
-            if inner.t >= inner.T:
-                self.terminal = Outcome.packing_dual(inner.dual_vector())
-            elif inner.phase_exceeded():
+        # the comparison run_phases and step_size make, on the touched row's fresh dot
+        if C.dot_row(event.row, self.x_hat) < (1.0 - self.instance.eps / 2.0) * self.W:
+            self.enforce(event.row)
+            if self.t >= self.T:
+                self.terminal = Outcome.packing_dual(self.dual_vector())
+            elif self.phase_exceeded():
                 self._run_to_certificate()
         return self.current_outcome()
 
 
-def preprocess(instance: NormalizedCoveringInstance,
-               log_residuals: bool = False) -> tuple[DynamicWhackState, Outcome]:
+def preprocess(instance: NormalizedCoveringInstance) -> tuple[DynamicWhackState, Outcome]:
     """Static solve; Case I freezes the dual, Case II starts maintenance."""
-    state = DynamicWhackState(instance, log_residuals=log_residuals)
+    state = DynamicWhackState(instance)
     state._run_to_certificate()
     return state, state.current_outcome()
 

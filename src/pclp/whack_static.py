@@ -6,6 +6,12 @@ weight total W per phase, scans constraints in ascending row order, and
 enforces a violated constraint by applying the whole multiplicative power
 in closed form instead of looping over rounds.
 
+The scan is lazy: a row's dot with x_hat is computed from x_hat at the
+moment the scan reaches that row, so no per-row state is kept between
+rows and an enforcement touches only the enforced row's support. This is
+the same scan ``streaming.run_pass`` makes over a row stream, and it
+reaches the same certificate.
+
 Weights are stored as ``x_hat * exp(log_scale)`` with a shared offset so
 that the 1-norm can reach n^(1/eps) without overflowing doubles.
 """
@@ -46,6 +52,28 @@ def whack(instance: NormalizedCoveringInstance, i: int, x_hat: np.ndarray) -> np
     return out
 
 
+def first_step(reaches, budget: int) -> int:
+    """Smallest d in [1, budget] with ``reaches(d)``, or ``budget`` when even
+    ``reaches(budget)`` fails. ``reaches`` must be monotone in d; the search
+    doubles from 1 and evaluates the budget itself only once the doubling
+    passes it, then bisects."""
+    hi = 1
+    while hi < budget and not reaches(hi):
+        hi *= 2
+    lo = hi // 2  # reaches(lo) fails by the doubling loop (or lo == 0)
+    if hi >= budget:
+        hi = budget
+        if not reaches(hi):
+            return budget
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def row_step_size(vals: np.ndarray, xh: np.ndarray, lam: float, eps: float,
                   W: float, budget: int) -> int:
     """Support-level step size: smallest d in [1, budget] with
@@ -55,26 +83,9 @@ def row_step_size(vals: np.ndarray, xh: np.ndarray, lam: float, eps: float,
         return budget
     base = vals * xh
     growth = np.log1p(eps * vals / lam)
-
-    def resid(d: int) -> float:
-        # d*growth can overflow exp for huge budgets; inf compares correctly
-        with np.errstate(over="ignore"):
-            return float(base @ np.exp(d * growth))
-
-    if resid(budget) < W:
-        return budget
-    hi = 1
-    while resid(hi) < W:
-        hi *= 2
-    hi = min(hi, budget)
-    lo = hi // 2  # resid(lo) < W by the doubling loop
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if resid(mid) >= W:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # d*growth can overflow exp for huge budgets; inf compares correctly
+    with np.errstate(over="ignore"):
+        return first_step(lambda d: float(base @ np.exp(d * growth)) >= W, budget)
 
 
 def step_size(instance: NormalizedCoveringInstance, i: int, t: int,
@@ -87,11 +98,11 @@ def step_size(instance: NormalizedCoveringInstance, i: int, t: int,
     if t >= T:
         raise PreconditionViolated(f"no rounds left: t={t} >= T={T}")
     cols, vals = instance.C.row(i)
-    if len(cols):
-        base = float((vals * x_hat[cols]).sum())
-        if base >= (1.0 - instance.eps / 2.0) * W:
-            raise PreconditionViolated(f"row {i} already near-satisfied")
-    return row_step_size(vals, x_hat[cols], instance.lam, instance.eps, W, T - t)
+    xh = x_hat[cols]
+    # the same dot the phase scan compares, so a row it enforces passes here
+    if len(cols) and float(vals @ xh) >= (1.0 - instance.eps / 2.0) * W:
+        raise PreconditionViolated(f"row {i} already near-satisfied")
+    return row_step_size(vals, xh, instance.lam, instance.eps, W, T - t)
 
 
 @dataclass
@@ -112,7 +123,7 @@ class WhackState:
     """Mutable solver state for the phase-based covering run."""
 
     __slots__ = ("instance", "m", "n", "x_hat", "log_scale", "W", "t", "T",
-                 "whack_counts", "row_dots", "phase_count", "stats", "record_trace")
+                 "whack_counts", "phase_count", "stats", "record_trace")
 
     def __init__(self, instance: NormalizedCoveringInstance, record_trace: bool = False):
         self.instance = instance
@@ -124,7 +135,6 @@ class WhackState:
         self.T = total_rounds(instance.lam, self.n, instance.eps)
         self.whack_counts = np.zeros(self.m, dtype=np.int64)
         self.W = float(self.n)
-        self.row_dots = np.zeros(self.m)
         self.phase_count = 0
         self.stats = WhackStats()
         self.record_trace = record_trace
@@ -145,7 +155,6 @@ class WhackState:
     def _rescale_by(self, factor: float) -> None:
         self.x_hat /= factor
         self.W /= factor
-        self.row_dots /= factor
         self.log_scale += math.log(factor)
 
     # -- phase machinery -----------------------------------------------------
@@ -154,13 +163,7 @@ class WhackState:
         self.phase_count += 1
         self.stats.phases = self.phase_count
         self.W = self.weight_sum()
-        self._recompute_dots()
         self._note_weight()
-
-    def _recompute_dots(self) -> None:
-        C = self.instance.C
-        for i in range(self.m):
-            self.row_dots[i] = C.dot_row(i, self.x_hat)
 
     def _note_weight(self) -> None:
         ratio = self.log_weight_sum() / weight_cap(self.n, self.instance.eps)
@@ -171,7 +174,8 @@ class WhackState:
         return self.weight_sum() > self.W / (1.0 - self.instance.eps / 2.0)
 
     def residual(self, i: int) -> float:
-        return self.row_dots[i] / self.W
+        """(C x_hat)_i / W, computed from the current x_hat."""
+        return self.instance.C.dot_row(i, self.x_hat) / self.W
 
     # -- enforcement ---------------------------------------------------------
 
@@ -185,16 +189,7 @@ class WhackState:
             peak_log = float((np.log(self.x_hat[cols]) + growth).max())
             if peak_log > 290.0:
                 self._rescale_by(math.exp(peak_log - 100.0))
-            old = self.x_hat[cols].copy()
-            self.x_hat[cols] = old * np.exp(growth)
-            dx = self.x_hat[cols] - old
-            C = inst.C
-            for idx in range(len(cols)):
-                if dx[idx] != 0.0:
-                    rows_r, vals_r = C.col(int(cols[idx]))
-                    self.row_dots[rows_r] += vals_r * dx[idx]
-            # wash the accumulated error on the enforced row itself
-            self.row_dots[i] = C.dot_row(i, self.x_hat)
+            self.x_hat[cols] *= np.exp(growth)
         self.whack_counts[i] += delta
         self.t += delta
         self.stats.enforcements += 1
@@ -226,13 +221,16 @@ def solve_fast(instance: NormalizedCoveringInstance,
 
 
 def run_phases(state: WhackState) -> Outcome:
-    """Drive the phase loop to a certificate; shared with the dynamic solver."""
-    eps = state.instance.eps
+    """Drive the phase loop to a certificate; shared with the dynamic solver.
+
+    Each row's dot is computed when the scan reaches it, against the
+    phase's anchor W."""
+    C, eps = state.instance.C, state.instance.eps
     while True:
         state.start_phase()
         broke = False
         for i in range(state.m):
-            if state.row_dots[i] < (1.0 - eps / 2.0) * state.W:
+            if C.dot_row(i, state.x_hat) < (1.0 - eps / 2.0) * state.W:
                 state.enforce(i)
                 if state.t >= state.T:
                     state.stats.outcome = "packing_dual"

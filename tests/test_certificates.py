@@ -1,7 +1,7 @@
 import numpy as np
 
-from conftest import covering, positive
-from pclp.certificates import CertificateSlack, Outcome, check_certificate
+from conftest import covering, packing, positive
+from pclp.certificates import CertificateSlack, Outcome, OutcomeTag, check_certificate
 
 
 def test_primal_ok_on_unit_instance():
@@ -56,3 +56,38 @@ def test_wrong_length_is_rejected():
     report = check_certificate(inst, Outcome.covering_primal([1.0]),
                                CertificateSlack.whack_static(0.1))
     assert not report.ok and report.violations[0].kind == "BadLength"
+
+
+def test_non_finite_coordinates_are_rejected():
+    cover = covering([[1.0, 0.0], [0.0, 1.0]])
+    pack = packing([[1.0, 0.0], [0.0, 1.0]])
+    both = positive([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
+    cases = [(cover, Outcome.covering_primal, CertificateSlack.whack_static(0.1)),
+             (cover, Outcome.packing_dual, CertificateSlack.whack_static(0.1)),
+             (pack, Outcome.packing_primal, CertificateSlack.packing_template(0.1)),
+             (pack, Outcome.covering_dual, CertificateSlack.packing_template(0.1)),
+             (both, Outcome.positive_solution, CertificateSlack.greedy_positive(both.eps))]
+    for inst, make, slack in cases:
+        for vec in ([np.nan, np.nan], [0.5, np.inf], [-np.inf, 0.5], [0.5, np.nan]):
+            report = check_certificate(inst, make(vec), slack)
+            assert not report.ok, (make, vec)
+            assert report.worst().kind == "NonFinite"
+            assert report.worst().index == int(np.flatnonzero(~np.isfinite(vec))[0])
+
+
+def test_packing_side_rejects_negative_coordinates():
+    # each vector meets every sum and row bound; only its sign is wrong
+    slack = CertificateSlack.packing_template(0.1)
+    primal = check_certificate(packing([[1.0, 1.0]]), Outcome.packing_primal([1.2, -0.2]), slack)
+    dual = check_certificate(packing([[1.0], [1.0]]), Outcome.covering_dual([1.2, -0.2]), slack)
+    for report in (primal, dual):
+        assert not report.ok
+        assert [v.kind for v in report.violations] == ["NegativeCoordinate"]
+        assert report.violations[0].index == 1
+
+
+def test_missing_vector_is_a_violation():
+    inst = covering([[1.0]])
+    report = check_certificate(inst, Outcome(OutcomeTag.COVERING_PRIMAL, None),
+                               CertificateSlack.whack_static(0.1))
+    assert not report.ok and report.worst().kind == "MissingVector"

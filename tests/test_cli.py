@@ -74,6 +74,40 @@ def test_stream_and_online_commands(tmp_path, capsys):
     assert "recourse" in payload["stats"]
 
 
+def test_stream_and_online_verify(tmp_path, capsys):
+    primal = write(tmp_path, "primal.txt", "covering 2 2 1.0\nC 0 0 1.0\nC 0 1 1.0\nC 1 1 1.0\n")
+    dual = write(tmp_path, "dual.txt", "covering 2 2 1.0\nC 0 0 0.4\nC 1 1 0.4\n")
+    for inst, tag in ((primal, "covering_primal"), (dual, "packing_dual")):
+        for argv in (["stream", inst], ["stream", inst, "--mode", "primalonly"],
+                     ["online", inst]):
+            assert main(argv + ["--verify"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["verify_result"]["ok"]
+            if argv[-1] != "primalonly":
+                assert payload["outcome_tag"] == tag
+
+
+def test_stream_and_online_verify_catch_tampering(tmp_path, capsys, monkeypatch):
+    import pclp.cli
+    from pclp.certificates import Outcome
+    from pclp.online import OnlineState
+
+    inst = write(tmp_path, "inst.txt", "covering 2 2 1.0\nC 0 0 1.0\nC 0 1 1.0\nC 1 1 1.0\n")
+    solve_stream = pclp.cli.solve_stream
+
+    def halved_stream(cursor, eps):
+        outcome, stats = solve_stream(cursor, eps)
+        return Outcome.covering_primal(outcome.vector * 0.5), stats
+
+    monkeypatch.setattr(pclp.cli, "solve_stream", halved_stream)
+    monkeypatch.setattr(OnlineState, "maintained_vector", lambda state: 0.5 * state.x_hat / state.W)
+    for command in ("stream", "online"):
+        assert main([command, inst, "--verify"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert not payload["verify_result"]["ok"]
+        assert "RowBelowCover" in payload["verify_result"]["violation"]
+
+
 def test_positive_command_with_updates(tmp_path, capsys):
     inst = write(tmp_path, "p.txt", "positive 1 1 1\nP 0 0 1.0\nC 0 0 0.4\n")
     ups = write(tmp_path, "u.txt", "set C 0 0 1.2\n")
@@ -81,6 +115,20 @@ def test_positive_command_with_updates(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["outcome_tag"] == "positive_solution"
+
+
+def test_positive_entry_updates_after_translation_use_instance_units(tmp_path, capsys):
+    # after a translation the stored row is rescaled; a later entry update
+    # still names the instance's value (1.0 -> 0.8 and 0.25 -> 0.3 relax)
+    inst = write(tmp_path, "p.txt",
+                 "positive 1 1 2\nP 0 0 1.0\nP 0 1 1.0\nC 0 0 0.25\nC 0 1 0.25\n")
+    for name, stream in (("pack.u", "set a 0 2.0\nset P 0 0 0.8\n"),
+                         ("cover.u", "set b 0 0.5\nset C 0 0 0.3\n")):
+        ups = write(tmp_path, name, stream)
+        assert main(["positive", inst, "--updates", ups, "--verify"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verify_result"]["ok"]
+        assert payload["stats"]["translations_applied"] == 1
 
 
 def test_general_verify_gap(tmp_path, capsys):

@@ -56,6 +56,28 @@ def test_pass_count_equals_fast_phase_count(rng):
             assert np.allclose(outcome_s.vector, outcome_f.vector, atol=1e-9)
 
 
+def test_stream_matches_fast_in_both_regimes(rng):
+    # the lazy static scan and the stream make the same decisions on the same
+    # floats: a planted full column keeps the primal side, small entries
+    # drive the run to the dual
+    tags = set()
+    for trial in range(12):
+        eps = [0.1, 0.2][trial % 2]
+        m, n = int(rng.integers(5, 25)), int(rng.integers(5, 25))
+        if trial % 4 < 2:
+            inst = random_covering(rng, m, n, eps=eps, density=0.3, hot_column=True)
+        else:
+            inst = random_covering(rng, m, n, eps=eps, density=0.3, lo_frac=0.1, hi_frac=0.3)
+        outcome_f, stats_f = solve_fast(inst)
+        outcome_s, stats_s = solve_stream(
+            StreamCursor.from_instance(inst, StreamMode.FULL_DUAL), eps)
+        assert outcome_s.tag is outcome_f.tag
+        assert np.allclose(outcome_s.vector, outcome_f.vector, rtol=1e-12, atol=0.0)
+        assert stats_s.passes == stats_f.phases
+        tags.add(outcome_f.tag)
+    assert tags == {OutcomeTag.COVERING_PRIMAL, OutcomeTag.PACKING_DUAL}
+
+
 def test_big_sparse_instance_pass_cap(rng):
     import math
     from pclp.whack_static import weight_cap
