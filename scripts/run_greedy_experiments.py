@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Greedy mixed-LP solver sweeps: boost counts and phase counts against
-their audit budgets, plus the feasible/infeasible split by density.
+their audit budgets, certified-jump attempts, accepted jumps and boosts per
+jump, plus the feasible/infeasible split by density.
+
+    PYTHONPATH=src python scripts/run_greedy_experiments.py --trials 5 --seed 1
 """
 import argparse
 import json
@@ -50,6 +53,10 @@ def main() -> int:
             "max_coord_boosts": max(state.boosts),
             "boost_budget": round(64 * logn ** 2 / inst.eps ** 2),
             "phases": state.stats.phases,
+            "jump_attempts": state.stats.jump_attempts,
+            "jumps": state.stats.jumps,
+            "boosts_per_jump": (round(state.stats.jump_boosts / state.stats.jumps, 1)
+                                if state.stats.jumps else 0.0),
             "weight_refreshes": state.stats.weight_refreshes,
             "heap_readjusts": state.stats.heap_readjusts,
             "translations": state.stats.translations_applied,

@@ -1,8 +1,9 @@
 """Command-line front door: parse instances, dispatch solvers, emit reports.
 
 Exit codes: 0 on a clean run, 2 when --verify finds a certificate
-violation or an optimality gap above its bound, 3 on parse errors and
-invalid (non-monotone) update streams.
+violation or an optimality gap above its bound, 3 on parse errors,
+invalid (non-monotone) update streams and flags the chosen command or
+setting does not support.
 """
 from __future__ import annotations
 
@@ -39,6 +40,10 @@ from .whack_dynamic import UpdateAfterTerminal, preprocess
 from .whack_static import solve_basic, solve_fast
 
 SCHEMA = 1
+
+
+class UsageError(ValueError):
+    """A flag the chosen command or setting does not support."""
 
 
 def _digest(vec: np.ndarray | None) -> dict | None:
@@ -223,6 +228,9 @@ def cmd_positive(args) -> int:
 
 
 def cmd_general(args) -> int:
+    if args.verify and args.setting != "static":
+        raise UsageError(f"general --verify checks the static setting only, "
+                         f"not --setting {args.setting}")
     instance = _load(args.instance, args.eps)
     if not isinstance(instance, GeneralInstance):
         raise ParseError("general expects a general instance")
@@ -365,7 +373,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NonMonotoneUpdate, SparseError, FileNotFoundError) as exc:
+    except (ParseError, UsageError, NonMonotoneUpdate, SparseError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

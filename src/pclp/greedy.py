@@ -33,7 +33,7 @@ offset per side long before products of two of them can overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,21 +66,34 @@ def _logsumexp(terms: list[float]) -> float:
     return hi + math.log(sum(math.exp(t - hi) for t in terms))
 
 
-def _lse_with_slope(terms: list[float], slopes: list[float]) -> tuple[float, float]:
-    """log-sum-exp of affine functions at a point, plus its derivative there
-    (the softmax-weighted average of the slopes)."""
-    if not terms:
-        return -math.inf, 0.0
-    hi = max(terms)
-    if hi == -math.inf:
-        return -math.inf, 0.0
-    tot = 0.0
-    dot = 0.0
-    for t, s in zip(terms, slopes):
-        w = math.exp(t - hi)
-        tot += w
-        dot += w * s
-    return hi + math.log(tot), dot / tot
+def _lse_with_slope_pair(t: list[float], lv: list[float], slopes: list[float],
+                        const: float) -> tuple[float, float, float, float]:
+    """Two log-sum-exps of affine functions at a point, each with its
+    derivative there (the softmax-weighted average of the slopes): of the
+    terms t + lv, and of the terms t plus a constant of slope zero.
+
+    One pass serves both; each sum is accumulated term by term in list
+    order, so the results are the floats two separate passes would give.
+    ``const`` is a log-sum-exp itself, so never -0.0.
+    """
+    if not t:
+        return -math.inf, 0.0, const, 0.0
+    tl = [x + y for x, y in zip(t, lv)]
+    hi1 = max(tl)
+    hi2 = max(t)
+    if const > hi2:
+        hi2 = const
+    exp = math.exp
+    tot1 = dot1 = tot2 = dot2 = 0.0
+    for x, y, s in zip(t, tl, slopes):
+        w = exp(y - hi1)
+        tot1 += w
+        dot1 += w * s
+        w = exp(x - hi2)
+        tot2 += w
+        dot2 += w * s
+    tot2 += exp(const - hi2)
+    return hi1 + math.log(tot1), dot1 / tot1, hi2 + math.log(tot2), dot2 / tot2
 
 
 @dataclass
@@ -91,14 +104,16 @@ class GreedyStats:
     weight_refreshes: int = 0
     wstar_refreshes: int = 0
     translations_applied: int = 0
+    jump_attempts: int = 0  # segment searches started (b_hi >= 16)
+    jumps: int = 0  # searches that certified a segment and executed it
+    jump_boosts: int = 0  # boosts executed inside jumps (part of boosts_total)
     outcome: str = ""
 
     def as_dict(self) -> dict:
-        return {"boosts": self.boosts_total, "phases": self.phases,
-                "heap_readjusts": self.heap_readjusts,
-                "weight_refreshes": self.weight_refreshes,
-                "translations_applied": self.translations_applied,
-                "outcome": self.outcome}
+        """Every field under its own name, except ``boosts_total`` -> ``boosts``."""
+        out = asdict(self)
+        out["boosts"] = out.pop("boosts_total")
+        return out
 
 
 class GreedyState:
@@ -397,7 +412,11 @@ class GreedyState:
         every weight along an exponential of the boost count, so a whole
         segment is executed at once when a convexity bound certifies that
         the coordinate stays cheap throughout (see _segment_certified).
-        Audit mode single-steps everything.
+        After 24 single boosts on k, every further boost first tries a
+        jump: _try_jump evaluates the segment's b = 0 endpoint once and
+        then one endpoint per candidate length on the 16 * 4^i grid, plus
+        one probe at the cap b_hi. A rejected attempt falls back to a
+        single boost. Audit mode single-steps everything.
         """
         if self.exhausted[k]:
             return False
@@ -435,42 +454,49 @@ class GreedyState:
 
         Over b boosts of size delta, every exact log-weight is affine in b,
         so each of the four log-sum-exp pieces of
-        g(b) = log lambda(k, b) - log lambda_0(b) is convex in b.
+        g(b) = log lambda(k, b) - log lambda_0(b) is convex in b. The
+        intercepts, slopes and log-entries are fixed for the attempt; the
+        returned ``parts(b)`` evaluates only the terms that move with b.
         """
         eta = self.eta
-        pc = [(i, v, eta * self.S_p[i], eta * v * delta, math.log(v))
-              for i, v in self.pcol[k]]
-        cc = [(j, v, -eta * self.S_c[j], eta * v * delta, math.log(v))
-              for j, v in self.ccol[k]]
-        ptouch = {i for i, _ in self.pcol[k]}
-        ctouch = {j for j, _ in self.ccol[k]}
-        const_p = _logsumexp([eta * self.S_p[i] for i in range(self.m_p)
+        S_p, S_c = self.S_p, self.S_c
+        pcol, ccol = self.pcol[k], self.ccol[k]
+        a_p = [eta * S_p[i] for i, _ in pcol]
+        r_p = [eta * v * delta for _, v in pcol]
+        lv_p = [math.log(v) for _, v in pcol]
+        a_c = [-eta * S_c[j] for j, _ in ccol]
+        r_c = [eta * v * delta for _, v in ccol]
+        lv_c = [math.log(v) for _, v in ccol]
+        s_c = [-r for r in r_c]  # covering log-weights fall as b grows
+        ptouch = {i for i, _ in pcol}
+        ctouch = {j for j, _ in ccol}
+        const_p = _logsumexp([eta * S_p[i] for i in range(self.m_p)
                               if i not in ptouch])
-        const_c = _logsumexp([-eta * self.S_c[j] for j in range(self.m_c)
+        const_c = _logsumexp([-eta * S_c[j] for j in range(self.m_c)
                               if j not in ctouch])
 
         def parts(b: float):
             # h = log num + log totc (convex), u = log den + log totp (convex)
-            ts = [a + r * b + lv for _, _, a, r, lv in pc]
-            rs = [r for _, _, _, r, _ in pc]
-            num, num_s = _lse_with_slope(ts, rs)
-            t2 = [a + r * b for _, _, a, r, _ in pc]
-            totp, totp_s = _lse_with_slope(t2 + [const_p], rs + [0.0])
-            ts = [c - r * b + lv for _, _, c, r, lv in cc]
-            rs = [-r for _, _, _, r, _ in cc]
-            den, den_s = _lse_with_slope(ts, rs)
-            t2 = [c - r * b for _, _, c, r, _ in cc]
-            totc, totc_s = _lse_with_slope(t2 + [const_c], rs + [0.0])
+            t = [a + r * b for a, r in zip(a_p, r_p)]
+            num, num_s, totp, totp_s = _lse_with_slope_pair(t, lv_p, r_p, const_p)
+            t = [c - r * b for c, r in zip(a_c, r_c)]
+            den, den_s, totc, totc_s = _lse_with_slope_pair(t, lv_c, s_c, const_c)
             h, h_s = num + totc, num_s + totc_s
             u, u_s = den + totp, den_s + totp_s
             return h, h_s, u, u_s
 
         return parts
 
-    def _segment_certified(self, parts, B: float) -> bool:
-        """True when g(b) <= log(1+5eps) provably holds on all of [0, B]."""
-        h0, _, u0, us0 = parts(0.0)
-        hB, _, uB, usB = parts(B)
+    def _segment_certified(self, p0, pB, B: float) -> bool:
+        """True when g(b) <= log(1+5eps) provably holds on all of [0, B],
+        given the segment's endpoint parts ``p0 = parts(0)`` and
+        ``pB = parts(B)``.
+
+        h is convex, so its maximum sits at an endpoint; u is convex, so
+        its tangent lines at the two endpoints bound it from below.
+        """
+        h0, _, u0, us0 = p0
+        hB, _, uB, usB = pB
         max_h = max(h0, hB)
         if us0 >= 0.0:
             min_u = u0
@@ -484,11 +510,16 @@ class GreedyState:
         return max_h - min_u <= math.log1p(5.0 * self.eps) - 1e-12
 
     def _try_jump(self, k: int, delta: float) -> tuple[bool, bool]:
-        """Advance as many same-size boosts at once as certification allows.
+        """Advance as many same-size boosts at once as certification allows;
+        returns (jumped, solved).
 
-        The segment is capped before any covering row reaches 2 (so the
-        active set and the increment stay fixed) and at the boost that
-        satisfies the last uncovered row.
+        The segment is capped at b_hi: before any covering row reaches 2
+        (so the active set and the increment stay fixed) and at the boost
+        that satisfies the last uncovered row. An attempt evaluates the
+        b = 0 endpoint once, then certifies B = 16, 64, 256, ... (16 * 4^i)
+        up to b_hi and stops at the first failure; when the last certified
+        B is within a factor four of b_hi, b_hi itself is probed. The
+        largest certified B (at least 16) is executed as one jump.
         """
         b_sol = 0
         b_two = math.inf
@@ -505,23 +536,28 @@ class GreedyState:
         b_hi = min(b_sol, b_two - 1)
         if not b_hi >= 16:
             return (False, False)
+        self.stats.jump_attempts += 1
         parts = self._segment_profile(k, delta)
+        p0 = parts(0.0)
         best = 0
         b = 16
         while b <= b_hi:
-            if self._segment_certified(parts, float(b)):
+            if self._segment_certified(p0, parts(float(b)), float(b)):
                 best = b
                 b *= 4
             else:
                 break
-        if best and best * 4 > b_hi and best != b_hi and self._segment_certified(parts, float(b_hi)):
+        if (best and best * 4 > b_hi and best != b_hi
+                and self._segment_certified(p0, parts(float(b_hi)), float(b_hi))):
             best = b_hi
         if best < 16:
             return (False, False)
+        self.stats.jumps += 1
         return (True, self._jump(k, delta, int(best)))
 
     def _jump(self, k: int, delta: float, B: int) -> bool:
         self.stats.boosts_total += B
+        self.stats.jump_boosts += B
         self.boosts[k] += B
         self.x[k] += delta * B
         for i, v in self.pcol[k]:

@@ -13,6 +13,7 @@ Four instance kinds are shared by every solver in the package:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,19 +120,27 @@ def _matrix_errors(mat: SparseNonnegMatrix, lam: float | None, name: str) -> lis
     errors = []
     if mat.m < 1 or mat.n < 1:
         errors.append(ValidationError("EmptyMatrix", f"{name} is {mat.m}x{mat.n}"))
+    inf = math.inf
     for i, j, v in mat.entries():
-        if v < 0:
-            errors.append(ValidationError("NegativeEntry", f"{name}[{i},{j}]={v}"))
+        if not (0.0 <= v < inf):
+            code = "NegativeEntry" if -inf < v < 0.0 else "NonFinite"
+            errors.append(ValidationError(code, f"{name}[{i},{j}]={v}"))
         elif lam is not None and v > lam:
             errors.append(
                 ValidationError("EntryAboveLambda", f"{name}[{i},{j}]={v} > {lam}"))
     return errors
 
 
+def _non_finite(**scalars: float) -> list[ValidationError]:
+    return [ValidationError("NonFinite", f"{name}={v}")
+            for name, v in scalars.items() if not math.isfinite(v)]
+
+
 def validate(instance) -> list[ValidationError]:
     """Check every type invariant; returns one entry per violation (empty = ok)."""
     errors: list[ValidationError] = []
     if isinstance(instance, NormalizedCoveringInstance):
+        errors += _non_finite(lam=instance.lam)
         errors += _matrix_errors(instance.C, instance.lam, "C")
         if not (0 < instance.eps < 0.5):
             errors.append(ValidationError(
@@ -139,17 +148,21 @@ def validate(instance) -> list[ValidationError]:
         if instance.lam <= 0:
             errors.append(ValidationError("EntryAboveLambda", f"lambda={instance.lam} <= 0"))
     elif isinstance(instance, PackingInstanceView):
+        errors += _non_finite(lam=instance.lam)
         errors += _matrix_errors(instance.P, instance.lam, "P")
         if not (0 < instance.eps < 0.5):
             errors.append(ValidationError(
                 "EpsOutOfRange", f"eps={instance.eps} outside (0, 1/2)"))
     elif isinstance(instance, GeneralInstance):
+        errors += _non_finite(L=instance.L, U=instance.U)
         errors += _matrix_errors(instance.C, None, "C")
         if instance.L > instance.U:
             errors.append(ValidationError("EpsOutOfRange", f"L={instance.L} > U={instance.U}"))
         for name, vec in (("a", instance.a), ("b", instance.b)):
             for idx, v in enumerate(vec):
-                if v <= 0:
+                if not math.isfinite(v):
+                    errors.append(ValidationError("NonFinite", f"{name}[{idx}]={v}"))
+                elif v <= 0:
                     errors.append(ValidationError(
                         "NegativeEntry", f"{name}[{idx}]={v} must be positive"))
                 elif not (instance.L <= v <= instance.U):
@@ -160,6 +173,7 @@ def validate(instance) -> list[ValidationError]:
                 errors.append(ValidationError(
                     "EntryAboveLambda", f"C[{i},{j}]={v} outside [{instance.L},{instance.U}]"))
     elif isinstance(instance, PositiveInstance):
+        errors += _non_finite(L=instance.L, U=instance.U)
         errors += _matrix_errors(instance.P, None, "P")
         errors += _matrix_errors(instance.C, None, "C")
         if not (0 < instance.eps <= 1 / 200):

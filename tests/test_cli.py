@@ -50,6 +50,17 @@ def test_parse_error_exits_3(tmp_path, capsys):
     assert main(["solve", path]) == 3
 
 
+def test_non_finite_instance_exits_3(tmp_path, capsys):
+    # a NaN entry used to verify as ok, an infinite lambda to overflow
+    nan_entry = write(tmp_path, "nan.txt", "covering 2 2 2.0\nC 0 0 1.0\nC 1 1 nan\n")
+    inf_lam = write(tmp_path, "inf.txt", "covering 2 2 inf\nC 0 0 1.0\nC 1 1 1.0\n")
+    for path, detail in ((nan_entry, "C[1,1]=nan"), (inf_lam, "lam=inf")):
+        assert main(["solve", path, "--verify"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"NonFinite: {detail}" in captured.err
+
+
 def test_dynamic_non_monotone_stream_exits_3(tmp_path):
     inst = write(tmp_path, "inst.txt", "covering 1 1 1.0\nC 0 0 1.0\n")
     ups = write(tmp_path, "ups.txt", "set C 0 0 2.0\n")
@@ -157,6 +168,17 @@ def test_general_other_settings(tmp_path, capsys):
     assert main(["general", inst, "--eps", "0.1", "--setting", "online"]) == 0
     onl = json.loads(capsys.readouterr().out)
     assert onl["recourse"] >= 0 and onl["objective"] > 0
+
+
+@pytest.mark.parametrize("setting", ["dynamic", "stream", "online"])
+def test_general_verify_rejected_outside_static(tmp_path, capsys, setting):
+    text = ("general 2 2\nC 0 0 1.0\nC 0 1 2.0\nC 1 0 2.0\nC 1 1 1.0\n"
+            "a 0 1.0\na 1 1.0\nb 0 1.0\nb 1 1.0\n")
+    inst = write(tmp_path, "g.txt", text)
+    assert main(["general", inst, "--setting", setting, "--verify"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--setting {setting}" in captured.err
 
 
 def test_gen_same_seed_byte_identical(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -259,22 +260,28 @@ def test_pseudo_update_keeps_packing_dot_fixed():
     assert np.isclose(st.S_p[0], st.P.get(0, 0) * st.x[0] + st.ext_col[0])
 
 
+def _replay(st, inst, stream):
+    """Apply a relaxing stream event by event until solved; yields after each."""
+    for ev in stream:
+        if st.solved:
+            break
+        if ev.target == "P" and inst.P.get(ev.row, ev.col) > ev.value:
+            st.relax_packing_entry(ev.row, ev.col, ev.value)
+        elif ev.target == "C" and inst.C.get(ev.row, ev.col) < ev.value:
+            st.relax_covering_entry(ev.row, ev.col, ev.value)
+        elif ev.target == "a":
+            st.translate_packing_rhs(ev.col, ev.value)
+        elif ev.target == "b":
+            st.translate_covering_rhs(ev.row, ev.value)
+        yield ev
+
+
 def test_invariants_hold_after_every_relaxing_event(rng):
     for _ in range(4):
         inst = random_positive(rng, 3, 3, 3, density=0.6)
         st = GreedyState(inst)
         st.run_static()
-        for ev in relaxing_stream_positive(rng, inst, 30):
-            if st.solved:
-                break
-            if ev.target == "P" and inst.P.get(ev.row, ev.col) > ev.value:
-                st.relax_packing_entry(ev.row, ev.col, ev.value)
-            elif ev.target == "C" and inst.C.get(ev.row, ev.col) < ev.value:
-                st.relax_covering_entry(ev.row, ev.col, ev.value)
-            elif ev.target == "a":
-                st.translate_packing_rhs(ev.col, ev.value)
-            elif ev.target == "b":
-                st.translate_covering_rhs(ev.row, ev.value)
+        for _ in _replay(st, inst, relaxing_stream_positive(rng, inst, 30)):
             if not st.solved:
                 rep = st.invariant_report()
                 for key in ("c_lo", "c_hi", "p_hi", "p_lo"):
@@ -424,3 +431,83 @@ def test_boost_budget_within_audit_constant(rng):
         logn = math.log(inst.m_p + inst.m_c + inst.U / inst.L)
         budget = 64 * logn ** 2 / inst.eps ** 2
         assert max(st.boosts) <= budget
+
+
+# -- certified jumps ---------------------------------------------------------------------
+
+def test_every_accepted_jump_stays_cheap(monkeypatch):
+    # the certified segment keeps the exact cost within (1+5 eps) of the
+    # exact lambda_0 at its start, middle and end
+    jump = GreedyState._jump
+    checked = []
+
+    def checked_jump(self, k, delta, B):
+        assert B >= 16
+        for b in (1, B // 2, B):
+            trial = copy.deepcopy(self)
+            if jump(trial, k, delta, b):
+                trial._resync()  # a solving jump returns before the rebuild
+            gap = trial.exact_cost_log(k) - trial._llam0()
+            assert gap <= math.log1p(5.0 * self.eps) + 1e-9, (k, B, b, gap)
+        checked.append(B)
+        return jump(self, k, delta, B)
+
+    monkeypatch.setattr(GreedyState, "_jump", checked_jump)
+    for seed in (7, 9, 15):  # infeasible, and two feasible ones
+        inst = random_positive(np.random.default_rng(seed), 3, 3, 3)
+        _, st = solve_static_positive(inst)
+        assert st.stats.jumps > 0
+    assert len(checked) > 100
+
+
+def test_jump_counters_add_up():
+    inst = random_positive(np.random.default_rng(15), 3, 3, 3)
+    _, st = solve_static_positive(inst)
+    s = st.stats
+    assert 0 < s.jumps <= s.jump_attempts
+    assert 16 * s.jumps <= s.jump_boosts <= s.boosts_total
+    stats = s.as_dict()
+    assert stats["boosts"] == s.boosts_total and "boosts_total" not in stats
+    for key in ("wstar_refreshes", "jump_attempts", "jumps", "jump_boosts"):
+        assert stats[key] == getattr(s, key)
+
+
+def test_audit_mode_never_jumps():
+    inst = random_positive(np.random.default_rng(15), 3, 3, 3)
+    _, st = solve_static_positive(inst, audit_hook=lambda *_: None)
+    assert st.stats.jump_attempts == 0 and st.stats.jump_boosts == 0
+
+
+# -- golden outputs --------------------------------------------------------------------------
+
+# (tag, boosts_total, phases, weight_refreshes, wstar_refreshes, heap_readjusts,
+#  translations_applied, x); refactors of the boost and jump code must leave
+# every one of these exactly as it is
+GOLDEN = {
+    "feasible": ("positive_solution", 276012, 15, 7185, 44, 0, 0,
+                 [0.07644142570570095, 0.44968639818695344, 0.24969205894814023]),
+    "infeasible": ("infeasible", 6097, 10, 1418, 25, 0, 0,
+                   [0.0030639733345597968, 0.004021726710399496, 0.010096802555202757]),
+    "relaxing": ("positive_solution", 214009, 12, 5568, 14, 1, 5,
+                 [0.0, 0.0014633091729982174, 0.9711351621627164]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_outputs(case):
+    if case == "relaxing":
+        rng = np.random.default_rng(19)
+        inst = random_positive(rng, 3, 3, 3, density=0.6)
+        stream = relaxing_stream_positive(rng, inst, 30)
+    else:
+        inst = random_positive(np.random.default_rng(15 if case == "feasible" else 7), 3, 3, 3)
+        stream = []
+    st = GreedyState(inst)
+    st.run_static()
+    for _ in _replay(st, inst, stream):
+        pass
+    s = st.stats
+    got = (st.current_outcome().tag.value, s.boosts_total, s.phases, s.weight_refreshes,
+           s.wstar_refreshes, s.heap_readjusts, s.translations_applied)
+    assert got == GOLDEN[case][:-1]
+    assert np.array_equal(np.asarray(st.x), np.asarray(GOLDEN[case][-1]))

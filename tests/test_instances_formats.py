@@ -36,6 +36,32 @@ def test_validate_positive_eps_cap():
     assert any(e.code == "EpsOutOfRange" for e in errors)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_validate_flags_non_finite_numbers(bad):
+    # every number validate reads: entries, lam, L, U, a and b
+    def codes(instance):
+        return [e.code for e in validate(instance)]
+
+    assert "NonFinite" in codes(covering([[1.0]], lam=bad, eps=0.1))
+    inst = covering([[1.0, 1.0]], lam=2.0, eps=0.1)
+    if bad != float("-inf"):  # set() itself rejects negative values
+        inst.C.set(0, 1, bad)
+        assert codes(inst) == ["NonFinite"]
+    general = random_general(np.random.default_rng(0), 2, 2)
+    for field in ("L", "U"):
+        g = GeneralInstance(C=general.C, a=general.a, b=general.b, L=general.L, U=general.U)
+        setattr(g, field, bad)
+        assert "NonFinite" in codes(g)
+    for vec in ("a", "b"):
+        g = GeneralInstance(C=general.C, a=general.a.copy(), b=general.b.copy(),
+                            L=general.L, U=general.U)
+        getattr(g, vec)[0] = bad
+        assert codes(g) == ["NonFinite"]
+    pos = positive([[1.0]], [[1.0]])
+    pos.U = bad
+    assert "NonFinite" in codes(pos)
+
+
 def test_parse_covering_roundtrip():
     inst = covering([[1.0, 0.0], [0.5, 0.25]], lam=1.0, eps=0.2)
     text = emit_instance(inst)
