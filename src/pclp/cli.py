@@ -231,6 +231,9 @@ def cmd_general(args) -> int:
     if args.verify and args.setting != "static":
         raise UsageError(f"general --verify checks the static setting only, "
                          f"not --setting {args.setting}")
+    if args.updates and args.setting != "dynamic":
+        raise UsageError(f"general --updates applies to --setting dynamic only, "
+                         f"not --setting {args.setting}")
     instance = _load(args.instance, args.eps)
     if not isinstance(instance, GeneralInstance):
         raise ParseError("general expects a general instance")

@@ -1,11 +1,12 @@
 """Online row-arrival covering solver with recourse counted per phase.
 
 The number of rows is unknown upfront: the round budget T depends only on
-n, lambda and eps. Arriving rows are enforced against the phase anchor W;
-opening a new phase raises W, which is the only event that ever lowers a
-maintained coordinate of x_hat/W, so recourse is exactly n per phase
-transition. A phase opening rescans every row seen so far, which keeps
-all of them (1 - eps/2)-satisfied under the current anchor.
+n, lambda and eps. Each arriving row is visited against the phase anchor
+W (``whack_static.WhackState.visit``); opening a new phase raises W, which
+is the only event that ever lowers a maintained coordinate of x_hat/W, so
+recourse is exactly n per phase transition. When a visit breaks the phase,
+``whack_static.scan`` runs over the rows seen so far, which keeps all of
+them (1 - eps/2)-satisfied under the current anchor.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import Outcome
-from .whack_static import row_step_size, total_rounds, weight_cap
+from .whack_static import Step, WhackState, scan, weight_cap
 
 
 class RowAfterTermination(RuntimeError):
@@ -28,86 +29,48 @@ class InsertResult:
     terminal: Outcome | None = None
 
 
-class OnlineState:
+class OnlineState(WhackState):
+    """Covering scan state over the rows seen so far; the first anchor is
+    W = n, and every phase after it is a transition."""
+
+    __slots__ = ("rows", "terminal")
+
     def __init__(self, n: int, lam: float, eps: float):
-        self.n = n
-        self.lam = lam
-        self.eps = eps
-        self.T = total_rounds(lam, n, eps)
-        self.x_hat = np.ones(n)
-        self.W = float(n)
-        self.t = 0
+        super().__init__(n, lam, eps, whack_counts=[])
         self.rows: list[tuple[np.ndarray, np.ndarray]] = []
-        self.whack_counts: list[int] = []
-        self.recourse = 0
-        self.phase_transitions = 0
         self.terminal: Outcome | None = None
 
-    # -- helpers ---------------------------------------------------------------
+    @property
+    def phase_transitions(self) -> int:
+        return self.stats.phases
 
-    def maintained_vector(self) -> np.ndarray:
-        return self.x_hat / self.W
+    @property
+    def recourse(self) -> int:
+        return self.n * self.stats.phases
 
-    def _dot(self, idx: int) -> float:
-        cols, vals = self.rows[idx]
-        return float(vals @ self.x_hat[cols]) if len(cols) else 0.0
-
-    def _enforce(self, idx: int) -> None:
-        cols, vals = self.rows[idx]
-        delta = row_step_size(vals, self.x_hat[cols], self.lam, self.eps,
-                              self.W, self.T - self.t)
-        if len(cols):
-            self.x_hat[cols] *= np.exp(delta * np.log1p(self.eps * vals / self.lam))
-        self.whack_counts[idx] += delta
-        self.t += delta
-
-    def _terminate(self) -> Outcome:
-        y = np.asarray(self.whack_counts, dtype=float) / float(self.T)
-        self.terminal = Outcome.packing_dual(y)
-        return self.terminal
-
-    def _open_phase_and_rescan(self) -> bool:
-        """New anchor, then re-enforce every seen row; True if t hit T."""
-        while True:
-            self.W = float(self.x_hat.sum())
-            self.phase_transitions += 1
-            self.recourse += self.n
-            trigger = (1.0 - self.eps / 2.0) * self.W
-            cap = self.W / (1.0 - self.eps / 2.0)
-            reopened = False
-            for idx in range(len(self.rows)):
-                if self._dot(idx) < trigger:
-                    self._enforce(idx)
-                    if self.t >= self.T:
-                        return True
-                    if float(self.x_hat.sum()) > cap:
-                        reopened = True
-                        break
-            if not reopened:
-                return False
-
-    # -- public ------------------------------------------------------------------
+    def _seen_rows(self):
+        for idx, (cols, vals) in enumerate(self.rows):
+            yield idx, cols, vals
 
     def insert_row(self, cols, vals) -> InsertResult:
         if self.terminal is not None:
             raise RowAfterTermination("dual already returned")
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
-        if np.any(vals < 0) or np.any(vals > self.lam):
+        # written so that NaN fails it
+        if not np.all((vals >= 0) & (vals <= self.lam)):
             raise ValueError("row entries must lie in [0, lambda]")
         if np.any(cols < 0) or np.any(cols >= self.n):
             raise ValueError("column index out of range")
         self.rows.append((cols, vals))
         self.whack_counts.append(0)
-        idx = len(self.rows) - 1
-        while self._dot(idx) < (1.0 - self.eps / 2.0) * self.W:
-            self._enforce(idx)
-            if self.t >= self.T:
-                return InsertResult(None, self._terminate())
-            if float(self.x_hat.sum()) > self.W / (1.0 - self.eps / 2.0):
-                if self._open_phase_and_rescan():
-                    return InsertResult(None, self._terminate())
-                break
+        step = self.visit(len(self.rows) - 1, cols, vals)
+        if step is Step.BROKE:
+            # a new anchor: every row seen so far is scanned against it
+            step = Step.BUDGET if scan(self, self._seen_rows) else None
+        if step is Step.BUDGET:
+            self.terminal = self.budget_outcome()
+            return InsertResult(None, self.terminal)
         return InsertResult(self.maintained_vector())
 
     def recourse_total(self) -> int:

@@ -12,6 +12,13 @@ the crossing.
 The dynamic, streaming and online wrappers run one standard solver per
 guess and translate objective/RHS updates into entry updates against the
 scaled matrices, ignoring changes until they accumulate a (1+eps) factor.
+Each guess's solver is the one covering scan (``whack_static.WhackState``)
+fed a different row source: the static probes and the dynamic solvers scan
+the scaled matrix rows, and a dynamic update visits the rows it touched;
+the streaming wrapper makes one physical pass over the normalized rows for
+all guesses, visiting each row, scaled by the guess, once per guess whose
+phase is still running (guesses added above the grid stream on their
+own); the online wrapper's per-guess states visit each arriving row.
 """
 from __future__ import annotations
 
@@ -24,9 +31,10 @@ from .formats import SetLine
 from .instances import GeneralInstance, NormalizedCoveringInstance
 from .online import OnlineState
 from .sparse import NonMonotoneUpdate, SparseNonnegMatrix, UpdateEvent, UpdateKind
-from .streaming import StreamCursor, StreamMode, StreamSolverState
+from . import streaming
+from .streaming import StreamCursor, StreamMode
 from .whack_dynamic import DynamicWhackState, preprocess
-from .whack_static import row_step_size, solve_fast
+from .whack_static import Step, WhackState, solve_fast
 
 
 class ZeroScaleFactor(ValueError):
@@ -318,83 +326,46 @@ class GeneralStreamResult:
 
 
 def solve_general_stream(gen: GeneralInstance, eps: float,
-                         mode: StreamMode = StreamMode.PRIMAL_ONLY,
-                         interleave: bool = True) -> GeneralStreamResult:
+                         mode: StreamMode = StreamMode.PRIMAL_ONLY) -> GeneralStreamResult:
     view = normalize(gen)
     grid = guess_grid(gen.n, gen.L, gen.U, eps)
-
-    def scaled_rows(mu: float):
-        def rows():
-            for i in range(view.c_prime.m):
-                cols, vals = view.c_prime.row(i)
-                yield i, cols, mu * vals
-        return rows
+    C = view.c_prime
 
     def cursor_for(mu: float) -> StreamCursor:
-        return StreamCursor(scaled_rows(mu), gen.m, gen.n, mu * view.lam_unit, mode)
+        def rows():
+            for i, cols, vals in C.rows():
+                yield i, cols, mu * vals
+        return StreamCursor(rows, gen.m, gen.n, mu * view.lam_unit, mode)
 
+    def state_for(mu: float) -> WhackState:
+        counts = np.zeros(gen.m, dtype=np.int64) if mode is StreamMode.FULL_DUAL else None
+        return WhackState(gen.n, mu * view.lam_unit, eps, counts)
+
+    # one physical pass serves every guess still running: each is anchored at
+    # the pass start and visits the pass's rows until its phase breaks
+    states = [state_for(mu) for mu in grid.guesses]
     outcomes: dict[int, Outcome] = {}
-    per_guess_passes: dict[float, int] = {}
+    live = list(range(len(states)))
     physical = 0
-
-    if interleave:
-        # one shared scan serves every guess per physical pass
-        cursors = {idx: cursor_for(mu) for idx, mu in enumerate(grid.guesses)}
-        states = {idx: StreamSolverState(cursors[idx], eps) for idx in cursors}
-        unfinished = set(cursors.keys())
-        dormant: dict[int, bool] = {}
-        while unfinished:
-            physical += 1
-            for idx in unfinished:
-                cursors[idx].pass_count += 1
-                st = states[idx]
-                st.W = st.weight_sum()
-                dormant[idx] = False
-            for i in range(view.c_prime.m):
-                cols, vals = view.c_prime.row(i)
-                done_now = []
-                for idx in unfinished:
-                    if dormant[idx]:
-                        continue
-                    st = states[idx]
-                    mu = grid.guesses[idx]
-                    svals = mu * vals
-                    xh = st.x_hat[cols]
-                    dot = float(svals @ xh) if len(cols) else 0.0
-                    if dot < (1.0 - eps / 2.0) * st.W:
-                        delta = row_step_size(svals, xh, st.lam, eps, st.W, st.T - st.t)
-                        if len(cols):
-                            st.x_hat[cols] = xh * np.exp(
-                                delta * np.log1p(eps * svals / st.lam))
-                        st.t += delta
-                        if st.whack_counts is not None:
-                            st.whack_counts[i] += delta
-                        if st.t >= st.T:
-                            outcomes[idx] = (Outcome.packing_dual(st.whack_counts / st.T)
-                                             if mode is StreamMode.FULL_DUAL else Outcome.null())
-                            done_now.append(idx)
-                        elif st.weight_sum() > st.W / (1.0 - eps / 2.0):
-                            dormant[idx] = True
-                for idx in done_now:
-                    unfinished.discard(idx)
-            for idx in list(unfinished):
-                if not dormant[idx]:
-                    st = states[idx]
-                    outcomes[idx] = Outcome.covering_primal(st.x_hat / st.weight_sum())
-                    unfinished.discard(idx)
-        for idx, mu in enumerate(grid.guesses):
-            per_guess_passes[mu] = cursors[idx].pass_count
-        passes_total = sum(per_guess_passes.values())
-    else:
-        from .streaming import solve_stream
-        passes_total = 0
-        for idx, mu in enumerate(grid.guesses):
-            cursor = cursor_for(mu)
-            outcome, stats = solve_stream(cursor, eps)
-            outcomes[idx] = outcome
-            per_guess_passes[mu] = stats.passes
-            passes_total += stats.passes
-        physical = passes_total
+    while live:
+        physical += 1
+        for idx in live:
+            states[idx].start_phase()
+        running = live
+        for i, cols, vals in C.rows():
+            still = []
+            for idx in running:
+                step = states[idx].visit(i, cols, grid.guesses[idx] * vals)
+                if step is Step.BUDGET:
+                    outcomes[idx] = states[idx].budget_outcome()
+                elif step is None:
+                    still.append(idx)
+            running = still
+        for idx in running:
+            outcomes[idx] = states[idx].primal_outcome()
+        live = [idx for idx in live if idx not in outcomes]
+    per_guess_passes = {mu: states[idx].stats.phases for idx, mu in enumerate(grid.guesses)}
+    passes_total = sum(per_guess_passes.values())
 
     hi = next((idx for idx in range(len(grid.guesses))
                if outcomes[idx].tag is OutcomeTag.COVERING_PRIMAL), None)
@@ -402,9 +373,7 @@ def solve_general_stream(gen: GeneralInstance, eps: float,
         # the top guess can sit inside the dual-capable band just above the
         # optimum; extend the ladder with solo scans until a primal appears
         mu = grid.extend_up()
-        from .streaming import solve_stream as _solve_stream
-        cursor = cursor_for(mu)
-        outcome, stats = _solve_stream(cursor, eps)
+        outcome, stats = streaming.solve_stream(cursor_for(mu), eps)
         idx = len(grid.guesses) - 1
         outcomes[idx] = outcome
         per_guess_passes[mu] = stats.passes

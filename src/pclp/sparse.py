@@ -132,6 +132,12 @@ class SparseNonnegMatrix:
             self._row_cache[i] = cached
         return cached
 
+    def rows(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Yield (i, column indexes, values) for every row in ascending order."""
+        for i in range(self.m):
+            cols, vals = self.row(i)
+            yield i, cols, vals
+
     def col(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Return (row indexes, values) of column j as parallel arrays."""
         cached = self._col_cache[j]

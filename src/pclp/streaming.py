@@ -1,10 +1,11 @@
 """Multi-pass streaming covering solver over row-arrival streams.
 
-A pass replays the row repository once and is exactly one phase of the
-static scan: W is anchored at pass start, each arriving row is checked
-against the anchored residual and enforced in place, and a phase trigger
-aborts the pass (the restart is counted, matching the static scan which
-also rescans from row zero after a phase break).
+The row source is the cursor's ``source()``: ``whack_static.scan`` runs
+over it with one pass per phase, so a pass is exactly one phase of the
+static scan. W is anchored at pass start, each arriving row is visited
+against the anchor and enforced in place, and a phase break aborts the
+pass (the restart is counted, matching the static scan which also
+rescans from row zero after a phase break).
 
 State between rows is only {x_hat, W, t} plus the whack tallies in
 FULL_DUAL mode; the matrix is never materialized. ``live_words`` counts
@@ -19,7 +20,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .certificates import Outcome
-from .whack_static import row_step_size, total_rounds
+from .whack_static import WhackState, scan
 
 
 class StreamMode(Enum):
@@ -46,84 +47,7 @@ class StreamCursor:
     @classmethod
     def from_instance(cls, instance, mode: StreamMode = StreamMode.FULL_DUAL) -> "StreamCursor":
         mat = instance.C
-
-        def rows():
-            for i in range(mat.m):
-                cols, vals = mat.row(i)
-                yield i, cols, vals
-
-        return cls(rows, mat.m, mat.n, instance.lam, mode)
-
-
-class StreamSolverState:
-    def __init__(self, cursor: StreamCursor, eps: float):
-        self.eps = eps
-        self.lam = cursor.lam
-        self.n = cursor.n
-        self.m = cursor.m
-        self.mode = cursor.mode
-        self.x_hat = np.ones(cursor.n)
-        self.W = float(cursor.n)
-        self.t = 0
-        self.T = total_rounds(cursor.lam, cursor.n, eps)
-        self.whack_counts = (np.zeros(cursor.m, dtype=np.int64)
-                             if cursor.mode is StreamMode.FULL_DUAL else None)
-        self.terminal: Outcome | None = None
-
-    def live_words(self) -> int:
-        """Words of solver state held between rows (excludes the repository)."""
-        words = self.n + 6  # x_hat plus {W, t, T, eps, lam, mode}
-        if self.whack_counts is not None:
-            words += self.m
-        return words
-
-    def weight_sum(self) -> float:
-        return float(self.x_hat.sum())
-
-
-class PassKind(Enum):
-    FINISHED = "finished"
-    PHASE_ENDED = "phase_ended"
-    PASS_COMPLETE = "pass_complete"
-
-
-@dataclass(frozen=True)
-class PassResult:
-    kind: PassKind
-    outcome: Outcome | None = None
-
-
-def run_pass(cursor: StreamCursor, state: StreamSolverState) -> PassResult:
-    """One scan; anchors W, enforces arriving rows, aborts on a phase break."""
-    if state.terminal is not None:
-        return PassResult(PassKind.FINISHED, state.terminal)
-    cursor.pass_count += 1
-    eps = state.eps
-    state.W = state.weight_sum()
-    phase_cap = state.W / (1.0 - eps / 2.0)
-    for item in cursor.source():
-        try:
-            i, cols, vals = item
-        except (TypeError, ValueError) as exc:
-            raise StreamExhaustedMidRow(f"malformed streamed row: {item!r}") from exc
-        xh = state.x_hat[cols]
-        dot = float(vals @ xh) if len(cols) else 0.0
-        if dot < (1.0 - eps / 2.0) * state.W:
-            delta = row_step_size(vals, xh, state.lam, eps, state.W, state.T - state.t)
-            if len(cols):
-                state.x_hat[cols] = xh * np.exp(delta * np.log1p(eps * vals / state.lam))
-            state.t += delta
-            if state.whack_counts is not None:
-                state.whack_counts[i] += delta
-            if state.t >= state.T:
-                if state.mode is StreamMode.FULL_DUAL:
-                    state.terminal = Outcome.packing_dual(state.whack_counts / float(state.T))
-                else:
-                    state.terminal = Outcome.null()
-                return PassResult(PassKind.FINISHED, state.terminal)
-            if state.weight_sum() > phase_cap:
-                return PassResult(PassKind.PHASE_ENDED)
-    return PassResult(PassKind.PASS_COMPLETE)
+        return cls(mat.rows, mat.m, mat.n, instance.lam, mode)
 
 
 @dataclass
@@ -137,18 +61,28 @@ class StreamStats:
                 "peak_live_words": self.peak_live_words}
 
 
+def live_words(state: WhackState) -> int:
+    """Words of solver state held between rows (excludes the repository)."""
+    words = state.n + 6  # x_hat plus {W, t, T, log_scale, eps, lam}
+    if state.whack_counts is not None:
+        words += len(state.whack_counts)
+    return words
+
+
 def solve_stream(cursor: StreamCursor, eps: float) -> tuple[Outcome, StreamStats]:
-    state = StreamSolverState(cursor, eps)
-    stats = StreamStats()
-    while True:
-        result = run_pass(cursor, state)
-        stats.passes = cursor.pass_count
-        stats.peak_live_words = max(stats.peak_live_words, state.live_words())
-        if result.kind is PassKind.FINISHED:
-            stats.outcome = result.outcome.tag.value
-            return result.outcome, stats
-        if result.kind is PassKind.PASS_COMPLETE:
-            outcome = Outcome.covering_primal(state.x_hat / state.weight_sum())
-            stats.outcome = outcome.tag.value
-            return outcome, stats
-        # PHASE_ENDED: restart the scan with a fresh anchor
+    counts = np.zeros(cursor.m, dtype=np.int64) if cursor.mode is StreamMode.FULL_DUAL else None
+    state = WhackState(cursor.n, cursor.lam, eps, counts)
+
+    def one_pass():
+        cursor.pass_count += 1
+        for item in cursor.source():
+            try:
+                i, cols, vals = item
+            except (TypeError, ValueError) as exc:
+                raise StreamExhaustedMidRow(f"malformed streamed row: {item!r}") from exc
+            yield i, cols, vals
+
+    outcome = state.budget_outcome() if scan(state, one_pass) else state.primal_outcome()
+    stats = StreamStats(passes=cursor.pass_count, outcome=outcome.tag.value,
+                        peak_live_words=live_words(state))
+    return outcome, stats

@@ -1,13 +1,14 @@
 """Covering certificates maintained under restricting entry updates.
 
-Preprocessing runs the static phase scan (``whack_static.run_phases``).
-Afterwards each update lowers one entry C_ij, so only constraint i can
-newly fail: the update is applied, and row i's residual is computed fresh
-from x_hat and compared against 1 - eps/2. A violated row is enforced in
-place, which keeps the maintained vector x_hat/W inside the full (1-eps)
-covering guarantee after every update; an enforcement that pushes the
-weight total past the phase cap restarts the static scan from a new
-anchor.
+Preprocessing scans the matrix rows in ascending order, as the static
+solver does (``whack_static.run_phases``). Afterwards each update lowers
+one entry C_ij, so only constraint i can newly fail: the update is
+applied, and row i alone is visited (``WhackState.visit``), its dot
+computed fresh from x_hat and compared against (1 - eps/2) W. A violated
+row is enforced in place, which keeps the maintained vector x_hat/W inside
+the full (1-eps) covering guarantee after every update; an enforcement
+that pushes the weight total past the phase cap rebuilds with the same
+matrix scan from a new anchor.
 
 Once a dual is returned it is frozen: restricting updates only shrink
 C^T y, so the certificate stands forever.
@@ -22,7 +23,7 @@ import numpy as np
 from .certificates import Outcome, OutcomeTag
 from .instances import NormalizedCoveringInstance
 from .sparse import NonMonotoneUpdate, UpdateEvent, UpdateKind
-from .whack_static import WhackState, WhackStats, run_phases
+from .whack_static import Step, WhackState, WhackStats, run_phases
 
 
 class UpdateAfterTerminal(RuntimeError):
@@ -42,16 +43,15 @@ class DynamicStats(WhackStats):
 class DynamicWhackState(WhackState):
     """Whack state kept certified under updates, with per-row enforcement tallies."""
 
-    __slots__ = ("terminal", "enforce_log")
+    __slots__ = ("instance", "terminal", "enforce_log")
 
     def __init__(self, instance: NormalizedCoveringInstance):
-        super().__init__(instance)
+        super().__init__(instance.n, instance.lam, instance.eps,
+                         np.zeros(instance.m, dtype=np.int64))
+        self.instance = instance
         self.stats = DynamicStats()
         self.terminal: Outcome | None = None
         self.enforce_log = np.zeros(instance.m, dtype=np.int64)
-
-    def maintained_vector(self) -> np.ndarray:
-        return self.anchored_primal_vector()
 
     def current_outcome(self) -> Outcome:
         if self.terminal is not None:
@@ -60,16 +60,16 @@ class DynamicWhackState(WhackState):
 
     # -- enforcement and phases ----------------------------------------------
 
-    def enforce(self, i: int) -> int:
-        delta = super().enforce(i)
+    def _enforce(self, i: int, cols: np.ndarray, vals: np.ndarray,
+                 xh: np.ndarray) -> Step | None:
         self.enforce_log[i] += 1
-        self.stats.column_touches += len(self.instance.C.row(i)[0])
-        return delta
+        self.stats.column_touches += len(cols)
+        return super()._enforce(i, cols, vals, xh)
 
     def _run_to_certificate(self) -> None:
         """Phase scans until a certificate holds; the preprocessing loop and the
         post-update phase rebuild are the same code path."""
-        outcome = run_phases(self)
+        outcome = run_phases(self, self.instance.C)
         if outcome.tag is OutcomeTag.PACKING_DUAL:
             self.terminal = outcome
 
@@ -83,13 +83,12 @@ class DynamicWhackState(WhackState):
         C = self.instance.C
         C.apply_update(event)  # raises NonMonotoneUpdate / IndexOutOfRange
         self.stats.updates += 1
-        # the comparison run_phases and step_size make, on the touched row's fresh dot
-        if C.dot_row(event.row, self.x_hat) < (1.0 - self.instance.eps / 2.0) * self.W:
-            self.enforce(event.row)
-            if self.t >= self.T:
-                self.terminal = Outcome.packing_dual(self.dual_vector())
-            elif self.phase_exceeded():
-                self._run_to_certificate()
+        cols, vals = C.row(event.row)
+        step = self.visit(event.row, cols, vals)
+        if step is Step.BUDGET:
+            self.terminal = self.budget_outcome()
+        elif step is Step.BROKE:
+            self._run_to_certificate()
         return self.current_outcome()
 
 

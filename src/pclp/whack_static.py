@@ -1,4 +1,4 @@
-"""Static covering solvers: the round-by-round template and the phase-based one.
+"""Static covering solvers, and the one covering phase scan every setting runs.
 
 ``solve_basic`` follows the plain T-round template and is kept as a slow
 reference oracle. ``solve_fast`` is the production path: it anchors the
@@ -6,11 +6,22 @@ weight total W per phase, scans constraints in ascending row order, and
 enforces a violated constraint by applying the whole multiplicative power
 in closed form instead of looping over rounds.
 
-The scan is lazy: a row's dot with x_hat is computed from x_hat at the
-moment the scan reaches that row, so no per-row state is kept between
-rows and an enforcement touches only the enforced row's support. This is
-the same scan ``streaming.run_pass`` makes over a row stream, and it
-reaches the same certificate.
+``WhackState.visit`` is the only code that compares a row with the anchor
+and enforces it, and ``scan`` runs the phases of one state over a row
+source. A row's dot with x_hat is computed when the row is visited, so no
+per-row state is kept between rows and an enforcement touches only the
+enforced row's support. The settings differ only in the rows they feed and
+in what an outcome means:
+
+- static (``solve_fast``) and the dynamic preprocessing and phase rebuilds
+  (``whack_dynamic``) scan the matrix rows in ascending order, and a
+  dynamic update visits the row it touched;
+- streaming (``streaming.solve_stream``) scans the cursor's row source,
+  one pass per phase;
+- online (``online.OnlineState``) visits each arriving row and, when that
+  breaks the phase, scans the rows seen so far;
+- the streaming reduction (``reductions.solve_general_stream``) visits each
+  row of one physical pass once per guess whose phase is still running.
 
 Weights are stored as ``x_hat * exp(log_scale)`` with a shared offset so
 that the 1-norm can reach n^(1/eps) without overflowing doubles.
@@ -19,11 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .certificates import Outcome
 from .instances import NormalizedCoveringInstance
+from .sparse import SparseNonnegMatrix
 
 #: rescale the shared exponent once any weight grows past this
 _RESCALE_AT = 1e120
@@ -88,21 +102,10 @@ def row_step_size(vals: np.ndarray, xh: np.ndarray, lam: float, eps: float,
         return first_step(lambda d: float(base @ np.exp(d * growth)) >= W, budget)
 
 
-def step_size(instance: NormalizedCoveringInstance, i: int, t: int,
-              x_hat: np.ndarray, W: float, T: int) -> int:
-    """Smallest whack count d with (C z^d / W)_i >= 1, capped at T - t.
-
-    Touches only row i's nonzeros; doubling search for an upper bracket,
-    then bisection.
-    """
-    if t >= T:
-        raise PreconditionViolated(f"no rounds left: t={t} >= T={T}")
-    cols, vals = instance.C.row(i)
-    xh = x_hat[cols]
-    # the same dot the phase scan compares, so a row it enforces passes here
-    if len(cols) and float(vals @ xh) >= (1.0 - instance.eps / 2.0) * W:
-        raise PreconditionViolated(f"row {i} already near-satisfied")
-    return row_step_size(vals, xh, instance.lam, instance.eps, W, T - t)
+class Step(Enum):
+    """What an enforcement in ``WhackState.visit`` ended in, besides going on."""
+    BUDGET = "budget"  # t reached T: the tallies form the packing dual
+    BROKE = "broke"    # the weight total passed the phase cap W / (1 - eps/2)
 
 
 @dataclass
@@ -111,7 +114,7 @@ class WhackStats:
     enforcements: int = 0
     whacks: int = 0
     outcome: str = ""
-    max_weight_ratio: float = 0.0  # max over checkpoints of ln|x|_1 / weight cap
+    max_weight_ratio: float = 0.0  # ln|x|_1 / weight cap when the run returned
     trace: list[tuple[int, int]] = field(default_factory=list)
 
     def as_dict(self) -> dict:
@@ -120,127 +123,152 @@ class WhackStats:
 
 
 class WhackState:
-    """Mutable solver state for the phase-based covering run."""
+    """The covering scan state of every setting.
 
-    __slots__ = ("instance", "m", "n", "x_hat", "log_scale", "W", "t", "T",
-                 "whack_counts", "phase_count", "stats", "record_trace")
+    Holds x_hat (true weights are ``x_hat * exp(log_scale)``), the phase
+    anchor W with its two bounds, t of the T rounds, the whack tallies and
+    the stats. The tallies are indexed by row: an array for a matrix, a
+    growing list online, and None when no dual is kept.
+    """
 
-    def __init__(self, instance: NormalizedCoveringInstance, record_trace: bool = False):
-        self.instance = instance
-        self.m = instance.m
-        self.n = instance.n
-        self.x_hat = np.ones(self.n)
+    __slots__ = ("n", "lam", "eps", "x_hat", "log_scale", "W", "threshold", "cap",
+                 "t", "T", "whack_counts", "stats", "record_trace")
+
+    def __init__(self, n: int, lam: float, eps: float,
+                 whack_counts: np.ndarray | list[int] | None = None,
+                 record_trace: bool = False):
+        self.n = n
+        self.lam = lam
+        self.eps = eps
+        self.x_hat = np.ones(n)
         self.log_scale = 0.0
         self.t = 0
-        self.T = total_rounds(instance.lam, self.n, instance.eps)
-        self.whack_counts = np.zeros(self.m, dtype=np.int64)
-        self.W = float(self.n)
-        self.phase_count = 0
+        self.T = total_rounds(lam, n, eps)
+        self.whack_counts = whack_counts
         self.stats = WhackStats()
         self.record_trace = record_trace
+        self._anchor(float(n))
 
-    # -- scale handling ------------------------------------------------------
-
-    def weight_sum(self) -> float:
-        return float(self.x_hat.sum())
-
-    def log_weight_sum(self) -> float:
-        return math.log(self.weight_sum()) + self.log_scale
-
-    def _maybe_rescale(self) -> None:
-        peak = float(self.x_hat.max())
-        if peak > _RESCALE_AT:
-            self._rescale_by(peak)
-
-    def _rescale_by(self, factor: float) -> None:
-        self.x_hat /= factor
-        self.W /= factor
-        self.log_scale += math.log(factor)
-
-    # -- phase machinery -----------------------------------------------------
+    def _anchor(self, W: float) -> None:
+        self.W = W
+        self.threshold = (1.0 - self.eps / 2.0) * W
+        self.cap = W / (1.0 - self.eps / 2.0)
 
     def start_phase(self) -> None:
-        self.phase_count += 1
-        self.stats.phases = self.phase_count
-        self.W = self.weight_sum()
-        self._note_weight()
+        self.stats.phases += 1
+        self._anchor(float(self.x_hat.sum()))
 
-    def _note_weight(self) -> None:
-        ratio = self.log_weight_sum() / weight_cap(self.n, self.instance.eps)
-        if ratio > self.stats.max_weight_ratio:
-            self.stats.max_weight_ratio = ratio
+    # -- the one row visit -----------------------------------------------------
 
-    def phase_exceeded(self) -> bool:
-        return self.weight_sum() > self.W / (1.0 - self.instance.eps / 2.0)
+    def visit(self, i: int, cols: np.ndarray, vals: np.ndarray) -> Step | None:
+        """Enforce row i (support ``cols``, entries ``vals``) if its dot with
+        x_hat, computed now, is below (1 - eps/2) W: apply the row's whack
+        ``row_step_size`` times in one closed-form power and tally it. A NaN
+        dot fails the comparison, so the row is skipped.
 
-    def residual(self, i: int) -> float:
-        """(C x_hat)_i / W, computed from the current x_hat."""
-        return self.instance.C.dot_row(i, self.x_hat) / self.W
+        Returns None unless an enforcement ran out the round budget or broke
+        the phase."""
+        xh = self.x_hat[cols]
+        if not float(vals @ xh) < self.threshold:
+            return None
+        return self._enforce(i, cols, vals, xh)
 
-    # -- enforcement ---------------------------------------------------------
-
-    def enforce(self, i: int) -> int:
-        """Advance x_hat past row i in one closed-form power; returns the step."""
-        inst = self.instance
-        delta = step_size(inst, i, self.t, self.x_hat, self.W, self.T)
-        cols, vals = inst.C.row(i)
+    def _enforce(self, i: int, cols: np.ndarray, vals: np.ndarray, xh: np.ndarray) -> Step | None:
+        delta = row_step_size(vals, xh, self.lam, self.eps, self.W, self.T - self.t)
+        growth = None
         if len(cols):
-            growth = delta * np.log1p(inst.eps * vals / inst.lam)
-            peak_log = float((np.log(self.x_hat[cols]) + growth).max())
-            if peak_log > 290.0:
-                self._rescale_by(math.exp(peak_log - 100.0))
-            self.x_hat[cols] *= np.exp(growth)
-        self.whack_counts[i] += delta
+            growth = delta * np.log1p(self.eps * vals / self.lam)
+            self.x_hat[cols] = xh * np.exp(growth)
+        total = float(self.x_hat.sum())
+        if total > _RESCALE_AT:  # no weight exceeds the total, so below it no rescale is due
+            total = self._rescale(cols, xh, growth)
         self.t += delta
+        if self.whack_counts is not None:
+            self.whack_counts[i] += delta
         self.stats.enforcements += 1
         self.stats.whacks = self.t
         if self.record_trace:
             self.stats.trace.append((i, delta))
-        self._maybe_rescale()
-        self._note_weight()
-        return delta
+        if self.t >= self.T:
+            return Step.BUDGET
+        return Step.BROKE if total > self.cap else None
+
+    # -- scale handling ------------------------------------------------------
+
+    def _rescale(self, cols: np.ndarray, xh: np.ndarray, growth: np.ndarray | None) -> float:
+        """Shared-exponent rescale after the enforcement just applied, in the
+        log space of its pre-power weights ``xh``; returns the new total."""
+        if growth is not None:
+            peak_log = float((np.log(xh) + growth).max())
+            if peak_log > 290.0:
+                # divide first and power again, so the powered weights stay finite
+                self.x_hat[cols] = xh
+                self._rescale_by(math.exp(peak_log - 100.0))
+                self.x_hat[cols] *= np.exp(growth)
+        peak = float(self.x_hat.max())
+        if peak > _RESCALE_AT:
+            self._rescale_by(peak)
+        return float(self.x_hat.sum())
+
+    def _rescale_by(self, factor: float) -> None:
+        self.x_hat /= factor
+        self.log_scale += math.log(factor)
+        self._anchor(self.W / factor)
 
     # -- outcomes --------------------------------------------------------------
 
-    def dual_vector(self) -> np.ndarray:
-        return self.whack_counts / float(self.T)
+    def budget_outcome(self) -> Outcome:
+        """The answer once t reaches T: the packing dual, or null without tallies."""
+        if self.whack_counts is None:
+            return Outcome.null()
+        return Outcome.packing_dual(np.asarray(self.whack_counts, dtype=float) / float(self.T))
 
-    def primal_vector(self) -> np.ndarray:
-        return self.x_hat / self.weight_sum()
+    def primal_outcome(self) -> Outcome:
+        """The answer after a pass with no break: x_hat over its total."""
+        return Outcome.covering_primal(self.x_hat / float(self.x_hat.sum()))
 
-    def anchored_primal_vector(self) -> np.ndarray:
+    def maintained_vector(self) -> np.ndarray:
         """x_hat / W; sums to at most (1 - eps/2)^-1 within a phase."""
         return self.x_hat / self.W
 
 
-def solve_fast(instance: NormalizedCoveringInstance,
-               record_trace: bool = False) -> tuple[Outcome, WhackStats]:
-    state = WhackState(instance, record_trace=record_trace)
-    outcome = run_phases(state)
-    return outcome, state.stats
+def scan(state: WhackState, rows: Callable[[], Iterable[tuple[int, np.ndarray, np.ndarray]]]) -> bool:
+    """The covering phase loop over a re-iterable row source.
 
-
-def run_phases(state: WhackState) -> Outcome:
-    """Drive the phase loop to a certificate; shared with the dynamic solver.
-
-    Each row's dot is computed when the scan reaches it, against the
-    phase's anchor W."""
-    C, eps = state.instance.C, state.instance.eps
+    Each phase anchors W and visits the rows of one ``rows()`` pass in
+    order; a visit that breaks the phase starts the next one. Returns True
+    once the round budget is spent, False after a pass with no break."""
+    visit = state.visit
     while True:
         state.start_phase()
-        broke = False
-        for i in range(state.m):
-            if C.dot_row(i, state.x_hat) < (1.0 - eps / 2.0) * state.W:
-                state.enforce(i)
-                if state.t >= state.T:
-                    state.stats.outcome = "packing_dual"
-                    return Outcome.packing_dual(state.dual_vector())
-                if state.phase_exceeded():
-                    broke = True
-                    break
-        if not broke:
-            state.stats.outcome = "covering_primal"
-            return Outcome.covering_primal(state.primal_vector())
+        for i, cols, vals in rows():
+            step = visit(i, cols, vals)
+            if step is Step.BUDGET:
+                return True
+            if step is Step.BROKE:
+                break
+        else:
+            return False
+
+
+def run_phases(state: WhackState, C: SparseNonnegMatrix) -> Outcome:
+    """Scan the rows of C in ascending order to a certificate; shared with
+    the dynamic preprocessing and phase rebuilds."""
+    budget_spent = scan(state, C.rows)
+    # weights only grow, so the last total is the largest the run reached
+    state.stats.max_weight_ratio = ((math.log(float(state.x_hat.sum())) + state.log_scale)
+                                    / weight_cap(state.n, state.eps))
+    outcome = state.budget_outcome() if budget_spent else state.primal_outcome()
+    state.stats.outcome = outcome.tag.value
+    return outcome
+
+
+def solve_fast(instance: NormalizedCoveringInstance,
+               record_trace: bool = False) -> tuple[Outcome, WhackStats]:
+    state = WhackState(instance.n, instance.lam, instance.eps,
+                       np.zeros(instance.m, dtype=np.int64), record_trace)
+    outcome = run_phases(state, instance.C)
+    return outcome, state.stats
 
 
 def solve_basic(instance: NormalizedCoveringInstance,

@@ -25,7 +25,7 @@ from pclp.oracle import (
 )
 from pclp.reductions import solve_general_static
 from pclp.sparse import SparseNonnegMatrix, UpdateEvent, UpdateKind
-from pclp.streaming import StreamCursor, StreamMode, StreamSolverState, solve_stream
+from pclp.streaming import StreamCursor, StreamMode, solve_stream
 from pclp.whack_dynamic import enforcement_budget, preprocess
 from pclp.whack_static import solve_basic, solve_fast, total_rounds, weight_cap
 
@@ -175,7 +175,6 @@ def test_criterion_5_streaming():
         _, fast_stats = solve_fast(inst)
         for mode in (StreamMode.FULL_DUAL, StreamMode.PRIMAL_ONLY):
             cursor = StreamCursor.from_instance(inst, mode)
-            state = StreamSolverState(cursor, eps)
             outcome, stats = solve_stream(cursor, eps)
             assert stats.passes == fast_stats.phases
             assert stats.passes <= phase_cap(n, eps)

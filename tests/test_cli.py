@@ -98,6 +98,20 @@ def test_stream_and_online_verify(tmp_path, capsys):
                 assert payload["outcome_tag"] == tag
 
 
+def test_overflow_instance_verifies_in_every_setting(tmp_path, capsys):
+    # at eps = 0.003 the weights pass 1e300 long before the budget runs out,
+    # so every setting must rescale its shared exponent to finish
+    inst = write(tmp_path, "ovf.txt", "covering 1 20 1.0\nC 0 0 0.9\n")
+    payloads = {}
+    for command in ("solve", "stream", "online"):
+        assert main([command, inst, "--eps", "0.003", "--verify"]) == 0
+        payloads[command] = json.loads(capsys.readouterr().out)
+        assert payloads[command]["outcome_tag"] == "packing_dual"
+        assert payloads[command]["verify_result"]["ok"]
+    assert payloads["stream"]["vector"] == payloads["solve"]["vector"]
+    assert payloads["stream"]["stats"]["passes"] == payloads["solve"]["stats"]["phases"]
+
+
 def test_stream_and_online_verify_catch_tampering(tmp_path, capsys, monkeypatch):
     import pclp.cli
     from pclp.certificates import Outcome
@@ -176,6 +190,18 @@ def test_general_verify_rejected_outside_static(tmp_path, capsys, setting):
             "a 0 1.0\na 1 1.0\nb 0 1.0\nb 1 1.0\n")
     inst = write(tmp_path, "g.txt", text)
     assert main(["general", inst, "--setting", setting, "--verify"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--setting {setting}" in captured.err
+
+
+@pytest.mark.parametrize("setting", ["static", "stream", "online"])
+def test_general_updates_rejected_outside_dynamic(tmp_path, capsys, setting):
+    text = ("general 2 2\nC 0 0 1.0\nC 0 1 2.0\nC 1 0 2.0\nC 1 1 1.0\n"
+            "a 0 1.0\na 1 1.0\nb 0 1.0\nb 1 1.0\n")
+    inst = write(tmp_path, "g.txt", text)
+    missing = str(tmp_path / "nonexistent.txt")
+    assert main(["general", inst, "--setting", setting, "--updates", missing]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--setting {setting}" in captured.err

@@ -76,4 +76,6 @@ def test_entry_validation():
     with pytest.raises(ValueError):
         state.insert_row([0], [2.0])  # above lambda
     with pytest.raises(ValueError):
+        state.insert_row([0], [np.nan])  # neither in nor out of range by comparison
+    with pytest.raises(ValueError):
         state.insert_row([5], [0.5])  # column out of range

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pclp.certificates import OutcomeTag
 from pclp.formats import SetLine
 from pclp.generate import general_restricting_stream, random_general
 from pclp.instances import GeneralInstance
@@ -186,28 +187,45 @@ def test_dynamic_tracks_oracle_under_restricting_stream(rng):
 
 # -- streaming reduction -------------------------------------------------------------------
 
+def solo_streams(gen, eps, result, mode=StreamMode.PRIMAL_ONLY):
+    """Each guess's outcome and passes from its own stream over its scaled rows."""
+    view = normalize(gen)
+    return {mu: solve_stream(StreamCursor.from_instance(view.instance_for(mu, eps), mode), eps)
+            for mu in result.per_guess_passes}
+
+
 def test_single_guess_grid_passes_match_plain_stream():
     gen = gen_of([[1.0]], [1.0], [1.0], L=1.0, U=1.0)
-    result = solve_general_stream(gen, 0.1, interleave=False)
+    result = solve_general_stream(gen, 0.1)
     # the degenerate grid has one guess, so total passes equal that guess's
-    view = normalize(gen)
     mu = guess_grid(1, 1.0, 1.0, 0.1).guesses[0]
-    cursor = StreamCursor.from_instance(view.instance_for(mu, 0.1), StreamMode.PRIMAL_ONLY)
-    _, stats = solve_stream(cursor, 0.1)
-    assert result.passes_total == stats.passes
+    solos = solo_streams(gen, 0.1, result)
+    assert list(solos) == [mu]
+    outcome, stats = solos[mu]
+    assert result.passes_total == result.physical_passes == stats.passes
+    assert np.array_equal(result.x, mu * outcome.vector / gen.a)
 
 
 def test_interleaved_stream_shares_scans(rng):
     gen = random_general(rng, 4, 2)
     eps = 0.1
-    inter = solve_general_stream(gen, eps, interleave=True)
-    seq = solve_general_stream(gen, eps, interleave=False)
     per_guess_cap = math.ceil(weight_cap(gen.n, eps) / -math.log(1 - eps / 2)) + 1
-    assert inter.physical_passes <= per_guess_cap
-    assert seq.passes_total <= len(inter.per_guess_passes) * per_guess_cap
-    assert max(inter.per_guess_passes.values()) <= per_guess_cap
-    # both modes land on the same guess window
-    assert np.isclose(inter.objective, seq.objective, rtol=0.25)
+    grid = guess_grid(gen.n, gen.L, gen.U, eps).guesses
+    for mode in (StreamMode.PRIMAL_ONLY, StreamMode.FULL_DUAL):
+        result = solve_general_stream(gen, eps, mode)
+        assert max(result.per_guess_passes.values()) <= per_guess_cap
+        # every guess makes the passes and reaches the answer of a stream of its own
+        solos = solo_streams(gen, eps, result, mode)
+        assert result.per_guess_passes == {mu: st.passes for mu, (_, st) in solos.items()}
+        primal = min(mu for mu, (outcome, _) in solos.items()
+                     if outcome.tag is OutcomeTag.COVERING_PRIMAL)
+        assert result.primal_guess == primal
+        assert np.array_equal(result.x, primal * solos[primal][0].vector / gen.a)
+        # the guesses of the first grid share their passes; extensions scan alone
+        shared = max(result.per_guess_passes[mu] for mu in grid)
+        alone = sum(p for mu, p in result.per_guess_passes.items() if mu not in grid)
+        assert result.physical_passes == shared + alone
+        assert shared <= per_guess_cap
 
 
 # -- online reduction ---------------------------------------------------------------------

@@ -1,27 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import covering
 from pclp.certificates import OutcomeTag
 from pclp.generate import random_covering
-from pclp.streaming import (
-    PassKind,
-    StreamCursor,
-    StreamMode,
-    StreamSolverState,
-    StreamExhaustedMidRow,
-    run_pass,
-    solve_stream,
-)
+from pclp.online import OnlineState
+from pclp.streaming import StreamCursor, StreamExhaustedMidRow, StreamMode, solve_stream
 from pclp.whack_static import solve_fast
 
 
 def test_unit_instance_one_pass_primal():
     inst = covering([[1.0]], eps=0.1)
-    cursor = StreamCursor.from_instance(inst, StreamMode.FULL_DUAL)
-    state = StreamSolverState(cursor, 0.1)
-    result = run_pass(cursor, state)
-    assert result.kind is PassKind.PASS_COMPLETE
     outcome, stats = solve_stream(StreamCursor.from_instance(inst, StreamMode.FULL_DUAL), 0.1)
     assert outcome.tag is OutcomeTag.COVERING_PRIMAL
     assert np.allclose(outcome.vector, [1.0])
@@ -72,7 +63,7 @@ def test_stream_matches_fast_in_both_regimes(rng):
         outcome_s, stats_s = solve_stream(
             StreamCursor.from_instance(inst, StreamMode.FULL_DUAL), eps)
         assert outcome_s.tag is outcome_f.tag
-        assert np.allclose(outcome_s.vector, outcome_f.vector, rtol=1e-12, atol=0.0)
+        assert np.array_equal(outcome_s.vector, outcome_f.vector)
         assert stats_s.passes == stats_f.phases
         tags.add(outcome_f.tag)
     assert tags == {OutcomeTag.COVERING_PRIMAL, OutcomeTag.PACKING_DUAL}
@@ -91,19 +82,37 @@ def test_big_sparse_instance_pass_cap(rng):
 
 def test_live_words_bounds():
     inst = covering(np.ones((7, 4)).tolist(), eps=0.1)
-    full = StreamSolverState(StreamCursor.from_instance(inst, StreamMode.FULL_DUAL), 0.1)
-    lean = StreamSolverState(StreamCursor.from_instance(inst, StreamMode.PRIMAL_ONLY), 0.1)
+    _, full = solve_stream(StreamCursor.from_instance(inst, StreamMode.FULL_DUAL), 0.1)
+    _, lean = solve_stream(StreamCursor.from_instance(inst, StreamMode.PRIMAL_ONLY), 0.1)
     a, b = 2, 32
-    assert full.live_words() <= a * (7 + 4) + b
-    assert lean.live_words() <= a * 4 + b
-    assert lean.live_words() < full.live_words()
+    assert full.peak_live_words <= a * (7 + 4) + b
+    assert lean.peak_live_words <= a * 4 + b
+    assert lean.peak_live_words < full.peak_live_words
 
 
 def test_malformed_row_raises():
     cursor = StreamCursor(lambda: iter([42]), 1, 1, 1.0, StreamMode.FULL_DUAL)
-    state = StreamSolverState(cursor, 0.1)
     with pytest.raises(StreamExhaustedMidRow):
-        run_pass(cursor, state)
+        solve_stream(cursor, 0.1)
+
+
+def test_overflow_instance_rescales_in_every_setting():
+    # at eps = 0.003 the weights pass 1e300 long before the budget runs out;
+    # the stream and online scans must rescale their shared exponent as the
+    # static one does
+    inst = covering([[0.9] + [0.0] * 19], eps=0.003)
+    fast, fast_stats = solve_fast(inst)
+    assert fast.tag is OutcomeTag.PACKING_DUAL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        full, stats = solve_stream(StreamCursor.from_instance(inst, StreamMode.FULL_DUAL), 0.003)
+        lean, _ = solve_stream(StreamCursor.from_instance(inst, StreamMode.PRIMAL_ONLY), 0.003)
+        online = OnlineState(inst.n, inst.lam, inst.eps).insert_row(*inst.C.row(0))
+    assert full.tag is OutcomeTag.PACKING_DUAL
+    assert np.array_equal(full.vector, fast.vector)
+    assert stats.passes == fast_stats.phases
+    assert lean.tag is OutcomeTag.NULL
+    assert online.terminal is not None and online.terminal.tag is OutcomeTag.PACKING_DUAL
 
 
 def test_unsorted_columns_accepted():

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,18 +8,37 @@ from hypothesis import strategies as st
 
 from conftest import covering
 from pclp.certificates import CertificateSlack, OutcomeTag, check_certificate
-from pclp.generate import random_covering
+from pclp.generate import random_covering, random_general, restricting_stream
+from pclp.online import OnlineState
 from pclp.oracle import brute_force_step_size, solve_covering_exact
+from pclp.reductions import solve_general_stream
+from pclp.sparse import UpdateEvent, UpdateKind
+from pclp.streaming import StreamCursor, StreamMode, solve_stream
+from pclp.whack_dynamic import preprocess
 from pclp.whack_static import (
     PreconditionViolated,
+    Step,
     WhackState,
+    row_step_size,
+    run_phases,
     solve_basic,
     solve_fast,
-    step_size,
     total_rounds,
     weight_cap,
     whack,
 )
+
+
+def state_for(inst):
+    return WhackState(inst.n, inst.lam, inst.eps, np.zeros(inst.m, dtype=np.int64))
+
+
+def visit(state, inst, i):
+    return state.visit(i, *inst.C.row(i))
+
+
+def residual(state, inst, i):
+    return inst.C.dot_row(i, state.x_hat) / state.W
 
 
 # -- whack -------------------------------------------------------------------
@@ -43,9 +63,8 @@ def test_whack_half_lambda():
 # -- step size ----------------------------------------------------------------
 
 def test_step_size_linear_scan_example():
-    inst = covering([[1.0]], lam=1.0, eps=0.1)
     # 1.1^d * 0.5 >= 1 first at d = 8
-    d = step_size(inst, 0, 0, np.array([0.5]), 1.0, total_rounds(1.0, 1, 0.1))
+    d = row_step_size(np.array([1.0]), np.array([0.5]), 1.0, 0.1, 1.0, total_rounds(1.0, 1, 0.1))
     assert d == 8
 
 
@@ -53,8 +72,8 @@ def test_step_size_single_support_column():
     inst = covering([[0.0, 1.0]], lam=1.0, eps=0.1)
     x_hat = np.array([5.0, 0.001])
     T = 10 ** 4
-    d = step_size(inst, 0, 0, x_hat, 1.0, T)
     cols, vals = inst.C.row(0)
+    d = row_step_size(vals, x_hat[cols], 1.0, 0.1, 1.0, T)
     ref = brute_force_step_size(vals, x_hat[cols], 1.0, 0.1, 1.0, T)
     assert d == ref
 
@@ -63,13 +82,8 @@ def test_step_size_all_zero_row_caps():
     inst = covering([[1.0], [1.0]], lam=1.0, eps=0.1)
     inst.C.set(1, 0, 0.0)
     T = total_rounds(1.0, 1, 0.1)
-    assert step_size(inst, 1, 0, np.array([1.0]), 1.0, T) == T
-
-
-def test_step_size_precondition():
-    inst = covering([[1.0]], lam=1.0, eps=0.1)
-    with pytest.raises(PreconditionViolated):
-        step_size(inst, 0, 0, np.array([1.0]), 1.0, 10)
+    cols, vals = inst.C.row(1)
+    assert row_step_size(vals, np.ones(1)[cols], 1.0, 0.1, 1.0, T) == T
 
 
 @given(st.integers(0, 10 ** 6))
@@ -79,7 +93,6 @@ def test_step_size_matches_brute_force(seed):
     n = int(rng.integers(1, 8))
     eps = float(rng.choice([0.1, 0.2, 0.3]))
     vals = rng.uniform(0.05, 1.0, size=n)
-    inst = covering([vals.tolist()], lam=1.0, eps=eps)
     x_hat = rng.uniform(0.05, 1.0, size=n)
     W = float(rng.uniform(1.0, 4.0))
     if float(vals @ x_hat) >= (1 - eps / 2) * W:
@@ -87,7 +100,7 @@ def test_step_size_matches_brute_force(seed):
     # small budgets put the answer at or near the cap, where the search
     # evaluates the budget itself
     for T in (*range(1, 21), 5000):
-        d = step_size(inst, 0, 0, x_hat, W, T)
+        d = row_step_size(vals, x_hat, 1.0, eps, W, T)
         ref = brute_force_step_size(vals, x_hat, 1.0, eps, W, T)
         # allow a one-step slip only when the residual sits on the float boundary
         if d != ref:
@@ -98,13 +111,12 @@ def test_step_size_matches_brute_force(seed):
 # -- enforce -------------------------------------------------------------------
 
 def test_enforce_matches_repeated_whacks():
-    inst = covering([[1.0]], lam=1.0, eps=0.1)
-    state = WhackState(inst)
-    state.x_hat[0] = 0.5
+    # x_hat = (0.5, 0.5) anchors W = 1; row 0 needs 0.5 * 1.1^d >= 1, d = 8
+    inst = covering([[1.0, 0.0]], lam=1.0, eps=0.1)
+    state = state_for(inst)
+    state.x_hat[:] = 0.5
     state.start_phase()
-    state.W = 1.0
-    delta = state.enforce(0)
-    assert delta == 8
+    assert visit(state, inst, 0) is Step.BROKE  # 1.57 passes the cap 1/(1 - 0.05)
     assert state.t == 8
     assert state.whack_counts[0] == 8
     assert np.isclose(state.x_hat[0], 0.5 * 1.1 ** 8)
@@ -113,22 +125,28 @@ def test_enforce_matches_repeated_whacks():
 def test_enforce_cap_branch_sets_t_to_T():
     inst = covering([[1.0], [1.0]], lam=1.0, eps=0.1)
     inst.C.set(1, 0, 0.0)
-    state = WhackState(inst)
+    state = state_for(inst)
     state.start_phase()
-    state.enforce(1)  # zero row: capped at T
+    assert visit(state, inst, 1) is Step.BUDGET  # zero row: capped at T
     assert state.t == state.T
 
 
 def test_enforce_refreshes_neighbor_dots():
     inst = covering([[1.0, 0.0], [0.6, 0.7]], lam=1.0, eps=0.1)
-    state = WhackState(inst)
+    state = state_for(inst)
     state.x_hat[:] = [0.4, 0.4]
     state.start_phase()
-    state.W = 1.0
-    state.enforce(0)
+    visit(state, inst, 0)
     dense = inst.C.to_dense()
-    resid = [state.residual(i) for i in range(state.m)]
+    resid = [residual(state, inst, i) for i in range(inst.m)]
     assert np.allclose(resid, dense @ state.x_hat / state.W, rtol=1e-12)
+
+
+def test_nan_dot_is_skipped():
+    state = WhackState(2, 1.0, 0.1)
+    state.start_phase()
+    assert state.visit(0, np.array([0]), np.array([np.nan])) is None
+    assert state.t == 0 and state.stats.enforcements == 0
 
 
 # -- solvers -------------------------------------------------------------------
@@ -215,31 +233,27 @@ def test_certificates_and_oracle_soundness(rng):
 def test_monotone_weights_and_weight_cap(rng):
     for _ in range(10):
         inst = random_covering(rng, 6, 5, eps=0.2, density=0.5)
-        state = WhackState(inst)
-        prev = state.x_hat.copy()
-        prev_scale = state.log_scale
+        state = state_for(inst)
         eps = inst.eps
-        while True:
-            state.start_phase()
-            broke = False
-            for i in range(state.m):
-                if state.residual(i) < 1 - eps / 2:
-                    state.enforce(i)
-                    cur = np.log(state.x_hat) + state.log_scale
-                    assert np.all(cur >= np.log(prev) + prev_scale - 1e-12)
-                    prev, prev_scale = state.x_hat.copy(), state.log_scale
-                    if state.t >= state.T:
-                        broke = True
-                        break
-                    if state.phase_exceeded():
-                        break
-            else:
-                break
-            if broke and state.t >= state.T:
-                break
+        prev = [np.log(state.x_hat) + state.log_scale]
+        ratios = [math.log(inst.n) / weight_cap(inst.n, eps)]
+
+        def rows():
+            # resumed after each visit: no true weight ever falls
+            for row in inst.C.rows():
+                yield row
+                cur = np.log(state.x_hat) + state.log_scale
+                assert np.all(cur >= prev[0] - 1e-12)
+                prev[0] = cur
+                ratios.append((math.log(state.x_hat.sum()) + state.log_scale)
+                              / weight_cap(inst.n, eps))
+
+        run_phases(state, SimpleNamespace(rows=rows))
+        # the ratio is taken once, at the end, which is where it peaks
+        assert state.stats.max_weight_ratio >= max(ratios)
         assert state.stats.max_weight_ratio <= 1.0 + 1e-9
         cap = math.ceil(weight_cap(inst.n, eps) / -math.log(1 - eps / 2)) + 1
-        assert state.phase_count <= cap
+        assert state.stats.phases <= cap
 
 
 def test_phase_cap_on_dual_runs():
@@ -250,24 +264,35 @@ def test_phase_cap_on_dual_runs():
 
 
 def test_shared_exponent_rescale_preserves_run_state():
-    # force the offset machinery directly: residual ratios, the phase anchor
-    # and the reported vectors must be invariant under the shared rescale
-    inst = covering([[0.7, 0.2], [0.3, 0.9]], eps=0.1)
-    state = WhackState(inst)
+    # weights past the rescale trigger: the enforcing visit moves the shared
+    # exponent, and every true weight and the enforced row's cover survive it
+    inst = covering([[0.7, 0.2, 0.0], [0.3, 0.9, 0.0]], eps=0.1)
+    state = state_for(inst)
+    state.x_hat *= 1e150
     state.start_phase()
-    state.x_hat *= 1e150  # beyond the rescale trigger
-    state.W *= 1e150
-    before_resid = [state.residual(i) for i in range(state.m)]
-    before_primal = state.anchored_primal_vector().copy()
-    state._maybe_rescale()
+    assert residual(state, inst, 0) < 1 - 0.05
+    visit(state, inst, 0)
     assert state.log_scale > 0
-    assert float(state.x_hat.max()) <= 1.0 + 1e-12
-    assert np.allclose([state.residual(i) for i in range(state.m)], before_resid, rtol=1e-12)
-    assert np.allclose(state.anchored_primal_vector(), before_primal, rtol=1e-12)
-    # enforcement still works on the rescaled representation
-    if state.residual(0) < 1 - 0.05:
-        state.enforce(0)
-        assert state.residual(0) >= 1 - 1e-9
+    assert float(state.x_hat.max()) <= 1e120
+    assert np.isclose(state.x_hat[2] * math.exp(state.log_scale), 1e150, rtol=1e-12)
+    assert state.threshold == (1 - 0.05) * state.W
+    assert state.cap == state.W / (1 - 0.05)
+    assert residual(state, inst, 0) >= 1 - 1e-9
+
+
+def test_rescale_before_a_power_past_the_float_range():
+    # one enforcement lifts a weight from 1 to about 1e126 = e^290: the state
+    # divides before it powers, so no weight leaves the float range
+    state = WhackState(2, 1.0, 0.1)
+    state.T = 10 ** 12
+    state.x_hat[0] = 1e119
+    state.start_phase()
+    with np.errstate(all="raise"):
+        assert state.visit(0, np.array([1]), np.array([1e-7])) is Step.BROKE
+    assert state.log_scale > 150
+    assert np.all(np.isfinite(state.x_hat)) and float(state.x_hat.max()) <= 1e120
+    assert np.isclose(state.x_hat[0] * math.exp(state.log_scale), 1e119, rtol=1e-9)
+    assert 1e-7 * state.x_hat[1] >= state.W * (1 - 1e-9)
 
 
 def test_basic_rejects_bad_pick():
@@ -275,3 +300,116 @@ def test_basic_rejects_bad_pick():
     inst = covering([[0.4], [1.0]], eps=0.1)
     with pytest.raises(PreconditionViolated):
         solve_basic(inst, pick=lambda resid, t: 1)
+
+
+# -- golden outputs --------------------------------------------------------------------------
+
+def scan_instance(case):
+    if case == "primal":
+        return random_covering(np.random.default_rng(21), 5, 4, eps=0.2, density=0.5,
+                               hot_column=True)
+    if case == "dual":
+        return random_covering(np.random.default_rng(22), 3, 3, eps=0.2, density=0.5,
+                               lo_frac=0.1, hi_frac=0.3)
+    return covering([[0.9, 0.0, 0.0, 0.0]], eps=0.004)  # rescales the shared exponent
+
+
+# per case: solve_fast (tag, vector, stats, trace or its length, max_weight_ratio);
+# solve_stream in FULL_DUAL and PRIMAL_ONLY (tag, vector, passes); OnlineState fed
+# the rows in order (last maintained vector, terminal tag and vector, recourse,
+# phase transitions). Captured before the settings shared one scan; every value
+# must stay exactly as it is.
+GOLDEN = {
+    "primal": (
+        ("covering_primal",
+         [0.0038202162976798456, 0.01096901968947579, 0.9068288626610453, 0.07838190135179904],
+         {"phases": 18, "enforcements": 17, "whacks": 30, "outcome": "covering_primal"},
+         [(0, 5), (0, 3), (0, 2), (0, 2), (0, 2), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1),
+          (0, 1), (1, 3), (1, 2), (1, 2), (1, 1), (1, 1), (1, 1)],
+         0.8032129959815765),
+        [("covering_primal", [0.0038202162976798456, 0.01096901968947579,
+                              0.9068288626610453, 0.07838190135179904], 18)] * 2,
+        ([0.0038202162976798456, 0.01096901968947579, 0.9068288626610453, 0.07838190135179904],
+         None, None, 68, 17),
+    ),
+    "dual": (
+        ("packing_dual", [1.0, 0.0, 0.0],
+         {"phases": 1, "enforcements": 1, "whacks": 28, "outcome": "packing_dual"},
+         [(0, 28)], 0.4322697487221106),
+        [("packing_dual", [1.0, 0.0, 0.0], 1), ("null", None, 1)],
+        (None, "packing_dual", [1.0], 0, 0),
+    ),
+    "rescale": (
+        ("packing_dual", [1.0],
+         {"phases": 2857, "enforcements": 2857, "whacks": 86644, "outcome": "packing_dual"},
+         2857, 0.8983901239797127),
+        [("packing_dual", [1.0], 2857), ("null", None, 2857)],
+        (None, "packing_dual", [1.0], 11424, 2856),
+    ),
+}
+
+# a 4x4 replay of 22 halving updates that spare the planted column: outcome tag
+# and vector, dynamic stats, per-row enforcements
+GOLDEN_DYNAMIC = ("covering_primal",
+                  [0.9519075219124444, 0.0026465966544767724, 0.0021353197083037196,
+                   0.04331056172477497],
+                  {"updates": 22, "enforcements": 31, "phases": 32, "column_touches": 71},
+                  [22, 0, 0, 9])
+
+# a 3x3 general LP in both stream modes: x, primal guess, physical and total passes
+GOLDEN_GENERAL_STREAM = ([0.8012552718009457, 0.4395628260596938, 1.0645000014011579],
+                         2.639222093169075, 146, 502)
+
+
+def same_vector(got, want):
+    return (got is None) == (want is None) and (want is None or np.array_equal(got, want))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_outputs(case):
+    inst = scan_instance(case)
+    fast, streams, online = GOLDEN[case]
+    outcome, stats = solve_fast(inst, record_trace=True)
+    assert (outcome.tag.value, stats.as_dict(), stats.max_weight_ratio) == \
+        (fast[0], fast[2], fast[4])
+    assert same_vector(outcome.vector, fast[1])
+    assert (stats.trace if isinstance(fast[3], list) else len(stats.trace)) == fast[3]
+    for mode, (tag, vector, passes) in zip((StreamMode.FULL_DUAL, StreamMode.PRIMAL_ONLY),
+                                           streams):
+        got, st = solve_stream(StreamCursor.from_instance(inst, mode), inst.eps)
+        assert (got.tag.value, st.passes) == (tag, passes)
+        assert same_vector(got.vector, vector)
+    state = OnlineState(inst.n, inst.lam, inst.eps)
+    for i in range(inst.m):
+        result = state.insert_row(*inst.C.row(i))
+        if result.terminal is not None:
+            break
+    maintained, tag, dual, recourse, transitions = online
+    assert same_vector(result.maintained, maintained)
+    assert (None if result.terminal is None else result.terminal.tag.value) == tag
+    assert same_vector(None if result.terminal is None else result.terminal.vector, dual)
+    assert (state.recourse, state.phase_transitions) == (recourse, transitions)
+
+
+def test_golden_dynamic_replay():
+    rng = np.random.default_rng(28)
+    inst = random_covering(rng, 4, 4, eps=0.1, density=0.6, hot_column=0)
+    events = [ev for ev in restricting_stream(rng, inst, 30, halve=True) if ev.col != 0]
+    state, outcome = preprocess(inst)
+    for line in events:
+        outcome = state.handle_update(UpdateEvent(UpdateKind.RESTRICT_COVERING_ENTRY,
+                                                  line.row, line.col, line.value))
+    tag, vector, stats, enforce_log = GOLDEN_DYNAMIC
+    assert (outcome.tag.value, state.stats.as_dict(), state.enforce_log.tolist()) == \
+        (tag, stats, enforce_log)
+    assert np.array_equal(outcome.vector, vector)
+
+
+@pytest.mark.parametrize("mode", [StreamMode.PRIMAL_ONLY, StreamMode.FULL_DUAL])
+def test_golden_general_stream(mode):
+    gen = random_general(np.random.default_rng(25), 3, 3)
+    result = solve_general_stream(gen, 0.1, mode)
+    x, guess, physical, total = GOLDEN_GENERAL_STREAM
+    assert (result.primal_guess, result.physical_passes, result.passes_total) == \
+        (guess, physical, total)
+    assert np.array_equal(result.x, x)
