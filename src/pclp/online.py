@@ -62,6 +62,8 @@ class OnlineState(WhackState):
             raise ValueError("row entries must lie in [0, lambda]")
         if np.any(cols < 0) or np.any(cols >= self.n):
             raise ValueError("column index out of range")
+        if len(set(cols.tolist())) != len(cols):
+            raise ValueError("repeated column index")
         self.rows.append((cols, vals))
         self.whack_counts.append(0)
         step = self.visit(len(self.rows) - 1, cols, vals)

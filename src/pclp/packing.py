@@ -5,7 +5,10 @@ weights shrink when a row is whacked, a phase closes when the weight total
 falls by a (1 - eps/2) factor, and the fast scan enforces rows whose
 anchored value exceeds 1 + eps/2. As in the covering scan, a row's dot is
 computed from x_hat when the scan reaches it, so an enforcement touches
-only the enforced row's support. The fast primal is reported as
+only the enforced row's support. The enforcement's power comes from the
+covering side's seeded step search (``whack_static.first_step``), started
+at the Jensen bound (``whack_static.jensen_guess``), which from this side
+is a lower bound. The fast primal is reported as
 x_hat / W, which keeps both the sum and the row bounds inside the
 plain (1 +/- eps) band.
 """
@@ -18,7 +21,7 @@ import numpy as np
 
 from .certificates import Outcome
 from .instances import PackingInstanceView
-from .whack_static import PreconditionViolated, first_step, total_rounds
+from .whack_static import PreconditionViolated, first_step, jensen_guess, total_rounds
 
 _RESCALE_BELOW = 1e-120
 
@@ -30,24 +33,6 @@ def whack_packing(instance: PackingInstanceView, i: int, x_hat: np.ndarray) -> n
     if len(cols):
         out[cols] *= 1.0 - instance.eps * vals / instance.lam
     return out
-
-
-def step_size_packing(instance: PackingInstanceView, i: int, t: int,
-                      x_hat: np.ndarray, W: float, T: int) -> int:
-    """Smallest d with (P z^d / W)_i <= 1, capped at T - t."""
-    if t >= T:
-        raise PreconditionViolated(f"no rounds left: t={t} >= T={T}")
-    cols, vals = instance.P.row(i)
-    budget = T - t
-    if len(cols) == 0:
-        raise PreconditionViolated(f"row {i} is empty and cannot be violated")
-    xh = x_hat[cols]
-    # the same dot the phase scan compares, so a row it enforces passes here
-    if float(vals @ xh) <= (1.0 + instance.eps / 2.0) * W:
-        raise PreconditionViolated(f"row {i} already near-satisfied")
-    base = vals * xh
-    decay = np.log1p(-instance.eps * vals / instance.lam)
-    return first_step(lambda d: float(base @ np.exp(d * decay)) <= W, budget)
 
 
 @dataclass
@@ -110,11 +95,17 @@ def solve_packing_fast(instance: PackingInstanceView) -> tuple[Outcome, PackingS
         stats.phases += 1
         W = float(x_hat.sum())
         broke = False
-        for i in range(m):
-            if P.dot_row(i, x_hat) > (1.0 + eps / 2.0) * W:
-                delta = step_size_packing(instance, i, t, x_hat, W, T)
-                cols, vals = P.row(i)
-                x_hat[cols] *= np.exp(delta * np.log1p(-eps * vals / lam))
+        for i, cols, vals in P.rows():
+            xh = x_hat[cols]
+            dot = float(vals @ xh)
+            if dot > (1.0 + eps / 2.0) * W:
+                # smallest d with sum_j base_j exp(d decay_j) <= W; Jensen
+                # bounds it from below, so the search gallops up from there
+                base = vals * xh
+                decay = np.log1p(-eps * vals / lam)
+                guess = jensen_guess(base, decay, dot, W, T - t)
+                delta = first_step(lambda d: float(base @ np.exp(d * decay)) <= W, T - t, guess)
+                x_hat[cols] = xh * np.exp(delta * decay)
                 counts[i] += delta
                 t += delta
                 stats.enforcements += 1

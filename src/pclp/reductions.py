@@ -325,8 +325,9 @@ class GeneralStreamResult:
     per_guess_passes: dict[float, int]
 
 
-def solve_general_stream(gen: GeneralInstance, eps: float,
-                         mode: StreamMode = StreamMode.PRIMAL_ONLY) -> GeneralStreamResult:
+def solve_general_stream(gen: GeneralInstance, eps: float) -> GeneralStreamResult:
+    """Lifted primal of the smallest primal guess; no per-guess dual tallies
+    are kept, since only the primal answer is lifted."""
     view = normalize(gen)
     grid = guess_grid(gen.n, gen.L, gen.U, eps)
     C = view.c_prime
@@ -335,15 +336,11 @@ def solve_general_stream(gen: GeneralInstance, eps: float,
         def rows():
             for i, cols, vals in C.rows():
                 yield i, cols, mu * vals
-        return StreamCursor(rows, gen.m, gen.n, mu * view.lam_unit, mode)
-
-    def state_for(mu: float) -> WhackState:
-        counts = np.zeros(gen.m, dtype=np.int64) if mode is StreamMode.FULL_DUAL else None
-        return WhackState(gen.n, mu * view.lam_unit, eps, counts)
+        return StreamCursor(rows, gen.m, gen.n, mu * view.lam_unit, StreamMode.PRIMAL_ONLY)
 
     # one physical pass serves every guess still running: each is anchored at
     # the pass start and visits the pass's rows until its phase breaks
-    states = [state_for(mu) for mu in grid.guesses]
+    states = [WhackState(gen.n, mu * view.lam_unit, eps) for mu in grid.guesses]
     outcomes: dict[int, Outcome] = {}
     live = list(range(len(states)))
     physical = 0

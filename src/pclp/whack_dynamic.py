@@ -61,10 +61,10 @@ class DynamicWhackState(WhackState):
     # -- enforcement and phases ----------------------------------------------
 
     def _enforce(self, i: int, cols: np.ndarray, vals: np.ndarray,
-                 xh: np.ndarray) -> Step | None:
+                 xh: np.ndarray, dot: float) -> Step | None:
         self.enforce_log[i] += 1
         self.stats.column_touches += len(cols)
-        return super()._enforce(i, cols, vals, xh)
+        return super()._enforce(i, cols, vals, xh, dot)
 
     def _run_to_certificate(self) -> None:
         """Phase scans until a certificate holds; the preprocessing loop and the

@@ -4,7 +4,10 @@
 reference oracle. ``solve_fast`` is the production path: it anchors the
 weight total W per phase, scans constraints in ascending row order, and
 enforces a violated constraint by applying the whole multiplicative power
-in closed form instead of looping over rounds.
+in closed form instead of looping over rounds. The power is found by a
+seeded search: Jensen's inequality gives a closed-form upper bound on it
+(``jensen_guess``), and ``first_step`` confirms the guess with the same
+float test it would bisect with, usually in two evaluations.
 
 ``WhackState.visit`` is the only code that compares a row with the anchor
 and enforces it, and ``scan`` runs the phases of one state over a row
@@ -66,19 +69,61 @@ def whack(instance: NormalizedCoveringInstance, i: int, x_hat: np.ndarray) -> np
     return out
 
 
-def first_step(reaches, budget: int) -> int:
+def jensen_guess(base: np.ndarray, growth: np.ndarray, dot: float, W: float,
+                 budget: int) -> int:
+    """Closed-form seed for the step search, clamped to [1, budget].
+
+    The search looks for the smallest d at which
+    S(d) = sum_j base_j exp(d growth_j) crosses W, where base = vals * xh
+    and ``dot`` is the row's dot (sum_j base_j). By Jensen's inequality
+    S(d) >= dot * exp(d g), with g = (base . growth) / dot the base-weighted
+    mean growth, so d = ceil(ln(W / dot) * dot / (base . growth)) is
+    - an upper bound on the answer when the row covers (growth >= 0,
+      S rising to W from below): at that d, S(d) >= dot exp(d g) >= W;
+    - a lower bound when the row packs (growth < 0, S falling to W from
+      above): before that d, S(d) >= dot exp(d g) > W.
+    Returns 1 when the formula says nothing: dot <= 0, base . growth = 0,
+    or W on the wrong side of dot."""
+    bg = float(base @ growth)
+    ratio = W / dot if dot > 0.0 else 0.0
+    if not (ratio > 0.0 and bg != 0.0):
+        return 1
+    d = math.log(ratio) * dot / bg
+    if not d > 1.0:  # also NaN
+        return 1
+    return budget if d >= budget else math.ceil(d)
+
+
+def first_step(reaches, budget: int, guess: int = 1) -> int:
     """Smallest d in [1, budget] with ``reaches(d)``, or ``budget`` when even
-    ``reaches(budget)`` fails. ``reaches`` must be monotone in d; the search
-    doubles from 1 and evaluates the budget itself only once the doubling
-    passes it, then bisects."""
-    hi = 1
-    while hi < budget and not reaches(hi):
-        hi *= 2
-    lo = hi // 2  # reaches(lo) fails by the doubling loop (or lo == 0)
-    if hi >= budget:
-        hi = budget
-        if not reaches(hi):
-            return budget
+    ``reaches(budget)`` fails. ``reaches`` must be monotone in d.
+
+    The search gallops from ``guess`` (clamped to [1, budget]): down while
+    ``reaches`` holds and up while it fails, doubling the stride, then
+    bisects. It ends where ``reaches(d)`` holds and ``reaches(d - 1)``
+    fails (or d = 1, or the budget fails), so when the guess is the answer
+    it costs two evaluations, one at d = 1. Both scans seed it with
+    ``jensen_guess``: an upper bound on the answer for a covering row, a
+    lower bound for a packing row."""
+    hi = min(max(guess, 1), budget)
+    stride = 1
+    if reaches(hi):
+        lo = hi - 1
+        while lo >= 1 and reaches(lo):
+            hi = lo
+            stride *= 2
+            lo = hi - stride
+        lo = max(lo, 0)  # d = 0 stands for a failing step
+    else:
+        lo = hi
+        while True:
+            if lo == budget:
+                return budget
+            hi = min(lo + stride, budget)
+            if reaches(hi):
+                break
+            lo = hi
+            stride *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if reaches(mid):
@@ -88,18 +133,25 @@ def first_step(reaches, budget: int) -> int:
     return hi
 
 
+def covering_step(base: np.ndarray, growth: np.ndarray, dot: float, W: float,
+                  budget: int) -> int:
+    """Smallest d in [1, budget] with sum_j base_j exp(d growth_j) >= W, else
+    ``budget``; seeded with the Jensen upper bound (``jensen_guess``)."""
+    guess = jensen_guess(base, growth, dot, W, budget)
+    # d*growth can overflow exp for huge budgets; inf compares correctly
+    with np.errstate(over="ignore"):
+        return first_step(lambda d: float(base @ np.exp(d * growth)) >= W, budget, guess)
+
+
 def row_step_size(vals: np.ndarray, xh: np.ndarray, lam: float, eps: float,
                   W: float, budget: int) -> int:
     """Support-level step size: smallest d in [1, budget] with
     sum_j vals_j (1 + eps vals_j/lam)^d xh_j >= W, capped at ``budget``
-    when even the full power falls short (all-zero rows included)."""
+    when even the full power falls short (all-zero rows included). The
+    search starts from the Jensen upper bound on d (``jensen_guess``)."""
     if len(vals) == 0:
         return budget
-    base = vals * xh
-    growth = np.log1p(eps * vals / lam)
-    # d*growth can overflow exp for huge budgets; inf compares correctly
-    with np.errstate(over="ignore"):
-        return first_step(lambda d: float(base @ np.exp(d * growth)) >= W, budget)
+    return covering_step(vals * xh, np.log1p(eps * vals / lam), float(vals @ xh), W, budget)
 
 
 class Step(Enum):
@@ -169,16 +221,22 @@ class WhackState:
         Returns None unless an enforcement ran out the round budget or broke
         the phase."""
         xh = self.x_hat[cols]
-        if not float(vals @ xh) < self.threshold:
+        dot = float(vals @ xh)
+        if not dot < self.threshold:
             return None
-        return self._enforce(i, cols, vals, xh)
+        return self._enforce(i, cols, vals, xh, dot)
 
-    def _enforce(self, i: int, cols: np.ndarray, vals: np.ndarray, xh: np.ndarray) -> Step | None:
-        delta = row_step_size(vals, xh, self.lam, self.eps, self.W, self.T - self.t)
+    def _enforce(self, i: int, cols: np.ndarray, vals: np.ndarray, xh: np.ndarray,
+                 dot: float) -> Step | None:
+        budget = self.T - self.t
         growth = None
         if len(cols):
-            growth = delta * np.log1p(self.eps * vals / self.lam)
+            rate = np.log1p(self.eps * vals / self.lam)
+            delta = covering_step(vals * xh, rate, dot, self.W, budget)
+            growth = delta * rate
             self.x_hat[cols] = xh * np.exp(growth)
+        else:
+            delta = budget
         total = float(self.x_hat.sum())
         if total > _RESCALE_AT:  # no weight exceeds the total, so below it no rescale is due
             total = self._rescale(cols, xh, growth)

@@ -79,3 +79,13 @@ def test_entry_validation():
         state.insert_row([0], [np.nan])  # neither in nor out of range by comparison
     with pytest.raises(ValueError):
         state.insert_row([5], [0.5])  # column out of range
+
+
+def test_repeated_columns_rejected():
+    # a repeated index would power the coordinate by one copy's factor per
+    # whack instead of the merged entry's, spending the budget twice as fast
+    state = OnlineState(2, 1.0, 0.1)
+    with pytest.raises(ValueError):
+        state.insert_row([0, 0], [0.5, 0.5])
+    assert state.rows == [] and state.t == 0
+    state.insert_row([1, 0], [0.5, 0.5])  # distinct columns in any order pass

@@ -187,10 +187,11 @@ def test_dynamic_tracks_oracle_under_restricting_stream(rng):
 
 # -- streaming reduction -------------------------------------------------------------------
 
-def solo_streams(gen, eps, result, mode=StreamMode.PRIMAL_ONLY):
+def solo_streams(gen, eps, result):
     """Each guess's outcome and passes from its own stream over its scaled rows."""
     view = normalize(gen)
-    return {mu: solve_stream(StreamCursor.from_instance(view.instance_for(mu, eps), mode), eps)
+    return {mu: solve_stream(StreamCursor.from_instance(view.instance_for(mu, eps),
+                                                        StreamMode.PRIMAL_ONLY), eps)
             for mu in result.per_guess_passes}
 
 
@@ -211,21 +212,20 @@ def test_interleaved_stream_shares_scans(rng):
     eps = 0.1
     per_guess_cap = math.ceil(weight_cap(gen.n, eps) / -math.log(1 - eps / 2)) + 1
     grid = guess_grid(gen.n, gen.L, gen.U, eps).guesses
-    for mode in (StreamMode.PRIMAL_ONLY, StreamMode.FULL_DUAL):
-        result = solve_general_stream(gen, eps, mode)
-        assert max(result.per_guess_passes.values()) <= per_guess_cap
-        # every guess makes the passes and reaches the answer of a stream of its own
-        solos = solo_streams(gen, eps, result, mode)
-        assert result.per_guess_passes == {mu: st.passes for mu, (_, st) in solos.items()}
-        primal = min(mu for mu, (outcome, _) in solos.items()
-                     if outcome.tag is OutcomeTag.COVERING_PRIMAL)
-        assert result.primal_guess == primal
-        assert np.array_equal(result.x, primal * solos[primal][0].vector / gen.a)
-        # the guesses of the first grid share their passes; extensions scan alone
-        shared = max(result.per_guess_passes[mu] for mu in grid)
-        alone = sum(p for mu, p in result.per_guess_passes.items() if mu not in grid)
-        assert result.physical_passes == shared + alone
-        assert shared <= per_guess_cap
+    result = solve_general_stream(gen, eps)
+    assert max(result.per_guess_passes.values()) <= per_guess_cap
+    # every guess makes the passes and reaches the answer of a stream of its own
+    solos = solo_streams(gen, eps, result)
+    assert result.per_guess_passes == {mu: st.passes for mu, (_, st) in solos.items()}
+    primal = min(mu for mu, (outcome, _) in solos.items()
+                 if outcome.tag is OutcomeTag.COVERING_PRIMAL)
+    assert result.primal_guess == primal
+    assert np.array_equal(result.x, primal * solos[primal][0].vector / gen.a)
+    # the guesses of the first grid share their passes; extensions scan alone
+    shared = max(result.per_guess_passes[mu] for mu in grid)
+    alone = sum(p for mu, p in result.per_guess_passes.items() if mu not in grid)
+    assert result.physical_passes == shared + alone
+    assert shared <= per_guess_cap
 
 
 # -- online reduction ---------------------------------------------------------------------

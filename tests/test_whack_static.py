@@ -19,6 +19,8 @@ from pclp.whack_static import (
     PreconditionViolated,
     Step,
     WhackState,
+    first_step,
+    jensen_guess,
     row_step_size,
     run_phases,
     solve_basic,
@@ -98,14 +100,101 @@ def test_step_size_matches_brute_force(seed):
     if float(vals @ x_hat) >= (1 - eps / 2) * W:
         return
     # small budgets put the answer at or near the cap, where the search
-    # evaluates the budget itself
-    for T in (*range(1, 21), 5000):
+    # evaluates the budget itself; large ones put the Jensen guess far below it
+    for T in (*range(1, 21), 5000, 10 ** 6, 10 ** 12):
         d = row_step_size(vals, x_hat, 1.0, eps, W, T)
         ref = brute_force_step_size(vals, x_hat, 1.0, eps, W, T)
         # allow a one-step slip only when the residual sits on the float boundary
         if d != ref:
             z = vals * x_hat * (1 + eps * vals) ** min(d, ref)
             assert abs(float(z.sum()) - W) <= 1e-9 * W
+
+
+def unguided_first_step(reaches, budget):
+    """The step search before it took a guess: double from 1, then bisect."""
+    hi = 1
+    while hi < budget and not reaches(hi):
+        hi *= 2
+    lo = hi // 2
+    if hi >= budget:
+        hi = budget
+        if not reaches(hi):
+            return budget
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_first_step_matches_unguided_search(data):
+    budget = data.draw(st.integers(1, 10 ** 6))
+    k = data.draw(st.integers(1, budget + 5))
+    guess = data.draw(st.integers(-3, budget + 5))
+    calls = []
+
+    def reaches(d):
+        assert 1 <= d <= budget
+        calls.append(d)
+        return d >= k
+
+    d = first_step(reaches, budget, guess)
+    assert d == unguided_first_step(lambda d: d >= k, budget) == min(k, budget)
+    # the same evidence as the unguided search: d holds and d - 1 fails, or
+    # the budget itself failed
+    assert d in calls
+    assert d == 1 or d - 1 in calls or k > budget
+    assert len(calls) <= 2 * budget.bit_length() + 2
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_first_step_confirms_a_right_guess_in_two_evaluations(data):
+    budget = data.draw(st.integers(1, 10 ** 6))
+    k = data.draw(st.integers(1, budget))
+    calls = []
+
+    def reaches(d):
+        calls.append(d)
+        return d >= k
+
+    assert first_step(reaches, budget, k) == k
+    assert calls == ([1] if k == 1 else [k, k - 1])
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_jensen_guess_bounds_the_step(seed):
+    # covering rows rise to W: the guess is a power at which the row reaches W;
+    # packing rows fall to W: one power below the guess the row is still above W
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    eps = float(rng.choice([0.05, 0.1, 0.3]))
+    vals = rng.uniform(0.05, 1.0, size=n)
+    xh = rng.uniform(0.05, 1.0, size=n)
+    base, dot = vals * xh, float(vals @ xh)
+    budget = 10 ** 9
+    for sign, W in ((1.0, dot * float(rng.uniform(1.01, 50.0))),
+                    (-1.0, dot / float(rng.uniform(1.01, 50.0)))):
+        growth = np.log1p(sign * eps * vals)
+        d = jensen_guess(base, growth, dot, W, budget)
+        assert 1 <= d < budget
+        if sign > 0:
+            assert float(base @ np.exp(d * growth)) >= W * (1 - 1e-9)
+        elif d > 1:
+            assert float(base @ np.exp((d - 1) * growth)) >= W * (1 - 1e-9)
+
+
+def test_jensen_guess_falls_back_to_one():
+    base, growth = np.array([0.5]), np.array([0.1])
+    assert jensen_guess(base, growth, 0.5, 0.4, 100) == 1   # W on the wrong side
+    assert jensen_guess(base, growth, 0.0, 1.0, 100) == 1   # no dot
+    assert jensen_guess(base, np.zeros(1), 0.5, 1.0, 100) == 1  # no growth
+    assert jensen_guess(base, growth, 0.5, 1e300, 100) == 100  # clamped to the budget
 
 
 # -- enforce -------------------------------------------------------------------
@@ -356,7 +445,8 @@ GOLDEN_DYNAMIC = ("covering_primal",
                   {"updates": 22, "enforcements": 31, "phases": 32, "column_touches": 71},
                   [22, 0, 0, 9])
 
-# a 3x3 general LP in both stream modes: x, primal guess, physical and total passes
+# a 3x3 general LP through the streaming reduction: x, primal guess, physical and
+# total passes
 GOLDEN_GENERAL_STREAM = ([0.8012552718009457, 0.4395628260596938, 1.0645000014011579],
                          2.639222093169075, 146, 502)
 
@@ -405,10 +495,9 @@ def test_golden_dynamic_replay():
     assert np.array_equal(outcome.vector, vector)
 
 
-@pytest.mark.parametrize("mode", [StreamMode.PRIMAL_ONLY, StreamMode.FULL_DUAL])
-def test_golden_general_stream(mode):
+def test_golden_general_stream():
     gen = random_general(np.random.default_rng(25), 3, 3)
-    result = solve_general_stream(gen, 0.1, mode)
+    result = solve_general_stream(gen, 0.1)
     x, guess, physical, total = GOLDEN_GENERAL_STREAM
     assert (result.primal_guess, result.physical_passes, result.passes_total) == \
         (guess, physical, total)
