@@ -26,7 +26,6 @@ from .sparse import (
     SparseNonnegMatrix,
     UpdateEvent,
     UpdateKind,
-    apply_update,
 )
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "SparseNonnegMatrix",
     "UpdateEvent",
     "UpdateKind",
-    "apply_update",
     "check_certificate",
     "validate",
 ]

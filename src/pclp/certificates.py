@@ -64,9 +64,6 @@ class Outcome:
     def null(cls) -> "Outcome":
         return cls(OutcomeTag.NULL, None)
 
-    def is_terminal_dual(self) -> bool:
-        return self.tag in (OutcomeTag.PACKING_DUAL, OutcomeTag.NULL)
-
 
 @dataclass(frozen=True)
 class CertificateSlack:
@@ -105,12 +102,6 @@ class CertificateSlack:
     def greedy_positive(cls, eps: float) -> "CertificateSlack":
         return cls(primal_sum_max=math.inf, cover_min=1.0,
                    dual_sum_min=1.0, dual_sum_max=1.0, pack_max=1.0 + 200.0 * eps)
-
-    @classmethod
-    def greedy_dual(cls, eps: float) -> "CertificateSlack":
-        # weight-extracted duals carry the per-phase estimate slack on 1^T y
-        return cls(primal_sum_max=math.inf, cover_min=1.0,
-                   dual_sum_min=1.0, dual_sum_max=1.0 + eps, pack_max=1.0 + 5.0 * eps)
 
 
 @dataclass(frozen=True)

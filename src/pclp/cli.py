@@ -173,10 +173,10 @@ def cmd_online(args) -> int:
         result = state.insert_row(cols, vals)
         if result.terminal is not None:
             lines.append({"row": i, "terminal": result.terminal.tag.value,
-                          "recourse": state.recourse_total()})
+                          "recourse": state.recourse})
             break
         lines.append({"row": i, "sum": float(result.maintained.sum()),
-                      "recourse": state.recourse_total()})
+                      "recourse": state.recourse})
     if result.terminal is not None:
         # the dual covers the rows seen; rows never read carry zero weight
         y = result.terminal.vector
@@ -184,7 +184,7 @@ def cmd_online(args) -> int:
     else:
         outcome = Outcome.covering_primal(result.maintained)
     payload = {"outcome_tag": outcome.tag.value, "steps": lines,
-               "stats": {"recourse": state.recourse_total(),
+               "stats": {"recourse": state.recourse,
                          "phase_transitions": state.phase_transitions,
                          "recourse_bound": state.recourse_bound()}}
     code = 0

@@ -190,18 +190,11 @@ def parse_updates(text: str) -> list[SetLine]:
 def emit_updates(lines: Iterable[SetLine]) -> str:
     out = []
     for s in lines:
+        value = float(s.value)  # a numpy scalar's repr does not parse
         if s.target in ("C", "P"):
-            out.append(f"set {s.target} {s.row} {s.col} {s.value!r}")
+            out.append(f"set {s.target} {s.row} {s.col} {value!r}")
         elif s.target == "a":
-            out.append(f"set a {s.col} {s.value!r}")
+            out.append(f"set a {s.col} {value!r}")
         else:
-            out.append(f"set b {s.row} {s.value!r}")
+            out.append(f"set b {s.row} {value!r}")
     return "\n".join(out) + "\n"
-
-
-def iter_instance_rows(instance) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (row index, cols, vals) in row order; the streaming arrival order."""
-    mat = instance.C if hasattr(instance, "C") else instance.P
-    for i in range(mat.m):
-        cols, vals = mat.row(i)
-        yield i, cols, vals

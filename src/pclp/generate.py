@@ -98,13 +98,17 @@ def restricting_stream(rng: np.random.Generator, inst: NormalizedCoveringInstanc
 
 def general_restricting_stream(rng: np.random.Generator, gen: GeneralInstance,
                                tau: int) -> list[SetLine]:
-    """Mix of C decreases and a/b increases, all kept inside [L, U]."""
+    """Mix of C decreases and a/b increases, all kept inside [L, U]; shorter
+    than tau once every C entry is at L and every a and b at U."""
     live_C = {(i, j): v for i, j, v in gen.C.entries()}
     live_a = gen.a.copy()
     live_b = gen.b.copy()
     out: list[SetLine] = []
     keys = list(live_C.keys())
-    while len(out) < tau:
+    # values that a later draw can still move; none left means no draw appends
+    movable = (sum(v > gen.L for v in live_C.values())
+               + int(np.sum(live_a < gen.U)) + int(np.sum(live_b < gen.U)))
+    while len(out) < tau and movable:
         kind = rng.random()
         if kind < 0.5 and keys:
             idx = int(rng.integers(len(keys)))
@@ -113,20 +117,21 @@ def general_restricting_stream(rng: np.random.Generator, gen: GeneralInstance,
             if new < live_C[(i, j)]:
                 live_C[(i, j)] = new
                 out.append(SetLine("C", i, j, new))
+                movable -= new == gen.L
         elif kind < 0.75:
             j = int(rng.integers(gen.n))
             new = min(gen.U, live_a[j] * float(rng.uniform(1.05, 1.5)))
             if new > live_a[j]:
                 live_a[j] = new
                 out.append(SetLine("a", None, j, new))
+                movable -= new == gen.U
         else:
             i = int(rng.integers(gen.m))
             new = min(gen.U, live_b[i] * float(rng.uniform(1.05, 1.5)))
             if new > live_b[i]:
                 live_b[i] = new
                 out.append(SetLine("b", i, None, new))
-        if len(out) > 4 * tau:  # saturated at the bounds
-            break
+                movable -= new == gen.U
     return out
 
 

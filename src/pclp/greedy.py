@@ -910,28 +910,6 @@ def solve_static_positive(instance: PositiveInstance,
     return outcome, state
 
 
-def handle_relaxing(state: GreedyState, event) -> Outcome:
-    """Dispatch a relaxing entry event (packing decrease / covering increase)."""
-    from .sparse import UpdateKind
-
-    if event.kind is UpdateKind.RELAX_PACKING_ENTRY:
-        return state.relax_packing_entry(event.row, event.col, event.new_value)
-    if event.kind is UpdateKind.RELAX_COVERING_ENTRY:
-        return state.relax_covering_entry(event.row, event.col, event.new_value)
-    raise NonMonotoneUpdate(f"not a relaxing entry event: {event.kind}")
-
-
-def handle_translation(state: GreedyState, event) -> Outcome:
-    """Dispatch a relaxing RHS event (packing target up / covering target down)."""
-    from .sparse import UpdateKind
-
-    if event.kind is UpdateKind.TRANSLATE_PACKING:
-        return state.translate_packing_rhs(event.row, event.new_value)
-    if event.kind is UpdateKind.TRANSLATE_COVERING:
-        return state.translate_covering_rhs(event.row, event.new_value)
-    raise NonMonotoneUpdate(f"not a translation event: {event.kind}")
-
-
 def problem1_relaxing_state(C: SparseNonnegMatrix, eps: float,
                             L: float | None = None, U: float | None = None) -> GreedyState:
     """Greedy state over the encoding 1^T x <= 1, C x >= 1 used to keep a

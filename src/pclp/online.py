@@ -75,9 +75,6 @@ class OnlineState(WhackState):
             return InsertResult(None, self.terminal)
         return InsertResult(self.maintained_vector())
 
-    def recourse_total(self) -> int:
-        return self.recourse
-
     def recourse_bound(self) -> int:
         """n * ceil(log_{(1-eps/2)^-1} of the weight cap), the audit ceiling."""
         phases = math.ceil(weight_cap(self.n, self.eps)

@@ -15,7 +15,7 @@ plain (1 +/- eps) band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class PackingStats:
     whacks: int = 0
     outcome: str = ""
     min_weight: float = math.inf  # smallest true coordinate seen, for underflow audit
-    trace: list[tuple[int, int]] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {"phases": self.phases, "enforcements": self.enforcements,

@@ -5,9 +5,9 @@ geometric grid of guesses over the range the optimum can occupy, scale the
 normalized matrix by each guess, and ask the standard solver to decide
 that guess. A primal answer at guess mu recovers a covering solution of
 objective exactly mu; a dual answer witnesses OPT >= mu/(1+4 eps). The
-crossing between the two regions is located by bisection, and the grid is
-extended on demand in the corner cases where its endpoints do not bracket
-the crossing.
+static and dynamic reductions locate the crossing between the two regions
+with one search (``_crossing``): the grid is extended on demand in the
+corner cases where its top does not answer primal, then bisected.
 
 The dynamic, streaming and online wrappers run one standard solver per
 guess and translate objective/RHS updates into entry updates against the
@@ -17,12 +17,13 @@ fed a different row source: the static probes and the dynamic solvers scan
 the scaled matrix rows, and a dynamic update visits the rows it touched;
 the streaming wrapper makes one physical pass over the normalized rows for
 all guesses, visiting each row, scaled by the guess, once per guess whose
-phase is still running (guesses added above the grid stream on their
-own); the online wrapper's per-guess states visit each arriving row.
+phase is still running (a guess added above the grid runs the same passes
+on its own); the online wrapper's per-guess states visit each arriving row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -31,8 +32,6 @@ from .formats import SetLine
 from .instances import GeneralInstance, NormalizedCoveringInstance
 from .online import OnlineState
 from .sparse import NonMonotoneUpdate, SparseNonnegMatrix, UpdateEvent, UpdateKind
-from . import streaming
-from .streaming import StreamCursor, StreamMode
 from .whack_dynamic import DynamicWhackState, preprocess
 from .whack_static import Step, WhackState, solve_fast
 
@@ -92,6 +91,29 @@ def guess_grid(n: int, L: float, U: float, eps: float) -> GuessGrid:
     return GuessGrid(guesses, 1.0 + eps)
 
 
+def _crossing(grid: GuessGrid, primal: Callable[[int], bool]) -> tuple[int, int]:
+    """Indexes (lo, hi): hi is the smallest probed guess that answers primal,
+    lo the largest probed one below it (-1 if none). The top is extended
+    until it answers primal, since a dual there certifies OPT >= top/(1+4eps)
+    and so a few extensions always suffice; then the grid is bisected."""
+    hi = len(grid) - 1
+    for _ in range(64):
+        if primal(hi):
+            break
+        grid.extend_up()
+        hi = len(grid) - 1
+    else:  # pragma: no cover
+        raise RuntimeError("guess grid failed to reach a primal answer")
+    lo = -1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if primal(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 # ---------------------------------------------------------------------------
 # static reduction
 # ---------------------------------------------------------------------------
@@ -120,61 +142,40 @@ def _lift_dual(gen: GeneralInstance, mu: float, y_std: np.ndarray, eps: float) -
 def solve_general_static(gen: GeneralInstance, eps: float) -> GeneralSolution:
     view = normalize(gen)
     grid = guess_grid(gen.n, gen.L, gen.U, eps)
-    cache: dict[int, Outcome] = {}
-    per_guess: dict[float, str] = {}
-    probes = 0
+    outcomes: dict[int, Outcome] = {}
+    per_guess: dict[float, str] = {}  # one entry per probe: no guess is probed twice
 
-    def probe(idx: int) -> Outcome:
-        nonlocal probes
-        if idx not in cache:
-            outcome, _ = solve_fast(view.instance_for(grid.guesses[idx], eps))
-            cache[idx] = outcome
-            per_guess[grid.guesses[idx]] = outcome.tag.value
-            probes += 1
-        return cache[idx]
+    def probe(mu: float) -> Outcome:
+        outcome, _ = solve_fast(view.instance_for(mu, eps))
+        per_guess[mu] = outcome.tag.value
+        return outcome
 
-    # ensure the top of the grid decides primal; a dual there certifies
-    # OPT >= top/(1+4eps), so at most a few extensions are ever needed
-    hi = len(grid) - 1
-    for _ in range(64):
-        if probe(hi).tag is OutcomeTag.COVERING_PRIMAL:
-            break
-        grid.extend_up()
-        hi = len(grid) - 1
-    else:  # pragma: no cover
-        raise RuntimeError("guess grid failed to reach a primal answer")
+    def primal(idx: int) -> bool:
+        if idx not in outcomes:
+            outcomes[idx] = probe(grid.guesses[idx])
+        return outcomes[idx].tag is OutcomeTag.COVERING_PRIMAL
 
-    lo = -1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if probe(mid).tag is OutcomeTag.COVERING_PRIMAL:
-            hi = mid
-        else:
-            lo = mid
-
+    lo, hi = _crossing(grid, primal)
     mu_hi = grid.guesses[hi]
-    x = _lift_primal(gen, mu_hi, cache[hi].vector)
+    x = _lift_primal(gen, mu_hi, outcomes[hi].vector)
+    mu_lo, y = None, None
     if lo >= 0:
         mu_lo = grid.guesses[lo]
-        y = _lift_dual(gen, mu_lo, cache[lo].vector, eps)
-        dual_value = float(gen.b @ y)
+        y = _lift_dual(gen, mu_lo, outcomes[lo].vector, eps)
     else:
         # the bottom guess answered primal; probe below it for a dual witness
-        mu_lo, y, dual_value = None, None, None
         mu = grid.guesses[0]
         for _ in range(8):
             mu /= grid.ratio
-            outcome, _ = solve_fast(view.instance_for(mu, eps))
-            probes += 1
-            per_guess[mu] = outcome.tag.value
+            outcome = probe(mu)
             if outcome.tag is OutcomeTag.PACKING_DUAL:
                 mu_lo = mu
                 y = _lift_dual(gen, mu, outcome.vector, eps)
-                dual_value = float(gen.b @ y)
                 break
     return GeneralSolution(x=x, y=y, objective=float(gen.a @ x),
-                           dual_value=dual_value, primal_guess=mu_hi,
-                           dual_guess=mu_lo, probes=probes, per_guess=per_guess)
+                           dual_value=None if y is None else float(gen.b @ y),
+                           primal_guess=mu_hi, dual_guess=mu_lo, probes=len(per_guess),
+                           per_guess=per_guess)
 
 
 # ---------------------------------------------------------------------------
@@ -187,25 +188,17 @@ class GeneralDynamicSolver:
 
     def __init__(self, gen: GeneralInstance, eps: float):
         self.eps = eps
-        self.gen = gen
         self.applied_a = gen.a.copy()
         self.applied_b = gen.b.copy()
         self.applied_C = gen.C.copy()
-        self.lam_unit = gen.U / (gen.L * gen.L)
+        self.view = normalize(gen)  # C' of the applied values, kept entry by entry
         self.grid = guess_grid(gen.n, gen.L, gen.U, eps)
         self.solvers: dict[int, DynamicWhackState] = {}
-        self.lo = -1  # largest index known dual/terminal
-        self.hi = self._find_initial_primal()
+        _, self.hi = _crossing(self.grid, lambda idx: self._solver(idx).terminal is None)
         self.updates_seen = 0
         self.updates_applied = 0
 
     # -- solver pool ---------------------------------------------------------
-
-    def _applied_view(self) -> NormalizedView:
-        out = SparseNonnegMatrix(self.gen.m, self.gen.n)
-        for i, j, v in self.applied_C.entries():
-            out.set(i, j, v / (self.applied_a[j] * self.applied_b[i]))
-        return NormalizedView(out, self.lam_unit)
 
     def _solver(self, idx: int) -> DynamicWhackState:
         # a solver built late preprocesses on the current applied matrix,
@@ -213,88 +206,57 @@ class GeneralDynamicSolver:
         if idx not in self.solvers:
             while idx >= len(self.grid):
                 self.grid.extend_up()
-            inst = self._applied_view().instance_for(self.grid.guesses[idx], self.eps)
+            inst = self.view.instance_for(self.grid.guesses[idx], self.eps)
             state, _ = preprocess(inst)
             self.solvers[idx] = state
         return self.solvers[idx]
 
-    def _find_initial_primal(self) -> int:
-        hi = len(self.grid) - 1
-        for _ in range(64):
-            if self._solver(hi).terminal is None:
-                break
-            self.lo = max(self.lo, hi)
-            self.grid.extend_up()
-            hi = len(self.grid) - 1
-        lo, top = -1, hi
-        while top - lo > 1:
-            mid = (lo + top) // 2
-            if self._solver(mid).terminal is None:
-                top = mid
-            else:
-                lo = mid
-        self.lo = max(self.lo, lo)
-        return top
-
     # -- update handling -------------------------------------------------------
 
-    def _push_entry(self, i: int, j: int, new_cprime: float) -> None:
+    def _push_entry(self, i: int, j: int) -> None:
+        """Recompute C'_ij from the applied values and lower it in every live solver."""
+        cprime = self.applied_C.get(i, j) / (self.applied_a[j] * self.applied_b[i])
+        self.view.c_prime.set(i, j, cprime)
         for idx, solver in self.solvers.items():
-            if solver.terminal is not None:
-                continue
-            mu = self.grid.guesses[idx]
-            solver.handle_update(UpdateEvent(
-                UpdateKind.RESTRICT_COVERING_ENTRY, i, j, mu * new_cprime))
-
-    def _cprime(self, i: int, j: int) -> float:
-        return self.applied_C.get(i, j) / (self.applied_a[j] * self.applied_b[i])
+            if solver.terminal is None:
+                solver.handle_update(UpdateEvent(UpdateKind.RESTRICT_COVERING_ENTRY, i, j,
+                                                 self.grid.guesses[idx] * cprime))
 
     def apply(self, line: SetLine) -> tuple[float, np.ndarray]:
         """Apply one restricting update; returns (objective guess, x)."""
         self.updates_seen += 1
-        ratio = 1.0 + self.eps
+        new, C = line.value, self.applied_C
         if line.target == "C":
-            i, j, new = line.row, line.col, line.value
-            old = self.applied_C.get(i, j)
-            if new > old:
-                raise NonMonotoneUpdate(f"C[{i},{j}] must decrease: {new} > {old}")
-            if new > 0 and old / new < ratio:
-                return self.current()  # not meaningful yet
-            self.updates_applied += 1
-            self.applied_C.set(i, j, new)
-            self._push_entry(i, j, self._cprime(i, j) if new > 0 else 0.0)
+            name, old, falls = f"C[{line.row},{line.col}]", C.get(line.row, line.col), True
         elif line.target == "a":
-            j, new = line.col, line.value
-            old = self.applied_a[j]
-            if new < old:
-                raise NonMonotoneUpdate(f"a[{j}] must increase: {new} < {old}")
-            if new / old < ratio:
-                return self.current()
-            self.updates_applied += 1
-            self.applied_a[j] = new
-            rows, _ = self.applied_C.col(j)
-            for i in rows:
-                self._push_entry(int(i), j, self._cprime(int(i), j))
+            name, old, falls = f"a[{line.col}]", self.applied_a[line.col], False
         elif line.target == "b":
-            i, new = line.row, line.value
-            old = self.applied_b[i]
-            if new < old:
-                raise NonMonotoneUpdate(f"b[{i}] must increase: {new} < {old}")
-            if new / old < ratio:
-                return self.current()
-            self.updates_applied += 1
-            self.applied_b[i] = new
-            cols, _ = self.applied_C.row(i)
-            for j in cols:
-                self._push_entry(i, int(j), self._cprime(i, int(j)))
+            name, old, falls = f"b[{line.row}]", self.applied_b[line.row], False
         else:
             raise NonMonotoneUpdate(f"unknown restricting target {line.target!r}")
+        low, high = (new, old) if falls else (old, new)
+        if low > high:
+            raise NonMonotoneUpdate(f"{name} must {'decrease' if falls else 'increase'}: "
+                                    f"{new} {'>' if falls else '<'} {old}")
+        if low > 0 and high / low < 1.0 + self.eps:
+            return self.current()  # not meaningful yet
+        self.updates_applied += 1
+        if line.target == "C":
+            C.set(line.row, line.col, new)
+            touched = [(line.row, line.col)]
+        elif line.target == "a":
+            self.applied_a[line.col] = new
+            touched = [(int(i), line.col) for i in C.col(line.col)[0]]
+        else:
+            self.applied_b[line.row] = new
+            touched = [(line.row, int(j)) for j in C.row(line.row)[0]]
+        for i, j in touched:
+            self._push_entry(i, j)
         return self.current()
 
     def current(self) -> tuple[float, np.ndarray]:
         """Smallest guess still holding a primal, and its lifted solution."""
         while self._solver(self.hi).terminal is not None:
-            self.lo = max(self.lo, self.hi)
             self.hi += 1
         solver = self.solvers[self.hi]
         mu = self.grid.guesses[self.hi]
@@ -330,58 +292,50 @@ def solve_general_stream(gen: GeneralInstance, eps: float) -> GeneralStreamResul
     are kept, since only the primal answer is lifted."""
     view = normalize(gen)
     grid = guess_grid(gen.n, gen.L, gen.U, eps)
-    C = view.c_prime
-
-    def cursor_for(mu: float) -> StreamCursor:
-        def rows():
-            for i, cols, vals in C.rows():
-                yield i, cols, mu * vals
-        return StreamCursor(rows, gen.m, gen.n, mu * view.lam_unit, StreamMode.PRIMAL_ONLY)
-
-    # one physical pass serves every guess still running: each is anchored at
-    # the pass start and visits the pass's rows until its phase breaks
     states = [WhackState(gen.n, mu * view.lam_unit, eps) for mu in grid.guesses]
     outcomes: dict[int, Outcome] = {}
-    live = list(range(len(states)))
     physical = 0
-    while live:
-        physical += 1
-        for idx in live:
-            states[idx].start_phase()
-        running = live
-        for i, cols, vals in C.rows():
-            still = []
-            for idx in running:
-                step = states[idx].visit(i, cols, grid.guesses[idx] * vals)
-                if step is Step.BUDGET:
-                    outcomes[idx] = states[idx].budget_outcome()
-                elif step is None:
-                    still.append(idx)
-            running = still
-        for idx in running:
-            outcomes[idx] = states[idx].primal_outcome()
-        live = [idx for idx in live if idx not in outcomes]
-    per_guess_passes = {mu: states[idx].stats.phases for idx, mu in enumerate(grid.guesses)}
-    passes_total = sum(per_guess_passes.values())
 
-    hi = next((idx for idx in range(len(grid.guesses))
-               if outcomes[idx].tag is OutcomeTag.COVERING_PRIMAL), None)
-    while hi is None:
+    def run(live: list[int]) -> None:
+        # one physical pass serves every guess still running: each is anchored at
+        # the pass start and visits the pass's rows until its phase breaks
+        nonlocal physical
+        while live:
+            physical += 1
+            for idx in live:
+                states[idx].start_phase()
+            running = live
+            for i, cols, vals in view.c_prime.rows():
+                still = []
+                for idx in running:
+                    step = states[idx].visit(i, cols, grid.guesses[idx] * vals)
+                    if step is Step.BUDGET:
+                        outcomes[idx] = states[idx].budget_outcome()
+                    elif step is None:
+                        still.append(idx)
+                running = still
+                if not running:
+                    break
+            for idx in running:
+                outcomes[idx] = states[idx].primal_outcome()
+            live = [idx for idx in live if idx not in outcomes]
+
+    def primal(idx: int) -> bool:
+        return outcomes[idx].tag is OutcomeTag.COVERING_PRIMAL
+
+    run(list(range(len(states))))
+    while not any(map(primal, outcomes)):
         # the top guess can sit inside the dual-capable band just above the
-        # optimum; extend the ladder with solo scans until a primal appears
-        mu = grid.extend_up()
-        outcome, stats = streaming.solve_stream(cursor_for(mu), eps)
-        idx = len(grid.guesses) - 1
-        outcomes[idx] = outcome
-        per_guess_passes[mu] = stats.passes
-        passes_total += stats.passes
-        physical += stats.passes
-        if outcome.tag is OutcomeTag.COVERING_PRIMAL:
-            hi = idx
+        # optimum; a guess added above it runs the same passes on its own
+        states.append(WhackState(gen.n, grid.extend_up() * view.lam_unit, eps))
+        run([len(states) - 1])
+    hi = next(filter(primal, range(len(states))))
+    per_guess_passes = {mu: state.stats.phases for mu, state in zip(grid.guesses, states)}
     mu = grid.guesses[hi]
     x = _lift_primal(gen, mu, outcomes[hi].vector)
     return GeneralStreamResult(x=x, objective=float(gen.a @ x), primal_guess=mu,
-                               physical_passes=physical, passes_total=passes_total,
+                               physical_passes=physical,
+                               passes_total=sum(per_guess_passes.values()),
                                per_guess_passes=per_guess_passes)
 
 
@@ -396,35 +350,30 @@ class GeneralOnlineSolver:
         self.a = np.asarray(a, dtype=float)
         self.eps = eps
         self.n = gen_n
-        self.L, self.U = L, U
         self.lam_unit = U / (L * L)
         self.grid = guess_grid(gen_n, L, U, eps)
         self.states = [OnlineState(gen_n, mu * self.lam_unit, eps)
                        for mu in self.grid.guesses]
-        self.seen_rows: list[tuple[np.ndarray, np.ndarray, float]] = []
+        self.seen_rows: list[tuple[np.ndarray, np.ndarray]] = []  # (cols, C' entries)
 
     def insert_constraint(self, cols, vals, b_i: float) -> tuple[float, np.ndarray]:
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
-        self.seen_rows.append((cols, vals, b_i))
         prime = vals / (self.a[cols] * b_i) if len(cols) else vals
-        for idx, mu in enumerate(self.grid.guesses):
-            state = self.states[idx]
+        self.seen_rows.append((cols, prime))
+        for mu, state in zip(self.grid.guesses, self.states):
             if state.terminal is None:
                 state.insert_row(cols, mu * prime)
         while all(s.terminal is not None for s in self.states):
-            self._extend_with_replay()
+            # every guess answered dual: one above the grid replays the rows seen
+            mu = self.grid.extend_up()
+            state = OnlineState(self.n, mu * self.lam_unit, self.eps)
+            for seen_cols, seen_prime in self.seen_rows:
+                if state.terminal is not None:
+                    break
+                state.insert_row(seen_cols, mu * seen_prime)
+            self.states.append(state)
         return self.current()
-
-    def _extend_with_replay(self) -> None:
-        mu = self.grid.extend_up()
-        state = OnlineState(self.n, mu * self.lam_unit, self.eps)
-        for cols, vals, b_i in self.seen_rows:
-            if state.terminal is not None:
-                break
-            prime = vals / (self.a[cols] * b_i) if len(cols) else vals
-            state.insert_row(cols, mu * prime)
-        self.states.append(state)
 
     def current(self) -> tuple[float, np.ndarray]:
         for idx, state in enumerate(self.states):

@@ -74,13 +74,6 @@ class SparseNonnegMatrix:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_entries(cls, m: int, n: int, entries) -> "SparseNonnegMatrix":
-        mat = cls(m, n)
-        for i, j, v in entries:
-            mat.set(i, j, float(v))
-        return mat
-
-    @classmethod
     def from_dense(cls, dense) -> "SparseNonnegMatrix":
         arr = np.asarray(dense, dtype=float)
         if arr.ndim != 2:
@@ -165,14 +158,6 @@ class SparseNonnegMatrix:
     def nnz(self) -> int:
         return sum(len(r) for r in self._rows)
 
-    def max_entry(self) -> float:
-        best = 0.0
-        for rowmap in self._rows:
-            for v in rowmap.values():
-                if v > best:
-                    best = v
-        return best
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.m, self.n))
         for i, j, v in self.entries():
@@ -242,9 +227,3 @@ class SparseNonnegMatrix:
                 f"{event.kind.value} at ({i},{j}): {new} is not above stored {old}")
         self.set(i, j, new)
         return old
-
-
-def apply_update(matrix: SparseNonnegMatrix, event: UpdateEvent) -> SparseNonnegMatrix:
-    """Functional-style wrapper over SparseNonnegMatrix.apply_update."""
-    matrix.apply_update(event)
-    return matrix

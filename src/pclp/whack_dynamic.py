@@ -99,10 +99,6 @@ def preprocess(instance: NormalizedCoveringInstance) -> tuple[DynamicWhackState,
     return state, state.current_outcome()
 
 
-def handle_update(state: DynamicWhackState, event: UpdateEvent) -> Outcome:
-    return state.handle_update(event)
-
-
 def enforcement_budget(instance: NormalizedCoveringInstance) -> float:
     """Audit ceiling for per-row enforcements: 16 (ln n / eps^2) log2 T."""
     n_eff = max(instance.n, 2)

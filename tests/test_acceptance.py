@@ -200,8 +200,8 @@ def test_criterion_6_online_recourse():
             cols = rng.choice(n, size=size, replace=False)
             vals = rng.uniform(0.2, 1.0, size=size)
             result = state.insert_row(cols, vals)
-            assert state.recourse_total() == n * state.phase_transitions
-            assert state.recourse_total() <= bound
+            assert state.recourse == n * state.phase_transitions
+            assert state.recourse <= bound
             if result.terminal is not None:
                 break
     _report("criterion 6", "40 online runs: recourse == n * transitions, under cap")

@@ -231,6 +231,22 @@ def test_gen_streams_are_monotone(tmp_path):
         live[(line.row, line.col)] = line.value
 
 
+def test_gen_general_updates_end_once_saturated(tmp_path, capsys):
+    # the 2x2 seed-1 stream saturates at the bounds [0.5, 2] before the
+    # default tau of 50, and the written updates replay through the solver
+    out = tmp_path / "g.txt"
+    ups = tmp_path / "g.ups"
+    assert main(["gen", "--kind", "general", "--m", "2", "--n", "2", "--seed", "1",
+                 "--out", str(out), "--updates-out", str(ups)]) == 0
+    from pclp.formats import parse_updates
+    lines = parse_updates(ups.read_text())
+    assert 0 < len(lines) < 50
+    assert all(0.5 <= line.value <= 2.0 for line in lines)
+    capsys.readouterr()
+    assert main(["general", str(out), "--setting", "dynamic", "--updates", str(ups)]) == 0
+    assert json.loads(capsys.readouterr().out)["updates_seen"] == len(lines)
+
+
 def test_roundtrip_parse_emit_generated(rng, tmp_path):
     inst = random_covering(rng, 6, 5, eps=0.1)
     text = emit_instance(inst)

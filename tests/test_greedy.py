@@ -299,20 +299,13 @@ def test_non_monotone_relaxing_rejected():
         st.relax_covering_entry(0, 0, 0.1)
 
 
-def test_event_dispatch_wrappers():
-    from pclp.greedy import handle_relaxing, handle_translation
-    from pclp.sparse import UpdateEvent, UpdateKind
-
+def test_relax_then_translate():
     st = GreedyState(positive([[1.0]], [[0.4]]))
     st.run_static()
-    out = handle_relaxing(
-        st, UpdateEvent(UpdateKind.RELAX_COVERING_ENTRY, 0, 0, 0.6))
+    out = st.relax_covering_entry(0, 0, 0.6)
     assert out.tag is OutcomeTag.INFEASIBLE  # still short of coverable
-    out = handle_translation(
-        st, UpdateEvent(UpdateKind.TRANSLATE_PACKING, 0, None, 2.5))
+    st.translate_packing_rhs(0, 2.5)
     assert np.isclose(st.P.get(0, 0), 1.0 / 2.5)
-    with pytest.raises(NonMonotoneUpdate):
-        handle_relaxing(st, UpdateEvent(UpdateKind.TRANSLATE_PACKING, 0, None, 3.0))
 
 
 # -- translations -----------------------------------------------------------------------

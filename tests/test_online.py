@@ -7,7 +7,7 @@ from pclp.online import OnlineState, RowAfterTermination
 
 def test_fresh_state_has_zero_recourse():
     state = OnlineState(3, 1.0, 0.1)
-    assert state.recourse_total() == 0
+    assert state.recourse == 0
 
 
 def test_first_enforcement_step_is_eight():
@@ -16,17 +16,17 @@ def test_first_enforcement_step_is_eight():
     state.insert_row([0], [1.0])
     assert state.whack_counts[0] >= 8  # first enforce contributes exactly 8
     # every phase transition charges n
-    assert state.recourse_total() == 2 * state.phase_transitions
+    assert state.recourse == 2 * state.phase_transitions
 
 
 def test_covered_row_is_free():
     state = OnlineState(2, 1.0, 0.1)
     state.insert_row([0], [1.0])
     t_before = state.t
-    recourse_before = state.recourse_total()
+    recourse_before = state.recourse
     result = state.insert_row([0, 1], [1.0, 1.0])
     assert state.t == t_before
-    assert state.recourse_total() == recourse_before
+    assert state.recourse == recourse_before
     assert result.maintained is not None
 
 
@@ -43,8 +43,8 @@ def test_rows_stay_covered_and_sum_bounded(rng):
         assert float(x.sum()) <= 1.0 / (1 - eps / 2) + 1e-9
         for cols_r, vals_r in state.rows:
             assert float(vals_r @ x[cols_r]) >= 1 - eps - 1e-9
-    assert state.recourse_total() == n * state.phase_transitions
-    assert state.recourse_total() <= state.recourse_bound()
+    assert state.recourse == n * state.phase_transitions
+    assert state.recourse <= state.recourse_bound()
 
 
 def test_adversarial_shrinking_support_terminates_with_valid_dual():

@@ -83,7 +83,7 @@ def test_fast_packing_min_weight_positive():
 # -- golden outputs ------------------------------------------------------------
 
 # per case: random_packing arguments (seed, m, n, eps, lam, lo_frac; density 0.7),
-# then solve_packing_fast's tag, vector, stats, trace and min_weight. "rescale"
+# then solve_packing_fast's tag, vector, stats and min_weight. "rescale"
 # drives a weight below _RESCALE_BELOW. Captured before the scan computed its
 # own row dots and seeded its step search; every value must stay exactly as it is.
 GOLDEN = {
@@ -92,26 +92,25 @@ GOLDEN = {
                 [0.17098206583727452, 0.32852513191976257, 0.20421244641120814,
                  0.2962803558317548],
                 {"phases": 16, "enforcements": 15, "whacks": 15, "outcome": "packing_primal"},
-                [], 0.11386782309136803)),
+                0.11386782309136803)),
     "dual": ((33, 4, 4, 0.2, 2.0, 0.3),
              ("covering_dual", [0.38571428571428573, 0.0, 0.0, 0.6142857142857143],
               {"phases": 48, "enforcements": 48, "whacks": 70, "outcome": "covering_dual"},
-              [], 1.839216815631775e-06)),
+              1.839216815631775e-06)),
     "rescale": ((35, 3, 3, 0.005, 4.0, 0.5),
                 ("covering_dual",
                  [0.2404624014381777, 0.38716449157459976, 0.37237310698722254],
                  {"phases": 3755, "enforcements": 3910, "whacks": 175778,
                   "outcome": "covering_dual"},
-                 [], 4.5372128143717234e-142)),
+                 4.5372128143717234e-142)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_outputs(case):
-    (seed, m, n, eps, lam, lo), (tag, vector, stats, trace, min_weight) = GOLDEN[case]
+    (seed, m, n, eps, lam, lo), (tag, vector, stats, min_weight) = GOLDEN[case]
     inst = random_packing(np.random.default_rng(seed), m, n, eps=eps, lam=lam,
                           density=0.7, lo_frac=lo)
     outcome, got = solve_packing_fast(inst)
-    assert (outcome.tag.value, got.as_dict(), got.trace, got.min_weight) == \
-        (tag, stats, trace, min_weight)
+    assert (outcome.tag.value, got.as_dict(), got.min_weight) == (tag, stats, min_weight)
     assert np.array_equal(outcome.vector, vector)

@@ -9,7 +9,6 @@ from pclp.sparse import (
     SparseNonnegMatrix,
     UpdateEvent,
     UpdateKind,
-    apply_update,
 )
 
 
@@ -44,7 +43,7 @@ def test_restrict_update_rejects_increase():
 
 def test_relax_insertion_lands_in_both_indexes():
     m = SparseNonnegMatrix.from_dense([[1.0, 0.0], [0.0, 1.0]])
-    apply_update(m, UpdateEvent(UpdateKind.RELAX_COVERING_ENTRY, 0, 1, 0.3))
+    m.apply_update(UpdateEvent(UpdateKind.RELAX_COVERING_ENTRY, 0, 1, 0.3))
     assert m.get(0, 1) == 0.3
     assert 1 in m.row_map(0)
     assert 0 in m.col_map(1)
