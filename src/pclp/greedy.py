@@ -27,6 +27,12 @@ they accumulate a (1+eps) factor and are then replayed as row scalings;
 a later entry update on a scaled row names the instance's value and is
 divided by the right-hand side applied to that row.
 
+The state keeps no copy of the entries: it reads and writes its instance's
+P and C in place (``pcol``/``prow`` and ``ccol``/``crow`` are the matrices'
+own row and column dicts), so after updates the instance holds the applied,
+rescaled rows. Its only per-column maps are the factor-two representatives
+``prep``/``crep`` behind the max structure.
+
 Weights span exp(+-3 eta); mantissas are rescaled against a shared log
 offset per side long before products of two of them can overflow.
 """
@@ -47,10 +53,6 @@ _MANT_LO = 1e-140
 
 class UnboundedCost(ValueError):
     """Column absent from the covering matrix; never cheap."""
-
-
-class NotCheap(ValueError):
-    pass
 
 
 class NotInfeasibleYet(RuntimeError):
@@ -133,16 +135,11 @@ class GreedyState:
         P, C = instance.P, instance.C
         self.P, self.C = P, C
         n = self.n
-        self.pcol: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        self.ccol: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        self.prow: list[list[tuple[int, float]]] = [[] for _ in range(self.m_p)]
-        self.crow: list[list[tuple[int, float]]] = [[] for _ in range(self.m_c)]
-        for i, j, v in P.entries():
-            self.pcol[j].append((i, v))
-            self.prow[i].append((j, v))
-        for i, j, v in C.entries():
-            self.ccol[j].append((i, v))
-            self.crow[i].append((j, v))
+        # live views, not copies: SparseNonnegMatrix.set writes these dicts in place
+        self.pcol = [P.col_map(k) for k in range(n)]
+        self.ccol = [C.col_map(k) for k in range(n)]
+        self.prow = [P.row_map(i) for i in range(self.m_p)]
+        self.crow = [C.row_map(j) for j in range(self.m_c)]
 
         self.x = [0.0] * n
         self.ext_col = [0.0] * self.m_p  # padding column entries; its variable is 1
@@ -175,12 +172,10 @@ class GreedyState:
         # hat-cost fractions per column, in the same mantissa scales
         self.hatN = [0.0] * n
         self.hatD = [0.0] * n
-        for k in range(n):
-            self.hatN[k] = sum(self.hm_p[i] * v for i, v in self.pcol[k])
-            self.hatD[k] = sum(self.hm_c[j] * v for j, v in self.ccol[k])
+        self._rebuild_fractions()
 
-        self.prep: list[dict[int, float]] = [dict(self.pcol[k]) for k in range(n)]
-        self.crep: list[dict[int, float]] = [dict(self.ccol[k]) for k in range(n)]
+        self.prep: list[dict[int, float]] = [dict(col) for col in self.pcol]
+        self.crep: list[dict[int, float]] = [dict(col) for col in self.ccol]
         self.tops = [0.0] * n
         self.top_dirty = [True] * n
         self.colver = [0] * n
@@ -221,15 +216,16 @@ class GreedyState:
 
     def hat_cost_log_direct(self, k: int) -> float:
         """Same quantity recomputed from scratch; audit cross-check."""
-        num = _logsumexp([self.hat_lw_p[i] + math.log(v) for i, v in self.pcol[k]])
-        den = _logsumexp([self.hat_lw_c[j] + math.log(v) for j, v in self.ccol[k]])
+        num = _logsumexp([self.hat_lw_p[i] + math.log(v) for i, v in self.pcol[k].items()])
+        den = _logsumexp([self.hat_lw_c[j] + math.log(v) for j, v in self.ccol[k].items()])
         if den == -math.inf:
             return math.inf
         return num - den
 
     def exact_cost_log(self, k: int) -> float:
-        num = _logsumexp([self.eta * self.S_p[i] + math.log(v) for i, v in self.pcol[k]])
-        den = _logsumexp([-self.eta * self.S_c[j] + math.log(v) for j, v in self.ccol[k]])
+        eta = self.eta
+        num = _logsumexp([eta * self.S_p[i] + math.log(v) for i, v in self.pcol[k].items()])
+        den = _logsumexp([-eta * self.S_c[j] + math.log(v) for j, v in self.ccol[k].items()])
         if den == -math.inf:
             raise UnboundedCost(f"column {k} has no covering entries")
         return num - den
@@ -255,7 +251,7 @@ class GreedyState:
         d = new - self.hm_p[i]
         self.hm_p[i] = new
         self.sthr_p[i] = self._sthr_p(i)
-        for k, v in self.prow[i]:
+        for k, v in self.prow[i].items():
             self.hatN[k] += d * v
         self.stats.weight_refreshes += 1
 
@@ -265,14 +261,14 @@ class GreedyState:
         d = new - self.hm_c[j]
         self.hm_c[j] = new
         self.sthr_c[j] = self._sthr_c(j)
-        for k, v in self.crow[j]:
+        for k, v in self.crow[j].items():
             self.hatD[k] += d * v
         self.stats.weight_refreshes += 1
 
     def _rebuild_fractions(self) -> None:
         for k in range(self.n):
-            self.hatN[k] = sum(self.hm_p[i] * v for i, v in self.pcol[k])
-            self.hatD[k] = sum(self.hm_c[j] * v for j, v in self.ccol[k])
+            self.hatN[k] = sum(self.hm_p[i] * v for i, v in self.pcol[k].items())
+            self.hatD[k] = sum(self.hm_c[j] * v for j, v in self.ccol[k].items())
 
     def _maybe_rescale(self) -> None:
         if self.tot_p > _MANT_HI:
@@ -284,7 +280,7 @@ class GreedyState:
             self.off_p += math.log(peak)
             self.tot_p = sum(self.mant_p)
             for k in range(self.n):
-                self.hatN[k] = sum(self.hm_p[i] * v for i, v in self.pcol[k])
+                self.hatN[k] = sum(self.hm_p[i] * v for i, v in self.pcol[k].items())
         if self.tot_c < 1e-9 * self.anchor_c or self.tot_c < _MANT_LO * self.m_c:
             peak = max(self.mant_c)
             inv = 1.0 / peak
@@ -295,7 +291,7 @@ class GreedyState:
             self.tot_c = sum(self.mant_c)
             self.anchor_c = self.tot_c
             for k in range(self.n):
-                self.hatD[k] = sum(self.hm_c[j] * v for j, v in self.ccol[k])
+                self.hatD[k] = sum(self.hm_c[j] * v for j, v in self.ccol[k].items())
 
     # -- heap oracle -----------------------------------------------------------
 
@@ -315,10 +311,10 @@ class GreedyState:
     def exact_delta(self, k: int) -> float:
         """Ground-truth boost increment from live values; inf when nothing binds."""
         top = 0.0
-        for _, v in self.pcol[k]:
+        for v in self.pcol[k].values():
             if v > top:
                 top = v
-        for j, v in self.ccol[k]:
+        for j, v in self.ccol[k].items():
             if self.S_c[j] < 2.0 and v > top:
                 top = v
         if top == 0.0:
@@ -327,7 +323,7 @@ class GreedyState:
 
     def _deactivate(self, j: int) -> None:
         self.active[j] = False
-        for k, _ in self.crow[j]:
+        for k in self.crow[j]:
             if self.crep[k].pop(j, None) is not None:
                 self.top_dirty[k] = True
                 self.stats.heap_readjusts += 1
@@ -338,8 +334,8 @@ class GreedyState:
         key = (k, delta, self.colver[k])
         if self._fcache_key != key:
             eta = self.eta
-            fp = [(i, v, math.exp(eta * v * delta)) for i, v in self.pcol[k]]
-            fc = [(j, v, math.exp(-eta * v * delta)) for j, v in self.ccol[k]]
+            fp = [(i, v, math.exp(eta * v * delta)) for i, v in self.pcol[k].items()]
+            fc = [(j, v, math.exp(-eta * v * delta)) for j, v in self.ccol[k].items()]
             self._fcache_key = key
             self._fcache = (fp, fc)
         return self._fcache
@@ -461,19 +457,15 @@ class GreedyState:
         eta = self.eta
         S_p, S_c = self.S_p, self.S_c
         pcol, ccol = self.pcol[k], self.ccol[k]
-        a_p = [eta * S_p[i] for i, _ in pcol]
-        r_p = [eta * v * delta for _, v in pcol]
-        lv_p = [math.log(v) for _, v in pcol]
-        a_c = [-eta * S_c[j] for j, _ in ccol]
-        r_c = [eta * v * delta for _, v in ccol]
-        lv_c = [math.log(v) for _, v in ccol]
+        a_p = [eta * S_p[i] for i in pcol]
+        r_p = [eta * v * delta for v in pcol.values()]
+        lv_p = [math.log(v) for v in pcol.values()]
+        a_c = [-eta * S_c[j] for j in ccol]
+        r_c = [eta * v * delta for v in ccol.values()]
+        lv_c = [math.log(v) for v in ccol.values()]
         s_c = [-r for r in r_c]  # covering log-weights fall as b grows
-        ptouch = {i for i, _ in pcol}
-        ctouch = {j for j, _ in ccol}
-        const_p = _logsumexp([eta * S_p[i] for i in range(self.m_p)
-                              if i not in ptouch])
-        const_c = _logsumexp([-eta * S_c[j] for j in range(self.m_c)
-                              if j not in ctouch])
+        const_p = _logsumexp([eta * S_p[i] for i in range(self.m_p) if i not in pcol])
+        const_c = _logsumexp([-eta * S_c[j] for j in range(self.m_c) if j not in ccol])
 
         def parts(b: float):
             # h = log num + log totc (convex), u = log den + log totp (convex)
@@ -524,7 +516,7 @@ class GreedyState:
         b_sol = 0
         b_two = math.inf
         touched_unsat = 0
-        for j, v in self.ccol[k]:
+        for j, v in self.ccol[k].items():
             s = self.S_c[j]
             if s < 1.0:
                 touched_unsat += 1
@@ -560,9 +552,9 @@ class GreedyState:
         self.stats.jump_boosts += B
         self.boosts[k] += B
         self.x[k] += delta * B
-        for i, v in self.pcol[k]:
+        for i, v in self.pcol[k].items():
             self.S_p[i] += v * delta * B
-        for j, v in self.ccol[k]:
+        for j, v in self.ccol[k].items():
             old = self.S_c[j]
             self.S_c[j] = old + v * delta * B
             if old < 1.0 <= self.S_c[j]:
@@ -573,7 +565,7 @@ class GreedyState:
         # the segment cap stops just short of any row reaching 2, but ceil on
         # float ratios can land a row exactly on the boundary; sweep so the
         # per-column max structures never keep a deactivated row
-        for j, _ in self.ccol[k]:
+        for j in self.ccol[k]:
             if self.active[j] and self.S_c[j] >= 2.0:
                 self._deactivate(j)
         self._resync()
@@ -631,38 +623,6 @@ class GreedyState:
 
     # -- relaxing updates ------------------------------------------------------------
 
-    def _set_packing_entry(self, i: int, k: int, new: float) -> None:
-        old = self.P.get(i, k)
-        self.P.set(i, k, new)
-        col = self.pcol[k]
-        for idx, (r, _) in enumerate(col):
-            if r == i:
-                if new == 0.0:
-                    col.pop(idx)
-                else:
-                    col[idx] = (i, new)
-                break
-        row = self.prow[i]
-        for idx, (c, _) in enumerate(row):
-            if c == k:
-                if new == 0.0:
-                    row.pop(idx)
-                else:
-                    row[idx] = (k, new)
-                break
-        self.hatN[k] += self.hm_p[i] * (new - old)
-        self.colver[k] += 1
-        rep = self.prep[k].get(i)
-        if rep is not None:
-            if new == 0.0:
-                del self.prep[k][i]
-                self.top_dirty[k] = True
-                self.stats.heap_readjusts += 1
-            elif rep > 2.0 * new:
-                self.prep[k][i] = new
-                self.top_dirty[k] = True
-                self.stats.heap_readjusts += 1
-
     def relax_packing_entry(self, i: int, k: int, new: float) -> Outcome:
         """Lower P[i,k] to ``new``, given in the instance's units: once a
         packing translation has been applied, the stored row i is the
@@ -678,51 +638,25 @@ class GreedyState:
     def _relax_packing_entry(self, i: int, k: int, new: float) -> Outcome:
         """Relaxing entry update in stored units."""
         old = self.P.get(i, k)
+        self.P.set(i, k, new)
         if self.solved:
-            self.P.set(i, k, new)  # solution stays valid under relaxation
-            return self.current_outcome()
-        self._set_packing_entry(i, k, new)
+            return self.current_outcome()  # solution stays valid under relaxation
+        self.hatN[k] += self.hm_p[i] * (new - old)
+        self.colver[k] += 1
+        rep = self.prep[k].get(i)
+        if rep is not None:
+            if new == 0.0:
+                del self.prep[k][i]
+                self.top_dirty[k] = True
+                self.stats.heap_readjusts += 1
+            elif rep > 2.0 * new:
+                self.prep[k][i] = new
+                self.top_dirty[k] = True
+                self.stats.heap_readjusts += 1
         # pseudo-update: grow the padding entry so the row's dot is unchanged
         # (the padding variable is pinned at one)
         self.ext_col[i] += (old - new) * self.x[k]
-        self.exhausted[k] = False
-        if self._boost_run(k):
-            self.solved = True
-            return self.current_outcome()
-        if self.hat_llam0 < self._llam0() + math.log1p(-self.eps):
-            if self._iterate():
-                self.solved = True
-        if not self.solved:
-            self.infeasible_declared = True
-        return self.current_outcome()
-
-    def _set_covering_entry(self, j: int, k: int, new: float) -> None:
-        old = self.C.get(j, k)
-        self.C.set(j, k, new)
-        if old == 0.0:
-            self.ccol[k].append((j, new))
-            self.crow[j].append((k, new))
-            if self.active[j]:
-                self.crep[k][j] = new
-                self.top_dirty[k] = True
-        else:
-            col = self.ccol[k]
-            for idx, (r, _) in enumerate(col):
-                if r == j:
-                    col[idx] = (j, new)
-                    break
-            row = self.crow[j]
-            for idx, (c, _) in enumerate(row):
-                if c == k:
-                    row[idx] = (k, new)
-                    break
-            rep = self.crep[k].get(j)
-            if rep is not None and new > 2.0 * rep:
-                self.crep[k][j] = new
-                self.top_dirty[k] = True
-                self.stats.heap_readjusts += 1
-        self.hatD[k] += self.hm_c[j] * (new - old)
-        self.colver[k] += 1
+        return self._resume(k)
 
     def relax_covering_entry(self, j: int, k: int, new: float) -> Outcome:
         """Raise C[j,k] to ``new``, given in the instance's units: once a
@@ -737,10 +671,21 @@ class GreedyState:
     def _relax_covering_entry(self, j: int, k: int, new: float) -> Outcome:
         """Relaxing entry update in stored units."""
         old = self.C.get(j, k)
+        self.C.set(j, k, new)
         if self.solved:
-            self.C.set(j, k, new)
             return self.current_outcome()
-        self._set_covering_entry(j, k, new)
+        if old == 0.0:
+            if self.active[j]:
+                self.crep[k][j] = new
+                self.top_dirty[k] = True
+        else:
+            rep = self.crep[k].get(j)
+            if rep is not None and new > 2.0 * rep:
+                self.crep[k][j] = new
+                self.top_dirty[k] = True
+                self.stats.heap_readjusts += 1
+        self.hatD[k] += self.hm_c[j] * (new - old)
+        self.colver[k] += 1
         grow = (new - old) * self.x[k]
         oldS = self.S_c[j]
         self.S_c[j] = oldS + grow
@@ -757,19 +702,22 @@ class GreedyState:
         # the hat may now exceed its (1+eps) band above the shrunken weight
         if self.hat_lw_c[j] > -self.eta * self.S_c[j] + math.log1p(self.eps):
             self._refresh_hat_c(j)
-            for k2, _ in self.crow[j]:
+            for k2 in self.crow[j]:
                 self.exhausted[k2] = False
                 if self._boost_run(k2):
                     self.solved = True
                     return self.current_outcome()
+        return self._resume(k)
+
+    def _resume(self, k: int) -> Outcome:
+        """Shared tail of the relax paths: boost the updated coordinate, then
+        rescan everything if the weight ratio left the phase anchor's band."""
         self.exhausted[k] = False
         if self._boost_run(k):
             self.solved = True
-            return self.current_outcome()
-        if self.hat_llam0 < self._llam0() + math.log1p(-self.eps):
-            if self._iterate():
-                self.solved = True
-        if not self.solved:
+        elif self.hat_llam0 < self._llam0() + math.log1p(-self.eps) and self._iterate():
+            self.solved = True
+        else:
             self.infeasible_declared = True
         return self.current_outcome()
 
@@ -788,7 +736,7 @@ class GreedyState:
         self.translation_counts[i] += 1
         self.stats.translations_applied += 1
         out = self.current_outcome()
-        for k, v in list(self.prow[i]):
+        for k, v in list(self.prow[i].items()):
             out = self._relax_packing_entry(i, k, v * factor)
         return out
 
@@ -803,7 +751,7 @@ class GreedyState:
         self.translation_counts[self.m_p + j] += 1
         self.stats.translations_applied += 1
         out = self.current_outcome()
-        for k, v in list(self.crow[j]):
+        for k, v in list(self.crow[j].items()):
             out = self._relax_covering_entry(j, k, v * factor)
         return out
 
@@ -867,40 +815,6 @@ class GreedyState:
                 "p_hi": worst_p_hi, "p_lo": worst_p_lo,
                 "hat_lam_consistency": lam_dev,
                 "lam0_floor": self.hat_llam0 - (self._llam0() + math.log1p(-self.eps))}
-
-
-# ---------------------------------------------------------------------------
-# functional wrappers
-# ---------------------------------------------------------------------------
-
-def soft_potentials(state: GreedyState) -> tuple[float, float]:
-    """Smoothed max of packing loads and min of covering loads."""
-    eta = state.eta
-    f_p = _logsumexp([eta * s for s in state.S_p]) / eta
-    f_c = -_logsumexp([-eta * s for s in state.S_c]) / eta
-    return f_p, f_c
-
-
-def coordinate_cost(state: GreedyState, k: int) -> float:
-    """Exact cost lambda(x, k); raises UnboundedCost off the covering support.
-
-    Costs span exp(+-5 eta) and can exceed the double range; callers needing
-    comparisons at that scale should use exact_cost_log directly.
-    """
-    log_cost = state.exact_cost_log(k)
-    if log_cost > 700.0:
-        return math.inf
-    return math.exp(log_cost)
-
-
-def boost(state: GreedyState, k: int) -> bool:
-    """Single externally-driven boost; requires k cheap by the hat test."""
-    if state.exhausted[k] or not state._cheap(k):
-        raise NotCheap(f"coordinate {k} is not cheap")
-    top = state._top(k)
-    if top == 0.0:
-        raise NotCheap(f"coordinate {k} has nothing binding")
-    return state._boost_once(k, state.eps / (2.0 * state.eta * top))
 
 
 def solve_static_positive(instance: PositiveInstance,

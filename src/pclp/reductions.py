@@ -238,7 +238,7 @@ class GeneralDynamicSolver:
         if low > high:
             raise NonMonotoneUpdate(f"{name} must {'decrease' if falls else 'increase'}: "
                                     f"{new} {'>' if falls else '<'} {old}")
-        if low > 0 and high / low < 1.0 + self.eps:
+        if low == high or (low > 0 and high / low < 1.0 + self.eps):
             return self.current()  # not meaningful yet
         self.updates_applied += 1
         if line.target == "C":

@@ -179,18 +179,6 @@ class SparseNonnegMatrix:
             out[i] = self.dot_row(i, x)
         return out
 
-    def matvec_by_columns(self, x: np.ndarray) -> np.ndarray:
-        """Same product accumulated column-wise; used for index consistency checks."""
-        out = np.zeros(self.m)
-        for j in range(self.n):
-            xj = x[j]
-            if xj == 0.0:
-                continue
-            rows, vals = self.col(j)
-            if len(rows):
-                out[rows] += vals * xj
-        return out
-
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """Transpose product (C^T y). y has length m."""
         out = np.zeros(self.n)

@@ -156,6 +156,41 @@ def test_positive_entry_updates_after_translation_use_instance_units(tmp_path, c
         assert payload["stats"]["translations_applied"] == 1
 
 
+def test_positive_translation_after_solved_rescales_the_live_row(tmp_path, capsys):
+    # after the solved verdict, 0.5 is written and the translation rescales
+    # it to 0.25 (0.5 in instance units), so raising it to 0.8 is rejected
+    inst = write(tmp_path, "p.txt",
+                 "positive 1 1 2\nP 0 0 1.0\nP 0 1 1.0\nC 0 0 1.0\nC 0 1 1.0\n")
+    ups = write(tmp_path, "u.txt", "set P 0 0 0.5\nset a 0 2.0\nset P 0 0 0.8\n")
+    assert main(["positive", inst, "--updates", ups, "--verify"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "P[0,0] must decrease" in captured.err
+
+
+# payload of `positive --updates` on the `gen --kind positive --seed 3` files
+# (5x3x5, 50 relaxing events); a change to the greedy's storage must leave it
+GOLDEN_POSITIVE_REPLAY = {
+    "outcome_tag": "positive_solution",
+    "vector": {"len": 5, "sum": 0.7859419252466273,
+               "min": 0.08423058882790159, "max": 0.2230033739176153},
+    "stats": {"boosts": 276302, "phases": 103, "heap_readjusts": 0,
+              "weight_refreshes": 62022, "wstar_refreshes": 512,
+              "translations_applied": 11, "jump_attempts": 10145, "jumps": 2852,
+              "jump_boosts": 256697, "outcome": "positive_solution"},
+}
+
+
+def test_golden_positive_replay(tmp_path, capsys):
+    out, ups = tmp_path / "p.txt", tmp_path / "p.ups"
+    assert main(["gen", "--kind", "positive", "--seed", "3", "--out", str(out),
+                 "--updates-out", str(ups)]) == 0
+    capsys.readouterr()
+    assert main(["positive", str(out), "--updates", str(ups)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {key: payload[key] for key in GOLDEN_POSITIVE_REPLAY} == GOLDEN_POSITIVE_REPLAY
+
+
 def test_general_verify_gap(tmp_path, capsys):
     text = ("general 2 2\nC 0 0 1.0\nC 0 1 2.0\nC 1 0 2.0\nC 1 1 1.0\n"
             "a 0 1.0\na 1 1.0\nb 0 1.0\nb 1 1.0\n")

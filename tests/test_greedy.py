@@ -3,26 +3,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from conftest import positive
 from pclp.certificates import CertificateSlack, OutcomeTag, check_certificate
 from pclp.generate import random_positive, relaxing_stream_positive
 from pclp.greedy import (
     GreedyState,
-    NotCheap,
     NotInfeasibleYet,
     UnboundedCost,
-    boost,
-    coordinate_cost,
+    _logsumexp,
     problem1_relaxing_state,
     solve_static_positive,
-    soft_potentials,
 )
 from pclp.oracle import brute_force_delta, positive_feasible_exact
 from pclp.sparse import NonMonotoneUpdate, SparseNonnegMatrix
 
 
 # -- potentials -----------------------------------------------------------------
+
+def soft_potentials(state: GreedyState) -> tuple[float, float]:
+    """Smoothed max of packing loads and min of covering loads."""
+    eta = state.eta
+    f_p = _logsumexp([eta * s for s in state.S_p]) / eta
+    f_c = -_logsumexp([-eta * s for s in state.S_c]) / eta
+    return f_p, f_c
+
 
 def test_soft_max_is_zero_at_origin_single_row():
     st = GreedyState(positive([[1.0]], [[1.0]]))
@@ -85,7 +92,7 @@ def test_potential_chain_with_initial_offsets(rng):
 
 def test_cost_is_one_at_origin_unit_instance():
     st = GreedyState(positive([[1.0]], [[1.0]]))
-    assert np.isclose(coordinate_cost(st, 0), 1.0)
+    assert np.isclose(math.exp(st.exact_cost_log(0)), 1.0)
     assert np.isclose(st.lam0(), 1.0)
     assert st._cheap(0)
 
@@ -96,7 +103,7 @@ def test_cost_unbounded_off_covering_support():
     from pclp.instances import PositiveInstance
     st = GreedyState(PositiveInstance(P=P, C=C, L=1.0, U=1.0, eps=1 / 200))
     with pytest.raises(UnboundedCost):
-        coordinate_cost(st, 1)
+        st.exact_cost_log(1)
     assert not st._cheap(1)
 
 
@@ -150,12 +157,6 @@ def test_exact_delta_closed_form_and_heap_range():
     assert dk / 4 - 1e-15 <= delta <= dk + 1e-15
     ref = brute_force_delta(st.P, st.C, st.x[:st.n], 0, st.eps, st.eta)
     assert np.isclose(dk, ref)
-
-
-def test_boost_requires_cheap():
-    st = GreedyState(positive([[1.0, 1.0]], [[1.0, 0.0]]))
-    with pytest.raises(NotCheap):
-        boost(st, 1)  # no covering support, never cheap
 
 
 def test_boost_early_return_on_satisfied():
@@ -306,6 +307,57 @@ def test_relax_then_translate():
     assert out.tag is OutcomeTag.INFEASIBLE  # still short of coverable
     st.translate_packing_rhs(0, 2.5)
     assert np.isclose(st.P.get(0, 0), 1.0 / 2.5)
+
+
+def test_translation_after_solved_rescales_the_relaxed_packing_entry():
+    # a relax after the solved verdict writes the instance's P; a later
+    # translation rescales that value, so a stale copy cannot accept 0.8
+    st = GreedyState(positive([[1.0, 1.0]], [[1.0, 1.0]]))
+    assert st.run_static().tag is OutcomeTag.POSITIVE_SOLUTION
+    st.relax_packing_entry(0, 0, 0.5)
+    st.translate_packing_rhs(0, 2.0)
+    assert st.P.get(0, 0) == 0.25 and st.P.get(0, 1) == 0.5
+    with pytest.raises(NonMonotoneUpdate, match=r"P\[0,0\] must decrease"):
+        st.relax_packing_entry(0, 0, 0.8)
+
+
+def test_translation_after_solved_rescales_the_relaxed_covering_entry():
+    st = GreedyState(positive([[1.0, 1.0]], [[1.0, 1.0]]))
+    assert st.run_static().tag is OutcomeTag.POSITIVE_SOLUTION
+    st.relax_covering_entry(0, 0, 2.0)
+    st.translate_covering_rhs(0, 0.5)
+    assert st.C.get(0, 0) == 4.0 and st.C.get(0, 1) == 2.0
+
+
+@given(hst.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_stored_entries_track_instance_units_through_solved(seed):
+    # replay every event, past the solved verdict too: each stored entry
+    # times its row's applied right-hand side is the instance's value
+    rng = np.random.default_rng(seed)
+    m_p, m_c, n = (int(rng.integers(1, 4)) for _ in range(3))
+    inst = random_positive(rng, m_p, m_c, n, density=0.8)
+    stream = relaxing_stream_positive(rng, inst, 20)
+    live = {("P", i, j): v for i, j, v in inst.P.entries()}
+    live.update({("C", i, j): v for i, j, v in inst.C.entries()})
+    st = GreedyState(inst)
+    st.run_static()
+    for ev in stream:
+        if ev.target == "P":
+            st.relax_packing_entry(ev.row, ev.col, ev.value)
+        elif ev.target == "C":
+            st.relax_covering_entry(ev.row, ev.col, ev.value)
+        elif ev.target == "a":
+            st.translate_packing_rhs(ev.col, ev.value)
+        else:
+            st.translate_covering_rhs(ev.row, ev.value)
+        if ev.target in ("P", "C"):
+            live[(ev.target, ev.row, ev.col)] = ev.value
+    stored = {("P", i, j): v * st.rhs_applied_p[i] for i, j, v in inst.P.entries()}
+    stored.update({("C", i, j): v * st.rhs_applied_c[i] for i, j, v in inst.C.entries()})
+    assert stored.keys() == live.keys()
+    for key, value in live.items():
+        assert stored[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
 
 # -- translations -----------------------------------------------------------------------
@@ -484,6 +536,15 @@ GOLDEN = {
     "relaxing": ("positive_solution", 214009, 12, 5568, 14, 1, 5,
                  [0.0, 0.0014633091729982174, 0.9711351621627164]),
 }
+# final sorted (row, col, value) entries of the instance's P and C after the
+# relaxing replay: the state writes its updates into the instance's matrices
+RELAXING_ENTRIES = (
+    [(0, 0, 1.5332890654354971), (0, 1, 0.47900805303801286), (0, 2, 0.6728793348796784),
+     (1, 1, 0.6826751203401731), (2, 1, 1.1145389036232025)],
+    [(0, 0, 0.25020086577621936), (0, 1, 1.3702343396379202), (0, 2, 1.1628471311678257),
+     (1, 0, 0.3870436833697548), (1, 1, 0.22949493183310993), (1, 2, 1.0293775802272112),
+     (2, 1, 1.853254474823346), (2, 2, 1.3270753335440457)],
+)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -504,3 +565,5 @@ def test_golden_outputs(case):
            s.wstar_refreshes, s.heap_readjusts, s.translations_applied)
     assert got == GOLDEN[case][:-1]
     assert np.array_equal(np.asarray(st.x), np.asarray(GOLDEN[case][-1]))
+    if case == "relaxing":
+        assert (sorted(inst.P.entries()), sorted(inst.C.entries())) == RELAXING_ENTRIES

@@ -158,6 +158,19 @@ def test_non_monotone_general_update_rejected():
         solver.apply(SetLine("C", 0, 0, 2.0))
 
 
+def test_repeated_zero_update_is_absorbed():
+    # a second zero on an entry already zeroed leaves the applied value where
+    # it is, so it is absorbed like a change inside the (1+eps) band
+    gen = gen_of([[1.0, 0.5], [0.5, 1.0]], [1.0, 1.0], [1.0, 1.0], L=0.5, U=2.0)
+    zero = SetLine("C", 0, 1, 0.0)
+    solver, history = solve_general_dynamic(gen, [zero, zero], 0.1)
+    assert (solver.updates_seen, solver.updates_applied) == (2, 1)
+    _, once = solve_general_dynamic(gen, [zero], 0.1)
+    assert len(history) == 3
+    for (mu, x), (mu_ref, x_ref) in zip(history, once + once[-1:]):
+        assert mu == mu_ref and np.array_equal(x, x_ref)
+
+
 def test_dynamic_tracks_oracle_under_restricting_stream(rng):
     eps = 0.1
     for _ in range(3):
