@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
 """Greedy mixed-LP solver sweeps: boost counts and phase counts against
 their audit budgets, certified-jump attempts, accepted jumps and boosts per
-jump, plus the feasible/infeasible split by density.
+jump, segment endpoint evaluations per jump attempt, plus the
+feasible/infeasible split by density.
+
+Endpoint evaluations are the calls of the ``parts`` function that
+``GreedyState._segment_profile`` returns; the script counts them by
+wrapping that method, so the solver carries no counter for them.
 
     PYTHONPATH=src python scripts/run_greedy_experiments.py --trials 5 --seed 1
 """
@@ -13,7 +18,22 @@ import sys
 import numpy as np
 
 from pclp.generate import random_positive, relaxing_stream_positive
-from pclp.greedy import solve_static_positive
+from pclp.greedy import GreedyState, solve_static_positive
+
+ENDPOINTS = [0]  # parts(b) evaluations since the last reset
+
+
+def _counting_profile(profile):
+    def wrapped(self, k, delta):
+        parts = profile(self, k, delta)
+
+        def counted(b):
+            ENDPOINTS[0] += 1
+            return parts(b)
+
+        return counted
+
+    return wrapped
 
 
 def main() -> int:
@@ -28,8 +48,10 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
+    GreedyState._segment_profile = _counting_profile(GreedyState._segment_profile)
     rng = np.random.default_rng(args.seed)
     for trial in range(args.trials):
+        ENDPOINTS[0] = 0
         inst = random_positive(rng, args.mp, args.mc, args.n, density=args.density)
         outcome, state = solve_static_positive(inst)
         if args.relax_tau and not state.solved:
@@ -57,6 +79,8 @@ def main() -> int:
             "jumps": state.stats.jumps,
             "boosts_per_jump": (round(state.stats.jump_boosts / state.stats.jumps, 1)
                                 if state.stats.jumps else 0.0),
+            "endpoints_per_attempt": (round(ENDPOINTS[0] / state.stats.jump_attempts, 3)
+                                      if state.stats.jump_attempts else 0.0),
             "weight_refreshes": state.stats.weight_refreshes,
             "heap_readjusts": state.stats.heap_readjusts,
             "translations": state.stats.translations_applied,

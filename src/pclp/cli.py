@@ -21,6 +21,7 @@ from .greedy import solve_static_positive
 from .instances import (
     GeneralInstance,
     NormalizedCoveringInstance,
+    POSITIVE_EPS_CAP,
     PackingInstanceView,
     PositiveInstance,
     validate,
@@ -196,6 +197,9 @@ def cmd_online(args) -> int:
 
 
 def cmd_positive(args) -> int:
+    if not args.eps <= POSITIVE_EPS_CAP:
+        raise UsageError(f"positive --eps must be at most 1/200 = {POSITIVE_EPS_CAP}, "
+                         f"got {args.eps}")
     instance = _load(args.instance, args.eps)
     if not isinstance(instance, PositiveInstance):
         raise ParseError("positive expects a positive instance")
@@ -211,7 +215,7 @@ def cmd_positive(args) -> int:
             else:
                 outcome = state.translate_covering_rhs(line.row, line.value)
     payload = {"outcome_tag": outcome.tag.value, "vector": _digest(outcome.vector),
-               "stats": state.stats.as_dict()}
+               "stats": state.stats.as_dict(), "eps": instance.eps}
     code = 0
     if args.verify and outcome.tag is OutcomeTag.POSITIVE_SOLUTION:
         code = _verify(payload, instance, outcome, CertificateSlack.greedy_positive(instance.eps))
@@ -315,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="packing-covering LP solvers with certificates")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, updates=False):
+    def common(sp, updates=False, eps=0.1):
         sp.add_argument("instance")
-        sp.add_argument("--eps", type=float, default=0.1)
+        sp.add_argument("--eps", type=float, default=eps)
         sp.add_argument("--verify", action="store_true")
         sp.add_argument("--report", default=None)
         if updates:
@@ -347,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_online)
 
     sp = sub.add_parser("positive", help="mixed positive LP, optional relaxing replay")
-    common(sp, updates=True)
+    common(sp, updates=True, eps=POSITIVE_EPS_CAP)
     sp.set_defaults(func=cmd_positive)
 
     sp = sub.add_parser("general", help="general covering LP via guess reductions")

@@ -106,7 +106,7 @@ def parse_instance(text: str, eps: float = 0.1):
             vals = [v for _, _, v in P.entries()] + [v for _, _, v in C.entries()]
             L = min(vals) if vals else 1.0
             U = max(vals) if vals else 1.0
-            return PositiveInstance(P=P, C=C, L=L, U=U, eps=min(eps, 1 / 200))
+            return PositiveInstance(P=P, C=C, L=L, U=U, eps=eps)
         if kind == "general":
             m, n = int(header[2]), int(header[3])
             C = SparseNonnegMatrix(m, n)

@@ -181,6 +181,13 @@ class GreedyState:
         self.colver = [0] * n
         self._fcache_key: tuple[int, float, int] | None = None
         self._fcache: tuple[list, list] | None = None
+        # certified jumps: the serial of the current boost run, the run's
+        # segment profile under its (run, delta, colver) key, and per
+        # coordinate the (delta, B) that its last jump attempt certified
+        self._run = 0
+        self._profile_key: tuple[int, float, int] | None = None
+        self._profile: tuple | None = None
+        self._jump_hint: list[tuple[float, int]] = [(0.0, 0)] * n
 
         self.exhausted = [False] * n
         self.hat_llam0 = self._llam0()
@@ -410,12 +417,18 @@ class GreedyState:
         the coordinate stays cheap throughout (see _segment_certified).
         After 24 single boosts on k, every further boost first tries a
         jump: _try_jump evaluates the segment's b = 0 endpoint once and
-        then one endpoint per candidate length on the 16 * 4^i grid, plus
-        one probe at the cap b_hi. A rejected attempt falls back to a
-        single boost. Audit mode single-steps everything.
+        then one endpoint per candidate length on the 16 * 4^i grid,
+        starting from the length k's last attempt certified, plus one
+        probe at the cap b_hi. A rejected attempt falls back to a single
+        boost. Audit mode single-steps everything.
+
+        Each run has its own serial: only the rows of column k move while
+        k boosts, so the slopes, log-entries and off-column constants of
+        _segment_profile are built once per run and increment size.
         """
         if self.exhausted[k]:
             return False
+        self._run += 1
         scale = self.eps / (2.0 * self.eta)
         singles = 0
         while self._cheap(k):
@@ -451,21 +464,31 @@ class GreedyState:
         Over b boosts of size delta, every exact log-weight is affine in b,
         so each of the four log-sum-exp pieces of
         g(b) = log lambda(k, b) - log lambda_0(b) is convex in b. The
-        intercepts, slopes and log-entries are fixed for the attempt; the
         returned ``parts(b)`` evaluates only the terms that move with b.
+
+        The slopes, log-entries and the two off-column log-sum-exps do not
+        move while k's run boosts (a boost or a jump on k changes only the
+        rows of column k), so they are computed once per run, increment
+        size and column version (key: run serial, delta, ``colver[k]``).
+        Only the intercepts ``a_p`` and ``a_c`` are read per attempt.
         """
         eta = self.eta
         S_p, S_c = self.S_p, self.S_c
         pcol, ccol = self.pcol[k], self.ccol[k]
+        key = (self._run, delta, self.colver[k])
+        if self._profile_key != key:
+            r_p = [eta * v * delta for v in pcol.values()]
+            lv_p = [math.log(v) for v in pcol.values()]
+            r_c = [eta * v * delta for v in ccol.values()]
+            lv_c = [math.log(v) for v in ccol.values()]
+            s_c = [-r for r in r_c]  # covering log-weights fall as b grows
+            const_p = _logsumexp([eta * S_p[i] for i in range(self.m_p) if i not in pcol])
+            const_c = _logsumexp([-eta * S_c[j] for j in range(self.m_c) if j not in ccol])
+            self._profile_key = key
+            self._profile = (r_p, lv_p, r_c, lv_c, s_c, const_p, const_c)
+        r_p, lv_p, r_c, lv_c, s_c, const_p, const_c = self._profile
         a_p = [eta * S_p[i] for i in pcol]
-        r_p = [eta * v * delta for v in pcol.values()]
-        lv_p = [math.log(v) for v in pcol.values()]
         a_c = [-eta * S_c[j] for j in ccol]
-        r_c = [eta * v * delta for v in ccol.values()]
-        lv_c = [math.log(v) for v in ccol.values()]
-        s_c = [-r for r in r_c]  # covering log-weights fall as b grows
-        const_p = _logsumexp([eta * S_p[i] for i in range(self.m_p) if i not in pcol])
-        const_c = _logsumexp([-eta * S_c[j] for j in range(self.m_c) if j not in ccol])
 
         def parts(b: float):
             # h = log num + log totc (convex), u = log den + log totp (convex)
@@ -486,6 +509,12 @@ class GreedyState:
 
         h is convex, so its maximum sits at an endpoint; u is convex, so
         its tangent lines at the two endpoints bound it from below.
+
+        The test is monotone in B: max(h0, hB) is the maximum of h over
+        [0, B], which does not fall as B grows, and a tangent taken farther
+        out lies lower on [0, B], so the bound on u does not rise. A B that
+        fails therefore fails for every longer segment too, which is what
+        lets _try_jump start its grid search anywhere.
         """
         h0, _, u0, us0 = p0
         hB, _, uB, usB = pB
@@ -501,18 +530,11 @@ class GreedyState:
             min_u = min(u0, uB)
         return max_h - min_u <= math.log1p(5.0 * self.eps) - 1e-12
 
-    def _try_jump(self, k: int, delta: float) -> tuple[bool, bool]:
-        """Advance as many same-size boosts at once as certification allows;
-        returns (jumped, solved).
-
-        The segment is capped at b_hi: before any covering row reaches 2
-        (so the active set and the increment stay fixed) and at the boost
-        that satisfies the last uncovered row. An attempt evaluates the
-        b = 0 endpoint once, then certifies B = 16, 64, 256, ... (16 * 4^i)
-        up to b_hi and stops at the first failure; when the last certified
-        B is within a factor four of b_hi, b_hi itself is probed. The
-        largest certified B (at least 16) is executed as one jump.
-        """
+    def _segment_cap(self, k: int, delta: float) -> float:
+        """b_hi: the longest segment of same-size boosts on k that leaves
+        every active covering row below 2 and stops no later than the
+        boost that satisfies the last uncovered row (inf when neither
+        binds)."""
         b_sol = 0
         b_two = math.inf
         touched_unsat = 0
@@ -525,23 +547,58 @@ class GreedyState:
                 b_two = min(b_two, math.ceil((2.0 - s) / (v * delta)))
         if touched_unsat < self.unsat:
             b_sol = math.inf  # rows off this column stay uncovered
-        b_hi = min(b_sol, b_two - 1)
+        return min(b_sol, b_two - 1)
+
+    def _try_jump(self, k: int, delta: float) -> tuple[bool, bool]:
+        """Advance as many same-size boosts at once as certification allows;
+        returns (jumped, solved).
+
+        The segment is capped at b_hi (_segment_cap), so the active set and
+        the increment stay fixed along it. The answer is the largest B
+        on the grid 16 * 4^i up to b_hi such that B and every grid point
+        below it certify; when it is within a factor four of b_hi, b_hi
+        itself is probed. The largest certified B (at least 16) is
+        executed as one jump.
+
+        The search is warm-started: it begins at the largest grid point at
+        or below min(hint, b_hi), where the hint is the B that k's last
+        attempt certified at the same delta; after an attempt that
+        certified nothing, or at a new delta, it starts at 16. If that
+        point certifies it climbs x4 to the first failure, otherwise it
+        descends /4 to the first success or below 16. Because
+        _segment_certified is monotone in B, this lands on the grid point
+        a climb from 16 stops at, after one endpoint evaluation at b = 0
+        and typically two on the grid.
+        """
+        b_hi = self._segment_cap(k, delta)
         if not b_hi >= 16:
             return (False, False)
         self.stats.jump_attempts += 1
         parts = self._segment_profile(k, delta)
         p0 = parts(0.0)
-        best = 0
+
+        def certified(b) -> bool:
+            return self._segment_certified(p0, parts(float(b)), float(b))
+
+        hint_delta, hint = self._jump_hint[k]
+        start = min(hint, b_hi) if hint_delta == delta else 16
         b = 16
-        while b <= b_hi:
-            if self._segment_certified(p0, parts(float(b)), float(b)):
-                best = b
+        while b * 4 <= start:
+            b *= 4
+        best = 0
+        if certified(b):
+            while b * 4 <= b_hi and certified(b * 4):
                 b *= 4
-            else:
-                break
-        if (best and best * 4 > b_hi and best != b_hi
-                and self._segment_certified(p0, parts(float(b_hi)), float(b_hi))):
+            best = b
+        else:
+            while b > 16:
+                b //= 4
+                if certified(b):
+                    best = b
+                    break
+        if best and best * 4 > b_hi and best != b_hi and certified(b_hi):
             best = b_hi
+        self._jump_hint[k] = (delta, best)
         if best < 16:
             return (False, False)
         self.stats.jumps += 1

@@ -89,6 +89,9 @@ class GeneralInstance:
         return self.C.n
 
 
+POSITIVE_EPS_CAP = 1 / 200  # the greedy solver's largest accuracy
+
+
 @dataclass
 class PositiveInstance:
     """Mixed feasibility P x <= 1, C x >= 1 (RHS already scaled to ones)."""
@@ -176,7 +179,7 @@ def validate(instance) -> list[ValidationError]:
         errors += _non_finite(L=instance.L, U=instance.U)
         errors += _matrix_errors(instance.P, None, "P")
         errors += _matrix_errors(instance.C, None, "C")
-        if not (0 < instance.eps <= 1 / 200):
+        if not (0 < instance.eps <= POSITIVE_EPS_CAP):
             errors.append(ValidationError(
                 "EpsOutOfRange", f"eps={instance.eps} outside (0, 1/200]"))
         for name, mat in (("P", instance.P), ("C", instance.C)):

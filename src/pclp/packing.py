@@ -90,9 +90,10 @@ def solve_packing_fast(instance: PackingInstanceView) -> tuple[Outcome, PackingS
         low = math.log(float(x_hat.min())) + log_scale
         stats.min_weight = min(stats.min_weight, math.exp(max(low, -745.0)))
 
+    total = float(n)  # x_hat's sum as of the last enforcement
     while True:
         stats.phases += 1
-        W = float(x_hat.sum())
+        W = total
         broke = False
         for i, cols, vals in P.rows():
             xh = x_hat[cols]
@@ -118,7 +119,8 @@ def solve_packing_fast(instance: PackingInstanceView) -> tuple[Outcome, PackingS
                 if t >= T:
                     stats.outcome = "covering_dual"
                     return Outcome.covering_dual(counts / float(T)), stats
-                if float(x_hat.sum()) < (1.0 - eps / 2.0) * W:
+                total = float(x_hat.sum())
+                if total < (1.0 - eps / 2.0) * W:
                     broke = True
                     break
         if not broke:

@@ -177,13 +177,14 @@ class WhackStats:
 class WhackState:
     """The covering scan state of every setting.
 
-    Holds x_hat (true weights are ``x_hat * exp(log_scale)``), the phase
-    anchor W with its two bounds, t of the T rounds, the whack tallies and
-    the stats. The tallies are indexed by row: an array for a matrix, a
-    growing list online, and None when no dual is kept.
+    Holds x_hat (true weights are ``x_hat * exp(log_scale)``), its total
+    as of the last enforcement, the phase anchor W with its two bounds, t
+    of the T rounds, the whack tallies and the stats. The tallies are
+    indexed by row: an array for a matrix, a growing list online, and None
+    when no dual is kept.
     """
 
-    __slots__ = ("n", "lam", "eps", "x_hat", "log_scale", "W", "threshold", "cap",
+    __slots__ = ("n", "lam", "eps", "x_hat", "log_scale", "total", "W", "threshold", "cap",
                  "t", "T", "whack_counts", "stats", "record_trace")
 
     def __init__(self, n: int, lam: float, eps: float,
@@ -199,7 +200,8 @@ class WhackState:
         self.whack_counts = whack_counts
         self.stats = WhackStats()
         self.record_trace = record_trace
-        self._anchor(float(n))
+        self.total = float(n)
+        self._anchor(self.total)
 
     def _anchor(self, W: float) -> None:
         self.W = W
@@ -207,8 +209,10 @@ class WhackState:
         self.cap = W / (1.0 - self.eps / 2.0)
 
     def start_phase(self) -> None:
+        """Anchor W at the total in hand: only an enforcement changes x_hat,
+        and it sums the array once it is done."""
         self.stats.phases += 1
-        self._anchor(float(self.x_hat.sum()))
+        self._anchor(self.total)
 
     # -- the one row visit -----------------------------------------------------
 
@@ -240,6 +244,7 @@ class WhackState:
         total = float(self.x_hat.sum())
         if total > _RESCALE_AT:  # no weight exceeds the total, so below it no rescale is due
             total = self._rescale(cols, xh, growth)
+        self.total = total
         self.t += delta
         if self.whack_counts is not None:
             self.whack_counts[i] += delta
@@ -283,7 +288,7 @@ class WhackState:
 
     def primal_outcome(self) -> Outcome:
         """The answer after a pass with no break: x_hat over its total."""
-        return Outcome.covering_primal(self.x_hat / float(self.x_hat.sum()))
+        return Outcome.covering_primal(self.x_hat / self.total)
 
     def maintained_vector(self) -> np.ndarray:
         """x_hat / W; sums to at most (1 - eps/2)^-1 within a phase."""
@@ -314,7 +319,7 @@ def run_phases(state: WhackState, C: SparseNonnegMatrix) -> Outcome:
     the dynamic preprocessing and phase rebuilds."""
     budget_spent = scan(state, C.rows)
     # weights only grow, so the last total is the largest the run reached
-    state.stats.max_weight_ratio = ((math.log(float(state.x_hat.sum())) + state.log_scale)
+    state.stats.max_weight_ratio = ((math.log(state.total) + state.log_scale)
                                     / weight_cap(state.n, state.eps))
     outcome = state.budget_outcome() if budget_spent else state.primal_outcome()
     state.stats.outcome = outcome.tag.value

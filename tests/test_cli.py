@@ -191,6 +191,17 @@ def test_golden_positive_replay(tmp_path, capsys):
     assert {key: payload[key] for key in GOLDEN_POSITIVE_REPLAY} == GOLDEN_POSITIVE_REPLAY
 
 
+def test_positive_eps_is_capped_at_one_two_hundredth(tmp_path, capsys):
+    inst = write(tmp_path, "p.txt", "positive 1 1 1\nP 0 0 1.0\nC 0 0 0.4\n")
+    assert main(["positive", inst, "--eps", "0.1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--eps must be at most 1/200" in captured.err
+    for argv, eps in (([], 1 / 200), (["--eps", "0.004"], 0.004)):
+        assert main(["positive", inst, *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["eps"] == eps
+
+
 def test_general_verify_gap(tmp_path, capsys):
     text = ("general 2 2\nC 0 0 1.0\nC 0 1 2.0\nC 1 0 2.0\nC 1 1 1.0\n"
             "a 0 1.0\na 1 1.0\nb 0 1.0\nb 1 1.0\n")

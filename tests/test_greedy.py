@@ -517,6 +517,119 @@ def test_jump_counters_add_up():
         assert stats[key] == getattr(s, key)
 
 
+def grid_search_from_16(state, k, delta, b_hi):
+    """The cold search the warm start replaces: certify B = 16, 64, 256, ...
+    up to b_hi, stop at the first failure, then probe b_hi when the last
+    certified B is within a factor four of it; 0 when nothing certifies."""
+    parts = state._segment_profile(k, delta)
+    p0 = parts(0.0)
+
+    def certified(b):
+        return state._segment_certified(p0, parts(float(b)), float(b))
+
+    best, b = 0, 16
+    while b <= b_hi and certified(b):
+        best, b = b, b * 4
+    if best and best * 4 > b_hi and best != b_hi and certified(b_hi):
+        best = b_hi
+    return best
+
+
+def record_jump_attempts(monkeypatch, look):
+    """Call ``look(state, k, delta, b_hi)`` before every jump attempt and
+    collect (its answer, the B the attempt executed or 0)."""
+    try_jump = GreedyState._try_jump
+    seen = []
+
+    def recorded(self, k, delta):
+        b_hi = self._segment_cap(k, delta)
+        if not b_hi >= 16:
+            return try_jump(self, k, delta)
+        want = look(self, k, delta, b_hi)
+        before = self.stats.jump_boosts
+        out = try_jump(self, k, delta)
+        seen.append((want, self.stats.jump_boosts - before))
+        return out
+
+    monkeypatch.setattr(GreedyState, "_try_jump", recorded)
+    return seen
+
+
+def golden_run(case):
+    if case == "relaxing":
+        rng = np.random.default_rng(19)
+        inst = random_positive(rng, 3, 3, 3, density=0.6)
+        stream = relaxing_stream_positive(rng, inst, 30)
+    else:
+        inst = random_positive(np.random.default_rng(15 if case == "feasible" else 7), 3, 3, 3)
+        stream = []
+    st = GreedyState(inst)
+    st.run_static()
+    for _ in _replay(st, inst, stream):
+        pass
+    return st, inst
+
+
+@pytest.mark.parametrize("case", ["feasible", "infeasible", "relaxing"])
+def test_warm_started_search_picks_the_cold_grid_answer(monkeypatch, case):
+    seen = record_jump_attempts(monkeypatch, grid_search_from_16)
+    st, _ = golden_run(case)
+    assert len(seen) == st.stats.jump_attempts > 0
+    assert sum(b > 0 for b, _ in seen) == st.stats.jumps
+    mismatches = [(want, got) for want, got in seen if want != got]
+    assert not mismatches, mismatches[:5]
+
+
+def test_segment_profile_matches_a_fresh_build(monkeypatch):
+    # the per-run profile is reused across attempts; at every attempt it
+    # must give the endpoints a build from the current state gives. Columns
+    # 0 and 2 of the first instance share their increment, so a profile
+    # keyed without the run would be reused across coordinates
+    profile = GreedyState._segment_profile
+    compared = []
+
+    def checked(self, k, delta):
+        parts = profile(self, k, delta)
+        got = [parts(b) for b in (0.0, 16.0, 1024.0)]
+        self._profile_key = None
+        fresh = profile(self, k, delta)
+        compared.append(got == [fresh(b) for b in (0.0, 16.0, 1024.0)])
+        return fresh
+
+    monkeypatch.setattr(GreedyState, "_segment_profile", checked)
+    solve_static_positive(positive([[0.5, 0.2, 0.1], [0.1, 0.5, 0.4]],
+                                   [[1.0, 0.3, 1.0], [0.3, 1.0, 0.5]]))
+    golden_run("relaxing")
+    assert len(compared) > 2000 and all(compared)
+
+
+@given(hst.integers(0, 2 ** 32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_certification_is_monotone_on_the_grid(seed):
+    # the warm start's premise: at every attempt, the grid lengths up to
+    # b_hi that certify are a prefix 16, 64, ..., so starting anywhere and
+    # walking to the boundary finds the cold search's answer
+    def certified_grid(state, k, delta, b_hi):
+        parts = state._segment_profile(k, delta)
+        p0 = parts(0.0)
+        marks, b = [], 16
+        while b <= min(b_hi, 16 * 4 ** 10):
+            marks.append(state._segment_certified(p0, parts(float(b)), float(b)))
+            b *= 4
+        assert marks == sorted(marks, reverse=True), (k, delta, b_hi, marks)
+        return sum(marks)
+
+    with pytest.MonkeyPatch.context() as mp:
+        seen = record_jump_attempts(mp, certified_grid)
+        rng = np.random.default_rng(seed)
+        inst = random_positive(rng, *rng.integers(1, 4, size=3), density=0.7)
+        st = GreedyState(inst)
+        st.run_static()
+        for _ in _replay(st, inst, relaxing_stream_positive(rng, inst, 10)):
+            pass
+    assert len(seen) == st.stats.jump_attempts
+
+
 def test_audit_mode_never_jumps():
     inst = random_positive(np.random.default_rng(15), 3, 3, 3)
     _, st = solve_static_positive(inst, audit_hook=lambda *_: None)
@@ -549,17 +662,7 @@ RELAXING_ENTRIES = (
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_outputs(case):
-    if case == "relaxing":
-        rng = np.random.default_rng(19)
-        inst = random_positive(rng, 3, 3, 3, density=0.6)
-        stream = relaxing_stream_positive(rng, inst, 30)
-    else:
-        inst = random_positive(np.random.default_rng(15 if case == "feasible" else 7), 3, 3, 3)
-        stream = []
-    st = GreedyState(inst)
-    st.run_static()
-    for _ in _replay(st, inst, stream):
-        pass
+    st, inst = golden_run(case)
     s = st.stats
     got = (st.current_outcome().tag.value, s.boosts_total, s.phases, s.weight_refreshes,
            s.wstar_refreshes, s.heap_readjusts, s.translations_applied)

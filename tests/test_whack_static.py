@@ -39,6 +39,13 @@ def visit(state, inst, i):
     return state.visit(i, *inst.C.row(i))
 
 
+def start_phase_at_written_weights(state):
+    """Start a phase after the test wrote x_hat directly: a phase anchors
+    at the total the last enforcement left, so the test sets it first."""
+    state.total = float(state.x_hat.sum())
+    state.start_phase()
+
+
 def residual(state, inst, i):
     return inst.C.dot_row(i, state.x_hat) / state.W
 
@@ -204,7 +211,7 @@ def test_enforce_matches_repeated_whacks():
     inst = covering([[1.0, 0.0]], lam=1.0, eps=0.1)
     state = state_for(inst)
     state.x_hat[:] = 0.5
-    state.start_phase()
+    start_phase_at_written_weights(state)
     assert visit(state, inst, 0) is Step.BROKE  # 1.57 passes the cap 1/(1 - 0.05)
     assert state.t == 8
     assert state.whack_counts[0] == 8
@@ -224,7 +231,7 @@ def test_enforce_refreshes_neighbor_dots():
     inst = covering([[1.0, 0.0], [0.6, 0.7]], lam=1.0, eps=0.1)
     state = state_for(inst)
     state.x_hat[:] = [0.4, 0.4]
-    state.start_phase()
+    start_phase_at_written_weights(state)
     visit(state, inst, 0)
     dense = inst.C.to_dense()
     resid = [residual(state, inst, i) for i in range(inst.m)]
@@ -358,7 +365,7 @@ def test_shared_exponent_rescale_preserves_run_state():
     inst = covering([[0.7, 0.2, 0.0], [0.3, 0.9, 0.0]], eps=0.1)
     state = state_for(inst)
     state.x_hat *= 1e150
-    state.start_phase()
+    start_phase_at_written_weights(state)
     assert residual(state, inst, 0) < 1 - 0.05
     visit(state, inst, 0)
     assert state.log_scale > 0
@@ -375,7 +382,7 @@ def test_rescale_before_a_power_past_the_float_range():
     state = WhackState(2, 1.0, 0.1)
     state.T = 10 ** 12
     state.x_hat[0] = 1e119
-    state.start_phase()
+    start_phase_at_written_weights(state)
     with np.errstate(all="raise"):
         assert state.visit(0, np.array([1]), np.array([1e-7])) is Step.BROKE
     assert state.log_scale > 150
