@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import Outcome
-from .whack_static import Step, WhackState, scan, weight_cap
+from .whack_static import Step, StoredRowsState, scan, weight_cap
 
 
 class RowAfterTermination(RuntimeError):
@@ -29,7 +29,7 @@ class InsertResult:
     terminal: Outcome | None = None
 
 
-class OnlineState(WhackState):
+class OnlineState(StoredRowsState):
     """Covering scan state over the rows seen so far; the first anchor is
     W = n, and every phase after it is a transition."""
 
@@ -55,8 +55,10 @@ class OnlineState(WhackState):
     def insert_row(self, cols, vals) -> InsertResult:
         if self.terminal is not None:
             raise RowAfterTermination("dual already returned")
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
+        # copies: a stored row, and the rates kept for it, must not change
+        # when the caller reuses its buffers
+        cols = np.array(cols, dtype=np.int64)
+        vals = np.array(vals, dtype=np.float64)
         # written so that NaN fails it
         if not np.all((vals >= 0) & (vals <= self.lam)):
             raise ValueError("row entries must lie in [0, lambda]")

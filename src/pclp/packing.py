@@ -8,20 +8,22 @@ computed from x_hat when the scan reaches it, so an enforcement touches
 only the enforced row's support. The enforcement's power comes from the
 covering side's seeded step search (``whack_static.first_step``), started
 at the Jensen bound (``whack_static.jensen_guess``), which from this side
-is a lower bound. The fast primal is reported as
-x_hat / W, which keeps both the sum and the row bounds inside the
-plain (1 +/- eps) band.
+is a lower bound; the search hands back the power exp(d decay) it evaluated
+at its answer (``whack_static.powered_step``), and the enforcement applies
+that vector. The fast primal is reported as x_hat / W, which keeps both
+the sum and the row bounds inside the plain (1 +/- eps) band.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certificates import Outcome
 from .instances import PackingInstanceView
-from .whack_static import PreconditionViolated, first_step, jensen_guess, total_rounds
+from .whack_static import PreconditionViolated, jensen_guess, powered_step, total_rounds
 
 _RESCALE_BELOW = 1e-120
 
@@ -86,8 +88,8 @@ def solve_packing_fast(instance: PackingInstanceView) -> tuple[Outcome, PackingS
     counts = np.zeros(m, dtype=np.int64)
     stats = PackingStats()
 
-    def note_min() -> None:
-        low = math.log(float(x_hat.min())) + log_scale
+    def note_min(lowest: float) -> None:
+        low = math.log(lowest) + log_scale if lowest > 0.0 else -math.inf
         stats.min_weight = min(stats.min_weight, math.exp(max(low, -745.0)))
 
     total = float(n)  # x_hat's sum as of the last enforcement
@@ -104,14 +106,17 @@ def solve_packing_fast(instance: PackingInstanceView) -> tuple[Outcome, PackingS
                 base = vals * xh
                 decay = np.log1p(-eps * vals / lam)
                 guess = jensen_guess(base, decay, dot, W, T - t)
-                delta = first_step(lambda d: float(base @ np.exp(d * decay)) <= W, T - t, guess)
-                x_hat[cols] = xh * np.exp(delta * decay)
+                delta, power = powered_step(base, decay, W, operator.le, T - t, guess)
+                x_hat[cols] = xh * power
+                # a weight may underflow to zero here: weights only fall, so it
+                # would have kept shrinking, and note_min reads it as e^-745
+                lowest = float(x_hat.min())
                 counts[i] += delta
                 t += delta
                 stats.enforcements += 1
                 stats.whacks = t
-                note_min()
-                if float(x_hat.min()) < _RESCALE_BELOW:
+                note_min(lowest)
+                if lowest < _RESCALE_BELOW:
                     peak = float(x_hat.max())
                     x_hat /= peak
                     W /= peak

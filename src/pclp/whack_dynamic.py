@@ -23,7 +23,7 @@ import numpy as np
 from .certificates import Outcome, OutcomeTag
 from .instances import NormalizedCoveringInstance
 from .sparse import NonMonotoneUpdate, UpdateEvent, UpdateKind
-from .whack_static import Step, WhackState, WhackStats, run_phases
+from .whack_static import Step, StoredRowsState, WhackStats, run_phases
 
 
 class UpdateAfterTerminal(RuntimeError):
@@ -40,7 +40,7 @@ class DynamicStats(WhackStats):
                 "phases": self.phases, "column_touches": self.column_touches}
 
 
-class DynamicWhackState(WhackState):
+class DynamicWhackState(StoredRowsState):
     """Whack state kept certified under updates, with per-row enforcement tallies."""
 
     __slots__ = ("instance", "terminal", "enforce_log")

@@ -5,9 +5,15 @@ reference oracle. ``solve_fast`` is the production path: it anchors the
 weight total W per phase, scans constraints in ascending row order, and
 enforces a violated constraint by applying the whole multiplicative power
 in closed form instead of looping over rounds. The power is found by a
-seeded search: Jensen's inequality gives a closed-form upper bound on it
-(``jensen_guess``), and ``first_step`` confirms the guess with the same
-float test it would bisect with, usually in two evaluations.
+search bracketed from both sides in closed form: Jensen's inequality gives
+an upper bound on it (``jensen_guess``), the row's largest growth rate a
+lower bound below which every power is known to fall short
+(``covering_floor``), and ``first_step`` confirms the guess with the same
+float test it would bisect with, in one evaluation when the bounds meet
+and usually two otherwise. The search hands back the power exp(d rate) it
+evaluated at its answer (``powered_step``), and the enforcement applies
+that vector. A stored row's rates log1p(eps vals / lam) are computed once
+per state (``StoredRowsState``); a streamed row's at each enforcement.
 
 ``WhackState.visit`` is the only code that compares a row with the anchor
 and enforces it, and ``scan`` runs the phases of one state over a row
@@ -32,6 +38,7 @@ that the 1-norm can reach n^(1/eps) without overflowing doubles.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable
@@ -94,26 +101,47 @@ def jensen_guess(base: np.ndarray, growth: np.ndarray, dot: float, W: float,
     return budget if d >= budget else math.ceil(d)
 
 
-def first_step(reaches, budget: int, guess: int = 1) -> int:
-    """Smallest d in [1, budget] with ``reaches(d)``, or ``budget`` when even
-    ``reaches(budget)`` fails. ``reaches`` must be monotone in d.
+def covering_floor(dot: float, W: float, g_max: float) -> int:
+    """Largest d at which the covering test is known to fail, 0 when none is.
 
-    The search gallops from ``guess`` (clamped to [1, budget]): down while
-    ``reaches`` holds and up while it fails, doubling the stride, then
-    bisects. It ends where ``reaches(d)`` holds and ``reaches(d - 1)``
-    fails (or d = 1, or the budget fails), so when the guess is the answer
-    it costs two evaluations, one at d = 1. Both scans seed it with
-    ``jensen_guess``: an upper bound on the answer for a covering row, a
-    lower bound for a packing row."""
-    hi = min(max(guess, 1), budget)
+    S(d) = sum_j base_j exp(d growth_j) <= dot exp(d g_max), with g_max the
+    row's largest growth, so every d with d g_max < ln(W / dot) - 1e-9
+    leaves S(d) below W; the 1e-9 log margin covers the float error of the
+    test itself, so the float test fails there too. The bound is used only
+    when dot > 0, W > dot, g_max > 0 and ln(W / dot) < 700."""
+    if not (dot > 0.0 and W > dot and g_max > 0.0):
+        return 0
+    log_ratio = math.log(W / dot)
+    if not log_ratio < 700.0:
+        return 0
+    q = (log_ratio - 1e-9) / g_max
+    return math.ceil(q) - 1 if q > 1.0 else 0
+
+
+def first_step(reaches, budget: int, guess: int = 1, floor: int = 0) -> int:
+    """Smallest d in [1, budget] with ``reaches(d)``, or ``budget`` when even
+    ``reaches(budget)`` fails. ``reaches`` must be monotone in d, and the
+    caller must know that it fails at every d <= ``floor``.
+
+    The search gallops from ``guess`` (clamped to [floor + 1, budget]): down
+    while ``reaches`` holds and up while it fails, doubling the stride, then
+    bisects; it never evaluates at or below the floor. It ends where
+    ``reaches(d)`` holds and ``reaches(d - 1)`` fails (or d = 1, or d - 1
+    is the floor, or the budget fails), so when the guess is the answer it
+    costs two evaluations, and one when the guess is 1 or sits just above
+    the floor. Both scans seed it with ``jensen_guess``: an upper bound on
+    the answer for a covering row, a lower bound for a packing row."""
+    if floor >= budget:
+        return budget
+    hi = min(max(guess, floor + 1), budget)
     stride = 1
     if reaches(hi):
         lo = hi - 1
-        while lo >= 1 and reaches(lo):
+        while lo > floor and reaches(lo):
             hi = lo
             stride *= 2
             lo = hi - stride
-        lo = max(lo, 0)  # d = 0 stands for a failing step
+        lo = max(lo, floor)  # the floor (d = 0 without one) stands for a failing step
     else:
         lo = hi
         while True:
@@ -133,14 +161,41 @@ def first_step(reaches, budget: int, guess: int = 1) -> int:
     return hi
 
 
-def covering_step(base: np.ndarray, growth: np.ndarray, dot: float, W: float,
-                  budget: int) -> int:
+def powered_step(base: np.ndarray, rate: np.ndarray, W: float, holds, budget: int,
+                 guess: int, floor: int = 0) -> tuple[int, np.ndarray]:
+    """``first_step`` over the test ``holds(base . exp(d rate), W)``; returns
+    its answer d and exp(d rate) as the search evaluated it, so the caller
+    applies the very power it tested."""
+    powers = {}
+
+    def reaches(d: int) -> bool:
+        power = powers[d] = np.exp(d * rate)
+        return holds(float(base @ power), W)
+
+    d = first_step(reaches, budget, guess, floor)
+    power = powers.get(d)
+    if power is None:  # the floor reached the budget: nothing was evaluated
+        power = np.exp(d * rate)
+    return d, power
+
+
+def covering_step(base: np.ndarray, growth: np.ndarray, g_max: float, dot: float, W: float,
+                  budget: int) -> tuple[int, np.ndarray]:
     """Smallest d in [1, budget] with sum_j base_j exp(d growth_j) >= W, else
-    ``budget``; seeded with the Jensen upper bound (``jensen_guess``)."""
+    ``budget``, and exp(d growth). The search is bracketed from both sides
+    in closed form: the Jensen upper bound (``jensen_guess``) seeds it, and
+    the bound from the largest growth ``g_max`` (``covering_floor``) rules
+    out every d below it unevaluated."""
     guess = jensen_guess(base, growth, dot, W, budget)
-    # d*growth can overflow exp for huge budgets; inf compares correctly
+    floor = covering_floor(dot, W, g_max)
+    # S(d) <= dot exp(d g_max), so neither exp nor the dot can overflow while
+    # budget g_max + ln dot < 700; past that they may, and inf compares
+    # correctly. The guard is entered only then: a no-op context in the
+    # common case would add two Python calls to every enforcement.
+    if budget * g_max + (math.log(dot) if dot > 1.0 else 0.0) < 700.0:
+        return powered_step(base, growth, W, operator.ge, budget, guess, floor)
     with np.errstate(over="ignore"):
-        return first_step(lambda d: float(base @ np.exp(d * growth)) >= W, budget, guess)
+        return powered_step(base, growth, W, operator.ge, budget, guess, floor)
 
 
 def row_step_size(vals: np.ndarray, xh: np.ndarray, lam: float, eps: float,
@@ -148,10 +203,11 @@ def row_step_size(vals: np.ndarray, xh: np.ndarray, lam: float, eps: float,
     """Support-level step size: smallest d in [1, budget] with
     sum_j vals_j (1 + eps vals_j/lam)^d xh_j >= W, capped at ``budget``
     when even the full power falls short (all-zero rows included). The
-    search starts from the Jensen upper bound on d (``jensen_guess``)."""
+    search is bracketed by ``covering_floor`` and ``jensen_guess``."""
     if len(vals) == 0:
         return budget
-    return covering_step(vals * xh, np.log1p(eps * vals / lam), float(vals @ xh), W, budget)
+    rate = np.log1p(eps * vals / lam)
+    return covering_step(vals * xh, rate, float(rate.max()), float(vals @ xh), W, budget)[0]
 
 
 class Step(Enum):
@@ -233,17 +289,16 @@ class WhackState:
     def _enforce(self, i: int, cols: np.ndarray, vals: np.ndarray, xh: np.ndarray,
                  dot: float) -> Step | None:
         budget = self.T - self.t
-        growth = None
+        rate = power = None
         if len(cols):
-            rate = np.log1p(self.eps * vals / self.lam)
-            delta = covering_step(vals * xh, rate, dot, self.W, budget)
-            growth = delta * rate
-            self.x_hat[cols] = xh * np.exp(growth)
+            rate, g_max = self._row_rates(i, vals)
+            delta, power = covering_step(vals * xh, rate, g_max, dot, self.W, budget)
+            self.x_hat[cols] = xh * power
         else:
             delta = budget
         total = float(self.x_hat.sum())
         if total > _RESCALE_AT:  # no weight exceeds the total, so below it no rescale is due
-            total = self._rescale(cols, xh, growth)
+            total = self._rescale(cols, xh, delta, rate, power)
         self.total = total
         self.t += delta
         if self.whack_counts is not None:
@@ -256,18 +311,27 @@ class WhackState:
             return Step.BUDGET
         return Step.BROKE if total > self.cap else None
 
+    def _row_rates(self, i: int, vals: np.ndarray) -> tuple[np.ndarray, float]:
+        """Row i's growth rates log1p(eps vals / lam) and their largest,
+        computed afresh: a streamed row is the source's to change, so no
+        per-row state is kept for it."""
+        rate = np.log1p(self.eps * vals / self.lam)
+        return rate, float(rate.max())
+
     # -- scale handling ------------------------------------------------------
 
-    def _rescale(self, cols: np.ndarray, xh: np.ndarray, growth: np.ndarray | None) -> float:
-        """Shared-exponent rescale after the enforcement just applied, in the
-        log space of its pre-power weights ``xh``; returns the new total."""
-        if growth is not None:
-            peak_log = float((np.log(xh) + growth).max())
+    def _rescale(self, cols: np.ndarray, xh: np.ndarray, delta: int,
+                 rate: np.ndarray | None, power: np.ndarray | None) -> float:
+        """Shared-exponent rescale after the enforcement just applied (the
+        power exp(delta rate) on the pre-power weights ``xh``), in their log
+        space; returns the new total."""
+        if rate is not None:
+            peak_log = float((np.log(xh) + delta * rate).max())
             if peak_log > 290.0:
                 # divide first and power again, so the powered weights stay finite
                 self.x_hat[cols] = xh
                 self._rescale_by(math.exp(peak_log - 100.0))
-                self.x_hat[cols] *= np.exp(growth)
+                self.x_hat[cols] *= power
         peak = float(self.x_hat.max())
         if peak > _RESCALE_AT:
             self._rescale_by(peak)
@@ -293,6 +357,28 @@ class WhackState:
     def maintained_vector(self) -> np.ndarray:
         """x_hat / W; sums to at most (1 - eps/2)^-1 within a phase."""
         return self.x_hat / self.W
+
+
+class StoredRowsState(WhackState):
+    """The scan state over rows that their owner stores: a matrix's rows
+    (static and dynamic) or the rows an online state has seen. The owner
+    hands row i out as one array until its entries change (a matrix ``set``
+    builds a new one; an online row never changes), so row i's rates are
+    computed once per array and kept while the state lives."""
+
+    __slots__ = ("_rates",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._rates: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+
+    def _row_rates(self, i: int, vals: np.ndarray) -> tuple[np.ndarray, float]:
+        hit = self._rates.get(i)
+        if hit is not None and hit[0] is vals:
+            return hit[1], hit[2]
+        rate, g_max = super()._row_rates(i, vals)
+        self._rates[i] = (vals, rate, g_max)
+        return rate, g_max
 
 
 def scan(state: WhackState, rows: Callable[[], Iterable[tuple[int, np.ndarray, np.ndarray]]]) -> bool:
@@ -328,8 +414,8 @@ def run_phases(state: WhackState, C: SparseNonnegMatrix) -> Outcome:
 
 def solve_fast(instance: NormalizedCoveringInstance,
                record_trace: bool = False) -> tuple[Outcome, WhackStats]:
-    state = WhackState(instance.n, instance.lam, instance.eps,
-                       np.zeros(instance.m, dtype=np.int64), record_trace)
+    state = StoredRowsState(instance.n, instance.lam, instance.eps,
+                            np.zeros(instance.m, dtype=np.int64), record_trace)
     outcome = run_phases(state, instance.C)
     return outcome, state.stats
 

@@ -89,3 +89,18 @@ def test_repeated_columns_rejected():
         state.insert_row([0, 0], [0.5, 0.5])
     assert state.rows == [] and state.t == 0
     state.insert_row([1, 0], [0.5, 0.5])  # distinct columns in any order pass
+
+
+def test_reused_buffers_leave_stored_rows_alone():
+    # a caller that refills one buffer per insert must not rewrite the rows
+    # already stored, nor the growth rates the scan keeps for them
+    rows = [([0, 1], [1.0, 0.5]), ([0, 1], [1.0, 0.25]), ([1, 0], [0.75, 1.0])]
+    cols_buf, vals_buf = np.zeros(2, dtype=np.int64), np.zeros(2)
+    reused, fresh = OnlineState(2, 1.0, 0.1), OnlineState(2, 1.0, 0.1)
+    for cols, vals in rows:
+        cols_buf[:], vals_buf[:] = cols, vals
+        got = reused.insert_row(cols_buf, vals_buf)
+        want = fresh.insert_row(list(cols), list(vals))
+        assert np.array_equal(got.maintained, want.maintained)
+    assert [v.tolist() for _, v in reused.rows] == [vals for _, vals in rows]
+    assert reused.whack_counts == fresh.whack_counts and reused.t == fresh.t

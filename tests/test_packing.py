@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import packing
 from pclp.certificates import CertificateSlack, OutcomeTag, check_certificate
+from pclp.cli import main
+from pclp.formats import emit_instance
 from pclp.generate import random_packing
 from pclp.oracle import solve_packing_exact
 from pclp.packing import solve_packing_basic, solve_packing_fast, whack_packing
@@ -114,3 +118,17 @@ def test_golden_outputs(case):
     outcome, got = solve_packing_fast(inst)
     assert (outcome.tag.value, got.as_dict(), got.min_weight) == (tag, stats, min_weight)
     assert np.array_equal(outcome.vector, vector)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 4, 5])
+def test_weights_flushed_to_zero_keep_a_certificate(seed, tmp_path):
+    # one enforcement powers a heavy column past the float range, so a
+    # weight reads zero; the smallest weight is then reported at its e^-745
+    # clamp, and the run ends with a certificate that checks
+    inst = random_packing(np.random.default_rng(seed), 14, 29, eps=0.05, lam=20.0)
+    outcome, stats = solve_packing_fast(inst)
+    assert check_certificate(inst, outcome, CertificateSlack.packing_template(0.05)).ok
+    assert stats.min_weight == math.exp(-745.0)
+    path = tmp_path / "p.txt"
+    path.write_text(emit_instance(inst))
+    assert main(["packing", str(path), "--eps", "0.05", "--verify"]) == 0

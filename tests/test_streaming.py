@@ -126,3 +126,29 @@ def test_unsorted_columns_accepted():
     cursor = StreamCursor(shuffled, 1, 3, 1.0, StreamMode.FULL_DUAL)
     outcome, _ = solve_stream(cursor, 0.1)
     assert outcome.tag in (OutcomeTag.COVERING_PRIMAL, OutcomeTag.PACKING_DUAL)
+
+
+def test_rows_changed_in_place_between_passes_are_read_afresh(rng):
+    # a live source may rewrite a row's array between passes; the scan keeps
+    # no per-row state for streamed rows, so it solves as fresh arrays do
+    for _ in range(10):
+        inst = random_covering(rng, 8, 6, eps=0.1, density=0.6)
+        rows = list(inst.C.rows())
+
+        def drifting(copy):
+            buffers = [vals.copy() for _, _, vals in rows]
+            passes = [0]
+
+            def source():
+                passes[0] += 1
+                scale = 1.0 if passes[0] % 2 else 0.5
+                for (i, cols, vals), buf in zip(rows, buffers):
+                    np.multiply(vals, scale, out=buf)
+                    yield i, cols, (buf.copy() if copy else buf)
+            return StreamCursor(source, inst.m, inst.n, inst.lam)
+
+        in_place, in_place_stats = solve_stream(drifting(copy=False), inst.eps)
+        fresh, fresh_stats = solve_stream(drifting(copy=True), inst.eps)
+        assert in_place.tag is fresh.tag
+        assert in_place.vector.tobytes() == fresh.vector.tobytes()
+        assert in_place_stats.passes == fresh_stats.passes

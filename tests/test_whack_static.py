@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,8 @@ from pclp.whack_static import (
     PreconditionViolated,
     Step,
     WhackState,
+    covering_floor,
+    covering_step,
     first_step,
     jensen_guess,
     row_step_size,
@@ -142,19 +145,21 @@ def test_first_step_matches_unguided_search(data):
     budget = data.draw(st.integers(1, 10 ** 6))
     k = data.draw(st.integers(1, budget + 5))
     guess = data.draw(st.integers(-3, budget + 5))
+    # every d at or below the floor is known to fail and is never evaluated
+    floor = data.draw(st.one_of(st.just(0), st.integers(0, k - 1)))
     calls = []
 
     def reaches(d):
-        assert 1 <= d <= budget
+        assert floor < d <= budget
         calls.append(d)
         return d >= k
 
-    d = first_step(reaches, budget, guess)
+    d = first_step(reaches, budget, guess, floor)
     assert d == unguided_first_step(lambda d: d >= k, budget) == min(k, budget)
-    # the same evidence as the unguided search: d holds and d - 1 fails, or
-    # the budget itself failed
-    assert d in calls
-    assert d == 1 or d - 1 in calls or k > budget
+    # the same evidence as the unguided search: d holds and d - 1 fails (or
+    # is at the floor), or the budget itself failed
+    assert d in calls or floor >= budget
+    assert d == 1 or d - 1 in calls or d - 1 == floor or k > budget
     assert len(calls) <= 2 * budget.bit_length() + 2
 
 
@@ -163,14 +168,16 @@ def test_first_step_matches_unguided_search(data):
 def test_first_step_confirms_a_right_guess_in_two_evaluations(data):
     budget = data.draw(st.integers(1, 10 ** 6))
     k = data.draw(st.integers(1, budget))
+    floor = data.draw(st.one_of(st.just(0), st.integers(0, k - 1)))
     calls = []
 
     def reaches(d):
         calls.append(d)
         return d >= k
 
-    assert first_step(reaches, budget, k) == k
-    assert calls == ([1] if k == 1 else [k, k - 1])
+    assert first_step(reaches, budget, k, floor) == k
+    # d - 1 is evaluated only when the floor does not already rule it out
+    assert calls == ([k] if k - 1 <= floor else [k, k - 1])
 
 
 @given(st.integers(0, 10 ** 6))
@@ -202,6 +209,89 @@ def test_jensen_guess_falls_back_to_one():
     assert jensen_guess(base, growth, 0.0, 1.0, 100) == 1   # no dot
     assert jensen_guess(base, np.zeros(1), 0.5, 1.0, 100) == 1  # no growth
     assert jensen_guess(base, growth, 0.5, 1e300, 100) == 100  # clamped to the budget
+
+
+@st.composite
+def covering_rows(draw):
+    """A violated covering row: entries spread over up to 12 decades, W up to
+    1e250, dots from just below W to e^-705 W, and budgets from 1 to far past
+    the point where exp(d rate) overflows."""
+    n = draw(st.integers(1, 6))
+    lam = draw(st.floats(1.0, 150.0))
+    eps = draw(st.floats(0.003, 0.3))
+    spread = draw(st.floats(0.0, 12.0))
+    shares = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    vals = lam * 10.0 ** (-spread * shares)
+    xh = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    W = 10.0 ** draw(st.floats(-10.0, 250.0))
+    log_ratio = draw(st.one_of(st.floats(1e-9, 10.0), st.floats(10.0, 690.0),
+                               st.floats(690.0, 705.0)))
+    xh *= W * math.exp(-log_ratio) / float(vals @ xh)
+    budget = draw(st.one_of(st.integers(1, 3000), st.integers(3000, 10 ** 12)))
+    rate = np.log1p(eps * vals / lam)
+    return vals * xh, rate, float(rate.max()), float(vals @ xh), W, budget
+
+
+def covers(base, rate, W, d):
+    with np.errstate(over="ignore"):
+        return float(base @ np.exp(d * rate)) >= W
+
+
+@given(covering_rows())
+@settings(max_examples=300, deadline=None)
+def test_no_power_at_or_below_the_floor_passes(row):
+    base, rate, g_max, dot, W, _ = row
+    floor = covering_floor(dot, W, g_max)
+    # S(d) is monotone in d, so failing at the floor means failing below it
+    assert floor == 0 or not covers(base, rate, W, floor)
+    if floor > 1:
+        assert not covers(base, rate, W, floor // 2)
+
+
+@given(covering_rows())
+@settings(max_examples=200, deadline=None)
+def test_covering_step_matches_unguided_and_brute_force_searches(row):
+    base, rate, g_max, dot, W, budget = row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the search contains its own overflows
+        d, power = covering_step(base, rate, g_max, dot, W, budget)
+    assert d == unguided_first_step(lambda k: covers(base, rate, W, k), budget)
+    if budget <= 3000:
+        brute = next((k for k in range(1, budget + 1) if covers(base, rate, W, k)), budget)
+        assert d == brute
+    with np.errstate(over="ignore"):
+        assert power.tobytes() == np.exp(d * rate).tobytes()
+
+
+def test_overflowing_search_emits_no_warning():
+    # the Jensen guess (about 1.4e8) powers the 1.0 entry past e^709; the
+    # answer is near 4832, where that weight reaches W = 1
+    state = WhackState(2, 1.0, 0.1)
+    state.T = 10 ** 12
+    state.x_hat[0] = 1e-200
+    start_phase_at_written_weights(state)
+    cols, vals = np.array([0, 1]), np.array([1.0, 1e-6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert state.visit(0, cols, vals) is Step.BROKE
+    d = state.t
+    assert state.T * math.log1p(0.1) >= 700
+    assert float(vals @ state.x_hat) >= state.W
+    assert 4000 < d < 6000 and np.all(np.isfinite(state.x_hat))
+    assert d == row_step_size(vals, np.array([1e-200, 1.0]), 1.0, 0.1, state.W, state.T)
+
+
+def test_overflowing_dot_emits_no_warning():
+    # budget * g_max is 667, so exp stays finite, but the budget's power lifts
+    # the 1e30 weight past the float range and the dot overflows
+    vals, xh = np.array([1.0, 1e-6]), np.array([1e30, 1e206])
+    rate = np.log1p(0.1 * vals)
+    base, dot, W = vals * xh, float(vals @ xh), 1e201
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d, _ = covering_step(base, rate, float(rate.max()), dot, W, 7000)
+    assert 7000 * rate.max() < 700
+    assert d == unguided_first_step(lambda k: covers(base, rate, W, k), 7000)
 
 
 # -- enforce -------------------------------------------------------------------
