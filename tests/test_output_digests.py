@@ -1,0 +1,199 @@
+"""Byte-identity pins: sha256 digests of seeded runs of every phase-scan setting.
+
+Each digest covers the tag, the raw bytes of every vector, the stats'
+``as_dict()`` and the setting's audit figure (``min_weight`` for packing,
+``max_weight_ratio`` for the static covering scan) of a fixed set of runs.
+A change that moves any output bit of any run fails its digest; a change
+meant to be byte-identical must leave every digest as it is.
+"""
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+
+from pclp.generate import random_covering, random_general, random_packing, restricting_stream
+from pclp.online import OnlineState
+from pclp.packing import _RESCALE_BELOW, solve_packing_fast
+from pclp.reductions import solve_general_static, solve_general_stream
+from pclp.sparse import UpdateEvent, UpdateKind
+from pclp.streaming import StreamCursor, StreamMode, solve_stream
+from pclp.whack_dynamic import preprocess
+from pclp.whack_static import solve_fast
+
+
+def _feed(h, *parts) -> None:
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(f"{part.dtype.str}{part.shape}".encode())
+            h.update(part.tobytes())
+        elif isinstance(part, float):
+            h.update(part.hex().encode())
+        else:
+            h.update(json.dumps(part, sort_keys=True).encode())
+
+
+def _outcome(h, outcome) -> None:
+    _feed(h, outcome.tag.value, outcome.vector)
+
+
+def _packing_instances():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        eps = float(rng.choice([0.05, 0.1, 0.2]))
+        lam = float(rng.choice([1.0, 2.0, 4.0]))
+        lo = float(rng.choice([0.1, 0.3, 0.5]))
+        yield random_packing(rng, m, n, eps=eps, lam=lam, density=0.7, lo_frac=lo)
+    # a weight driven below the rescale point
+    yield random_packing(np.random.default_rng(35), 3, 3, eps=0.005, lam=4.0,
+                         density=0.7, lo_frac=0.5)
+    # weights flushed to zero by one enforcement
+    for seed in (0, 3, 4, 5):
+        yield random_packing(np.random.default_rng(seed), 14, 29, eps=0.05, lam=20.0)
+
+
+def _covering_instances():
+    rng = np.random.default_rng(2025)
+    for k in range(24):
+        m, n = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+        eps = float(rng.choice([0.05, 0.1, 0.2]))
+        lam = float(rng.choice([1.0, 3.0, 8.0]))
+        yield random_covering(rng, m, n, eps=eps, lam=lam, density=0.6,
+                              hot_column=0 if k % 3 == 0 else False)
+    # weights that pass the rescale point long before the budget runs out
+    yield random_covering(np.random.default_rng(7), 1, 20, eps=0.003, density=0.05)
+
+
+def digest_packing() -> tuple[str, set[str]]:
+    h = hashlib.sha256()
+    cases = set()
+    for inst in _packing_instances():
+        outcome, stats = solve_packing_fast(inst)
+        _outcome(h, outcome)
+        _feed(h, stats.as_dict(), stats.min_weight)
+        cases.add(outcome.tag.value)
+        if stats.min_weight < _RESCALE_BELOW:
+            cases.add("rescale")
+        if stats.min_weight == math.exp(-745.0):
+            cases.add("flush")
+    return h.hexdigest(), cases
+
+
+def digest_fast() -> tuple[str, set[str]]:
+    h = hashlib.sha256()
+    cases = set()
+    for inst in _covering_instances():
+        outcome, stats = solve_fast(inst, record_trace=True)
+        _outcome(h, outcome)
+        _feed(h, stats.as_dict(), stats.trace, stats.max_weight_ratio)
+        cases.add(outcome.tag.value)
+    return h.hexdigest(), cases
+
+
+def _digest_stream(mode: StreamMode) -> tuple[str, set[str]]:
+    h = hashlib.sha256()
+    cases = set()
+    for inst in _covering_instances():
+        outcome, stats = solve_stream(StreamCursor.from_instance(inst, mode), inst.eps)
+        _outcome(h, outcome)
+        _feed(h, stats.as_dict())
+        cases.add(outcome.tag.value)
+    return h.hexdigest(), cases
+
+
+def digest_stream_full() -> tuple[str, set[str]]:
+    return _digest_stream(StreamMode.FULL_DUAL)
+
+
+def digest_stream_primal() -> tuple[str, set[str]]:
+    return _digest_stream(StreamMode.PRIMAL_ONLY)
+
+
+def digest_online() -> tuple[str, set[str]]:
+    h = hashlib.sha256()
+    cases = set()
+    for inst in _covering_instances():
+        state = OnlineState(inst.n, inst.lam, inst.eps)
+        for _, cols, vals in inst.C.rows():
+            result = state.insert_row(cols, vals)
+            _feed(h, result.maintained)
+            if result.terminal is not None:
+                _outcome(h, result.terminal)
+                cases.add(result.terminal.tag.value)
+                break
+        else:
+            cases.add("maintained")
+        _feed(h, state.stats.as_dict(), state.recourse)
+    return h.hexdigest(), cases
+
+
+def digest_dynamic() -> tuple[str, set[str]]:
+    h = hashlib.sha256()
+    cases = set()
+    rng = np.random.default_rng(2026)
+    for inst in _covering_instances():
+        state, outcome = preprocess(inst)
+        _outcome(h, outcome)
+        for line in restricting_stream(rng, inst, 60):
+            if state.terminal is not None:
+                break
+            event = UpdateEvent(UpdateKind.RESTRICT_COVERING_ENTRY, line.row, line.col,
+                                line.value)
+            _outcome(h, state.handle_update(event))
+        _feed(h, state.stats.as_dict(), state.enforce_log)
+        cases.add(state.current_outcome().tag.value)
+    return h.hexdigest(), cases
+
+
+def digest_general() -> tuple[str, set[str]]:
+    h = hashlib.sha256()
+    cases = set()
+    rng = np.random.default_rng(2027)
+    for _ in range(6):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        gen = random_general(rng, m, n, density=0.6)
+        sol = solve_general_static(gen, 0.1)
+        _feed(h, sol.x, sol.y, sol.objective, sol.dual_value, sol.primal_guess,
+              sol.dual_guess, sol.probes, sorted(sol.per_guess.items()))
+        res = solve_general_stream(gen, 0.1)
+        _feed(h, res.x, res.objective, res.primal_guess, res.physical_passes,
+              res.passes_total, sorted(res.per_guess_passes.items()))
+        cases.update({"static", "stream"})
+    return h.hexdigest(), cases
+
+
+# per setting: the runs, their digest captured before any refactor, and the
+# cases the runs must reach for the digest to pin them
+DIGESTS = {
+    "packing": (digest_packing,
+                "61f6d7d1951b9f51f13d5edb527dd02692607ce4286529a04458fa8e0b807498",
+                {"packing_primal", "covering_dual", "rescale", "flush"}),
+    "fast": (digest_fast,
+             "06f3eb5cb5c241ed4a43f34b3f117105834f25819342b7e09aeafb6137ce6fa8",
+             {"covering_primal", "packing_dual"}),
+    "stream_full": (digest_stream_full,
+                    "c0186064ed6ff7da4be87477cb438996308d1a1ebfe1015843306e5dece42b1d",
+                    {"covering_primal", "packing_dual"}),
+    "stream_primal": (digest_stream_primal,
+                      "3c08e6bcc50403b36174518d0c561a74dbf733925cb38321792e93b3db368127",
+                      {"covering_primal", "null"}),
+    "online": (digest_online,
+               "784abfeafa274ec2b7f5b2129c53182b1222b74607ec7c4ab937ede2c94dfe4f",
+               {"maintained", "packing_dual"}),
+    "dynamic": (digest_dynamic,
+                "80b1efb82b800b08986c51232ad20e12f2f3d7c9739b7dab1809940ba1e0d1c0",
+                {"covering_primal", "packing_dual"}),
+    "general": (digest_general,
+                "a06277312dc4a3a1ead0c964d26961b143653f73bf71b3f235cbafb8667a7604",
+                {"static", "stream"}),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(DIGESTS))
+def test_outputs_match_their_digest(setting):
+    run, want, cases = DIGESTS[setting]
+    got, reached = run()
+    assert reached >= cases, f"the runs miss {cases - reached}"
+    assert got == want
