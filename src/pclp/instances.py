@@ -142,20 +142,15 @@ def _non_finite(**scalars: float) -> list[ValidationError]:
 def validate(instance) -> list[ValidationError]:
     """Check every type invariant; returns one entry per violation (empty = ok)."""
     errors: list[ValidationError] = []
-    if isinstance(instance, NormalizedCoveringInstance):
+    if isinstance(instance, (NormalizedCoveringInstance, PackingInstanceView)):
+        name = "C" if isinstance(instance, NormalizedCoveringInstance) else "P"
         errors += _non_finite(lam=instance.lam)
-        errors += _matrix_errors(instance.C, instance.lam, "C")
+        errors += _matrix_errors(getattr(instance, name), instance.lam, name)
         if not (0 < instance.eps < 0.5):
             errors.append(ValidationError(
                 "EpsOutOfRange", f"eps={instance.eps} outside (0, 1/2)"))
         if instance.lam <= 0:
             errors.append(ValidationError("EntryAboveLambda", f"lambda={instance.lam} <= 0"))
-    elif isinstance(instance, PackingInstanceView):
-        errors += _non_finite(lam=instance.lam)
-        errors += _matrix_errors(instance.P, instance.lam, "P")
-        if not (0 < instance.eps < 0.5):
-            errors.append(ValidationError(
-                "EpsOutOfRange", f"eps={instance.eps} outside (0, 1/2)"))
     elif isinstance(instance, GeneralInstance):
         errors += _non_finite(L=instance.L, U=instance.U)
         errors += _matrix_errors(instance.C, None, "C")

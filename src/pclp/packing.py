@@ -1,17 +1,16 @@
 """Packing-side template: decreasing weights against violated rows.
 
-The structure mirrors the covering solvers with every inequality flipped:
-weights shrink when a row is whacked, a phase closes when the weight total
-falls by a (1 - eps/2) factor, and the fast scan enforces rows whose
-anchored value exceeds 1 + eps/2. As in the covering scan, a row's dot is
-computed from x_hat when the scan reaches it, so an enforcement touches
-only the enforced row's support. The enforcement's power comes from the
-covering side's seeded step search (``whack_static.first_step``), started
-at the Jensen bound (``whack_static.jensen_guess``), which from this side
-is a lower bound; the search hands back the power exp(d decay) it evaluated
-at its answer (``whack_static.powered_step``), and the enforcement applies
-that vector. The fast primal is reported as x_hat / W, which keeps both
-the sum and the row bounds inside the plain (1 +/- eps) band.
+``solve_packing_basic`` is the plain T-round template, kept as the
+reference. ``solve_packing_fast`` runs the one phase scan
+(``whack_static.run_phases``) on a ``PackingState``, the covering state with
+every inequality flipped: a row is enforced while its dot exceeds
+(1 + eps/2) W, weights fall by powers of log1p(-eps vals / lam) found by the
+shared step search seeded at the Jensen bound (from this side a lower
+bound), and a phase breaks once the total falls below (1 - eps/2) W. The
+rows are the matrix's own, so their rates are computed once. Once a weight
+falls below 1e-120 the shared exponent is rescaled by the peak. The primal
+is reported as x_hat / W, which keeps both the sum and the row bounds
+inside the plain (1 +/- eps) band.
 """
 from __future__ import annotations
 
@@ -23,7 +22,8 @@ import numpy as np
 
 from .certificates import Outcome
 from .instances import PackingInstanceView
-from .whack_static import PreconditionViolated, jensen_guess, powered_step, total_rounds
+from .whack_static import (PreconditionViolated, Step, StoredRowsState, WhackStats, jensen_guess,
+                           powered_step, run_phases, total_rounds)
 
 _RESCALE_BELOW = 1e-120
 
@@ -38,16 +38,8 @@ def whack_packing(instance: PackingInstanceView, i: int, x_hat: np.ndarray) -> n
 
 
 @dataclass
-class PackingStats:
-    phases: int = 0
-    enforcements: int = 0
-    whacks: int = 0
-    outcome: str = ""
+class PackingStats(WhackStats):
     min_weight: float = math.inf  # smallest true coordinate seen, for underflow audit
-
-    def as_dict(self) -> dict:
-        return {"phases": self.phases, "enforcements": self.enforcements,
-                "whacks": self.whacks, "outcome": self.outcome}
 
 
 def solve_packing_basic(instance: PackingInstanceView,
@@ -77,57 +69,58 @@ def solve_packing_basic(instance: PackingInstanceView,
     return Outcome.covering_dual(counts / float(T)), sequence
 
 
+class PackingState(StoredRowsState):
+    """The scan state of the packing template over a matrix's rows."""
+
+    __slots__ = ()
+
+    _RATE_SIGN = -1.0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stats = PackingStats()
+
+    def _anchor(self, W: float) -> None:
+        self.W = W
+        self.threshold = (1.0 + self.eps / 2.0) * W
+        self.floor = (1.0 - self.eps / 2.0) * W
+        self.cap = math.inf
+
+    def visit(self, i: int, cols: np.ndarray, vals: np.ndarray) -> Step | None:
+        """Enforce row i if its dot with x_hat exceeds (1 + eps/2) W; a NaN
+        dot fails the comparison, so the row is skipped."""
+        xh = self.x_hat[cols]
+        dot = float(vals @ xh)
+        if not dot > self.threshold:
+            return None
+        return self._enforce(i, cols, vals, xh, dot)
+
+    @staticmethod
+    def _step(base, rate, g_max, dot, W, budget):
+        # smallest d with sum_j base_j exp(d rate_j) <= W; Jensen bounds it
+        # from below, so the search gallops up from there
+        guess = jensen_guess(base, rate, dot, W, budget)
+        return powered_step(base, rate, W, operator.le, budget, guess)
+
+    def _settle(self, cols, xh, delta, rate, power) -> float:
+        # a weight may underflow to zero here: weights only fall, so it would
+        # have kept shrinking, and the audit reads it as e^-745
+        lowest = float(self.x_hat.min())
+        low = math.log(lowest) + self.log_scale if lowest > 0.0 else -math.inf
+        self.stats.min_weight = min(self.stats.min_weight, math.exp(max(low, -745.0)))
+        if lowest < _RESCALE_BELOW:
+            self._rescale_by(float(self.x_hat.max()))
+        return float(self.x_hat.sum())
+
+    def budget_outcome(self) -> Outcome:
+        return Outcome.covering_dual(self.whack_counts / float(self.T))
+
+    def primal_outcome(self) -> Outcome:
+        return Outcome.packing_primal(self.x_hat / self.W)
+
+
 def solve_packing_fast(instance: PackingInstanceView) -> tuple[Outcome, PackingStats]:
-    """Phase-anchored packing run mirroring the covering implementation."""
-    P, lam, eps = instance.P, instance.lam, instance.eps
-    n, m = instance.n, instance.m
-    T = total_rounds(lam, n, eps)
-    x_hat = np.ones(n)
-    log_scale = 0.0
-    t = 0
-    counts = np.zeros(m, dtype=np.int64)
-    stats = PackingStats()
-
-    def note_min(lowest: float) -> None:
-        low = math.log(lowest) + log_scale if lowest > 0.0 else -math.inf
-        stats.min_weight = min(stats.min_weight, math.exp(max(low, -745.0)))
-
-    total = float(n)  # x_hat's sum as of the last enforcement
-    while True:
-        stats.phases += 1
-        W = total
-        broke = False
-        for i, cols, vals in P.rows():
-            xh = x_hat[cols]
-            dot = float(vals @ xh)
-            if dot > (1.0 + eps / 2.0) * W:
-                # smallest d with sum_j base_j exp(d decay_j) <= W; Jensen
-                # bounds it from below, so the search gallops up from there
-                base = vals * xh
-                decay = np.log1p(-eps * vals / lam)
-                guess = jensen_guess(base, decay, dot, W, T - t)
-                delta, power = powered_step(base, decay, W, operator.le, T - t, guess)
-                x_hat[cols] = xh * power
-                # a weight may underflow to zero here: weights only fall, so it
-                # would have kept shrinking, and note_min reads it as e^-745
-                lowest = float(x_hat.min())
-                counts[i] += delta
-                t += delta
-                stats.enforcements += 1
-                stats.whacks = t
-                note_min(lowest)
-                if lowest < _RESCALE_BELOW:
-                    peak = float(x_hat.max())
-                    x_hat /= peak
-                    W /= peak
-                    log_scale += math.log(peak)
-                if t >= T:
-                    stats.outcome = "covering_dual"
-                    return Outcome.covering_dual(counts / float(T)), stats
-                total = float(x_hat.sum())
-                if total < (1.0 - eps / 2.0) * W:
-                    broke = True
-                    break
-        if not broke:
-            stats.outcome = "packing_primal"
-            return Outcome.packing_primal(x_hat / W), stats
+    """Phase-anchored packing run on the one phase scan (``whack_static.scan``)."""
+    state = PackingState(instance.n, instance.lam, instance.eps,
+                         np.zeros(instance.m, dtype=np.int64))
+    return run_phases(state, instance.P), state.stats

@@ -16,27 +16,12 @@ import numpy as np
 
 
 class UpdateKind(Enum):
-    RESTRICT_COVERING_ENTRY = "restrict_covering_entry"
-    RELAX_COVERING_ENTRY = "relax_covering_entry"
-    RELAX_PACKING_ENTRY = "relax_packing_entry"
-    TRANSLATE_PACKING = "translate_packing"
-    TRANSLATE_COVERING = "translate_covering"
-    TRANSLATE_OBJECTIVE = "translate_objective"
-
-
-#: entry-update kinds whose new value must be strictly below the stored one
-_DECREASING = {UpdateKind.RESTRICT_COVERING_ENTRY, UpdateKind.RELAX_PACKING_ENTRY}
-#: entry-update kinds whose new value must be strictly above the stored one
-_INCREASING = {UpdateKind.RELAX_COVERING_ENTRY}
+    RESTRICT_COVERING_ENTRY = "restrict_covering_entry"  # the new value is below the stored one
 
 
 @dataclass(frozen=True)
 class UpdateEvent:
-    """A single monotone update to a matrix entry or an RHS/objective entry.
-
-    ``row``/``col`` are whichever indexes the kind needs; translations carry
-    only the index of the translated constraint or variable.
-    """
+    """A single monotone update to a matrix entry."""
 
     kind: UpdateKind
     row: int | None
@@ -195,10 +180,7 @@ class SparseNonnegMatrix:
             raise IndexOutOfRange(f"({i},{j}) outside {self.m}x{self.n}")
 
     def apply_update(self, event: UpdateEvent) -> float:
-        """Apply a monotone entry update; returns the previous value."""
-        if event.kind in (UpdateKind.TRANSLATE_PACKING, UpdateKind.TRANSLATE_COVERING,
-                          UpdateKind.TRANSLATE_OBJECTIVE):
-            raise SparseError("translation events target RHS/objective, not the matrix")
+        """Apply a restricting entry update; returns the previous value."""
         i, j = event.row, event.col
         if i is None or j is None:
             raise SparseError("entry update needs both row and col")
@@ -207,11 +189,8 @@ class SparseNonnegMatrix:
         new = float(event.new_value)
         if new < 0.0:
             raise SparseError(f"negative value {new}")
-        if event.kind in _DECREASING and not new < old:
+        if not new < old:
             raise NonMonotoneUpdate(
                 f"{event.kind.value} at ({i},{j}): {new} is not below stored {old}")
-        if event.kind in _INCREASING and not new > old:
-            raise NonMonotoneUpdate(
-                f"{event.kind.value} at ({i},{j}): {new} is not above stored {old}")
         self.set(i, j, new)
         return old

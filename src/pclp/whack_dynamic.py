@@ -22,7 +22,7 @@ import numpy as np
 
 from .certificates import Outcome, OutcomeTag
 from .instances import NormalizedCoveringInstance
-from .sparse import NonMonotoneUpdate, UpdateEvent, UpdateKind
+from .sparse import UpdateEvent
 from .whack_static import Step, StoredRowsState, WhackStats, run_phases
 
 
@@ -78,8 +78,6 @@ class DynamicWhackState(StoredRowsState):
     def handle_update(self, event: UpdateEvent) -> Outcome:
         if self.terminal is not None:
             raise UpdateAfterTerminal("dual certificate is frozen")
-        if event.kind is not UpdateKind.RESTRICT_COVERING_ENTRY:
-            raise NonMonotoneUpdate(f"dynamic covering handles restricting entries, got {event.kind}")
         C = self.instance.C
         C.apply_update(event)  # raises NonMonotoneUpdate / IndexOutOfRange
         self.stats.updates += 1

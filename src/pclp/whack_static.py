@@ -1,4 +1,4 @@
-"""Static covering solvers, and the one covering phase scan every setting runs.
+"""Static covering solvers, and the one phase scan every setting runs.
 
 ``solve_basic`` follows the plain T-round template and is kept as a slow
 reference oracle. ``solve_fast`` is the production path: it anchors the
@@ -15,12 +15,12 @@ evaluated at its answer (``powered_step``), and the enforcement applies
 that vector. A stored row's rates log1p(eps vals / lam) are computed once
 per state (``StoredRowsState``); a streamed row's at each enforcement.
 
-``WhackState.visit`` is the only code that compares a row with the anchor
-and enforces it, and ``scan`` runs the phases of one state over a row
-source. A row's dot with x_hat is computed when the row is visited, so no
-per-row state is kept between rows and an enforcement touches only the
-enforced row's support. The settings differ only in the rows they feed and
-in what an outcome means:
+``WhackState.visit`` is the only covering code that compares a row with
+the anchor and enforces it, and ``scan`` runs the phases of one state over
+a row source. A row's dot with x_hat is computed when the row is visited,
+so no per-row state is kept between rows and an enforcement touches only
+the enforced row's support. The settings differ only in the rows they feed,
+in what an outcome means and, for packing, in the sign:
 
 - static (``solve_fast``) and the dynamic preprocessing and phase rebuilds
   (``whack_dynamic``) scan the matrix rows in ascending order, and a
@@ -30,7 +30,9 @@ in what an outcome means:
 - online (``online.OnlineState``) visits each arriving row and, when that
   breaks the phase, scans the rows seen so far;
 - the streaming reduction (``reductions.solve_general_stream``) visits each
-  row of one physical pass once per guess whose phase is still running.
+  row of one physical pass once per guess whose phase is still running;
+- packing (``packing.solve_packing_fast``) scans the matrix rows in
+  ascending order on a state with the signs flipped (``PackingState``).
 
 Weights are stored as ``x_hat * exp(log_scale)`` with a shared offset so
 that the 1-norm can reach n^(1/eps) without overflowing doubles.
@@ -212,8 +214,8 @@ def row_step_size(vals: np.ndarray, xh: np.ndarray, lam: float, eps: float,
 
 class Step(Enum):
     """What an enforcement in ``WhackState.visit`` ended in, besides going on."""
-    BUDGET = "budget"  # t reached T: the tallies form the packing dual
-    BROKE = "broke"    # the weight total passed the phase cap W / (1 - eps/2)
+    BUDGET = "budget"  # t reached T: the tallies form the dual
+    BROKE = "broke"    # the weight total left the phase band (floor, cap)
 
 
 @dataclass
@@ -231,17 +233,24 @@ class WhackStats:
 
 
 class WhackState:
-    """The covering scan state of every setting.
+    """The covering scan state of every setting, and the base of the packing one.
 
     Holds x_hat (true weights are ``x_hat * exp(log_scale)``), its total
-    as of the last enforcement, the phase anchor W with its two bounds, t
-    of the T rounds, the whack tallies and the stats. The tallies are
-    indexed by row: an array for a matrix, a growing list online, and None
-    when no dual is kept.
+    as of the last enforcement, the phase anchor W with the row threshold
+    and the phase band, t of the T rounds, the whack tallies and the stats.
+    The tallies are indexed by row: an array for a matrix, a growing list
+    online, and None when no dual is kept. What depends on the sign of the
+    template is in ``_anchor``, ``visit``, ``_step``, ``_RATE_SIGN``,
+    ``_settle`` and the two outcomes; ``_enforce`` keeps the bookkeeping.
     """
 
     __slots__ = ("n", "lam", "eps", "x_hat", "log_scale", "total", "W", "threshold", "cap",
-                 "t", "T", "whack_counts", "stats", "record_trace")
+                 "floor", "t", "T", "whack_counts", "stats", "record_trace")
+
+    #: the step search: (base, rate, g_max, dot, W, budget) -> (d, exp(d rate))
+    _step = staticmethod(covering_step)
+    #: the rates are log1p(sign eps vals / lam): covering weights grow
+    _RATE_SIGN = 1.0
 
     def __init__(self, n: int, lam: float, eps: float,
                  whack_counts: np.ndarray | list[int] | None = None,
@@ -260,8 +269,11 @@ class WhackState:
         self._anchor(self.total)
 
     def _anchor(self, W: float) -> None:
+        """Set the phase anchor W, the row threshold and the phase band
+        (floor, cap): an enforcement whose total leaves it breaks the phase."""
         self.W = W
         self.threshold = (1.0 - self.eps / 2.0) * W
+        self.floor = -math.inf
         self.cap = W / (1.0 - self.eps / 2.0)
 
     def start_phase(self) -> None:
@@ -292,14 +304,11 @@ class WhackState:
         rate = power = None
         if len(cols):
             rate, g_max = self._row_rates(i, vals)
-            delta, power = covering_step(vals * xh, rate, g_max, dot, self.W, budget)
+            delta, power = self._step(vals * xh, rate, g_max, dot, self.W, budget)
             self.x_hat[cols] = xh * power
         else:
             delta = budget
-        total = float(self.x_hat.sum())
-        if total > _RESCALE_AT:  # no weight exceeds the total, so below it no rescale is due
-            total = self._rescale(cols, xh, delta, rate, power)
-        self.total = total
+        self.total = total = self._settle(cols, xh, delta, rate, power)
         self.t += delta
         if self.whack_counts is not None:
             self.whack_counts[i] += delta
@@ -309,33 +318,37 @@ class WhackState:
             self.stats.trace.append((i, delta))
         if self.t >= self.T:
             return Step.BUDGET
-        return Step.BROKE if total > self.cap else None
+        # written so that a NaN total breaks nothing
+        return Step.BROKE if total > self.cap or total < self.floor else None
 
     def _row_rates(self, i: int, vals: np.ndarray) -> tuple[np.ndarray, float]:
-        """Row i's growth rates log1p(eps vals / lam) and their largest,
+        """Row i's rates log1p(sign eps vals / lam) and their largest,
         computed afresh: a streamed row is the source's to change, so no
         per-row state is kept for it."""
-        rate = np.log1p(self.eps * vals / self.lam)
+        rate = np.log1p(self._RATE_SIGN * self.eps * vals / self.lam)
         return rate, float(rate.max())
 
     # -- scale handling ------------------------------------------------------
 
-    def _rescale(self, cols: np.ndarray, xh: np.ndarray, delta: int,
-                 rate: np.ndarray | None, power: np.ndarray | None) -> float:
-        """Shared-exponent rescale after the enforcement just applied (the
-        power exp(delta rate) on the pre-power weights ``xh``), in their log
-        space; returns the new total."""
-        if rate is not None:
-            peak_log = float((np.log(xh) + delta * rate).max())
-            if peak_log > 290.0:
-                # divide first and power again, so the powered weights stay finite
-                self.x_hat[cols] = xh
-                self._rescale_by(math.exp(peak_log - 100.0))
-                self.x_hat[cols] *= power
-        peak = float(self.x_hat.max())
-        if peak > _RESCALE_AT:
-            self._rescale_by(peak)
-        return float(self.x_hat.sum())
+    def _settle(self, cols: np.ndarray, xh: np.ndarray, delta: int,
+                rate: np.ndarray | None, power: np.ndarray | None) -> float:
+        """The weight total after the enforcement just applied (the power
+        exp(delta rate) on the pre-power weights ``xh``), once the shared
+        exponent is rescaled, in their log space, if a weight grew too large."""
+        total = float(self.x_hat.sum())
+        if total > _RESCALE_AT:  # no weight exceeds the total, so below it no rescale is due
+            if rate is not None:
+                peak_log = float((np.log(xh) + delta * rate).max())
+                if peak_log > 290.0:
+                    # divide first and power again, so the powered weights stay finite
+                    self.x_hat[cols] = xh
+                    self._rescale_by(math.exp(peak_log - 100.0))
+                    self.x_hat[cols] *= power
+            peak = float(self.x_hat.max())
+            if peak > _RESCALE_AT:
+                self._rescale_by(peak)
+            total = float(self.x_hat.sum())
+        return total
 
     def _rescale_by(self, factor: float) -> None:
         self.x_hat /= factor
@@ -382,7 +395,8 @@ class StoredRowsState(WhackState):
 
 
 def scan(state: WhackState, rows: Callable[[], Iterable[tuple[int, np.ndarray, np.ndarray]]]) -> bool:
-    """The covering phase loop over a re-iterable row source.
+    """The phase loop of every setting, packing included, over a re-iterable
+    row source.
 
     Each phase anchors W and visits the rows of one ``rows()`` pass in
     order; a visit that breaks the phase starts the next one. Returns True
@@ -392,9 +406,9 @@ def scan(state: WhackState, rows: Callable[[], Iterable[tuple[int, np.ndarray, n
         state.start_phase()
         for i, cols, vals in rows():
             step = visit(i, cols, vals)
-            if step is Step.BUDGET:
-                return True
-            if step is Step.BROKE:
+            if step is not None:
+                if step is Step.BUDGET:
+                    return True
                 break
         else:
             return False
@@ -402,9 +416,9 @@ def scan(state: WhackState, rows: Callable[[], Iterable[tuple[int, np.ndarray, n
 
 def run_phases(state: WhackState, C: SparseNonnegMatrix) -> Outcome:
     """Scan the rows of C in ascending order to a certificate; shared with
-    the dynamic preprocessing and phase rebuilds."""
+    the dynamic preprocessing and phase rebuilds and with packing."""
     budget_spent = scan(state, C.rows)
-    # weights only grow, so the last total is the largest the run reached
+    # covering weights only grow, so the last total is the largest the run reached
     state.stats.max_weight_ratio = ((math.log(state.total) + state.log_scale)
                                     / weight_cap(state.n, state.eps))
     outcome = state.budget_outcome() if budget_spent else state.primal_outcome()

@@ -61,6 +61,16 @@ def test_non_finite_instance_exits_3(tmp_path, capsys):
         assert f"NonFinite: {detail}" in captured.err
 
 
+@pytest.mark.parametrize("command, kind", [("solve", "covering"), ("packing", "packing")])
+def test_non_positive_lambda_exits_3(tmp_path, capsys, command, kind):
+    # packing used to accept lambda <= 0 and solve it
+    path = write(tmp_path, "neg.txt", f"{kind} 1 2 -1\n")
+    assert main([command, path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "EntryAboveLambda: lambda=-1.0 <= 0" in captured.err
+
+
 def test_dynamic_non_monotone_stream_exits_3(tmp_path):
     inst = write(tmp_path, "inst.txt", "covering 1 1 1.0\nC 0 0 1.0\n")
     ups = write(tmp_path, "ups.txt", "set C 0 0 2.0\n")

@@ -9,7 +9,8 @@ from pclp.cli import main
 from pclp.formats import emit_instance
 from pclp.generate import random_packing
 from pclp.oracle import solve_packing_exact
-from pclp.packing import solve_packing_basic, solve_packing_fast, whack_packing
+from pclp.packing import PackingState, solve_packing_basic, solve_packing_fast, whack_packing
+from pclp.whack_static import WhackState, run_phases
 
 
 def test_whack_packing_scales_down():
@@ -82,6 +83,34 @@ def test_fast_packing_min_weight_positive():
     inst = packing([[1.0], [1.0]], lam=1.0, eps=0.1)
     outcome, stats = solve_packing_fast(inst)
     assert stats.min_weight > 0.0
+
+
+def test_packing_row_enforced_twice_is_rated_once(monkeypatch):
+    # packing rows are the matrix's own, so the stored-rows cache holds
+    # their rates across enforcements
+    rated = []
+    fresh = WhackState._row_rates
+
+    def counting(self, i, vals):
+        rated.append(i)
+        return fresh(self, i, vals)
+
+    monkeypatch.setattr(WhackState, "_row_rates", counting)
+    inst = random_packing(np.random.default_rng(33), 4, 4, eps=0.2, lam=2.0,
+                          density=0.7, lo_frac=0.3)
+    state = PackingState(inst.n, inst.lam, inst.eps, np.zeros(inst.m, dtype=np.int64),
+                         record_trace=True)
+    run_phases(state, inst.P)
+    enforced = [i for i, _ in state.stats.trace]
+    assert len(enforced) > len(set(enforced))
+    assert sorted(rated) == sorted(set(enforced))
+
+
+def test_nan_dot_is_skipped():
+    state = PackingState(2, 1.0, 0.1)
+    state.start_phase()
+    assert state.visit(0, np.array([0]), np.array([np.nan])) is None
+    assert state.t == 0 and state.stats.enforcements == 0
 
 
 # -- golden outputs ------------------------------------------------------------

@@ -43,7 +43,7 @@ def test_restrict_update_rejects_increase():
 
 def test_relax_insertion_lands_in_both_indexes():
     m = SparseNonnegMatrix.from_dense([[1.0, 0.0], [0.0, 1.0]])
-    m.apply_update(UpdateEvent(UpdateKind.RELAX_COVERING_ENTRY, 0, 1, 0.3))
+    m.set(0, 1, 0.3)
     assert m.get(0, 1) == 0.3
     assert 1 in m.row_map(0)
     assert 0 in m.col_map(1)
@@ -52,7 +52,7 @@ def test_relax_insertion_lands_in_both_indexes():
 def test_index_out_of_range():
     m = SparseNonnegMatrix(2, 2)
     with pytest.raises(IndexOutOfRange):
-        m.apply_update(UpdateEvent(UpdateKind.RELAX_COVERING_ENTRY, 5, 0, 1.0))
+        m.apply_update(UpdateEvent(UpdateKind.RESTRICT_COVERING_ENTRY, 5, 0, 1.0))
 
 
 def test_min_size_enforced():
