@@ -156,8 +156,11 @@ def check_certificate(instance, outcome: Outcome,
 
     Infeasible and Null outcomes are vacuously accepted here; their
     soundness is established against the exact oracle in the test suite.
-    Every other tag must carry a vector of finite coordinates: a NaN
-    would pass every comparison below by failing it.
+    Null is vacuous by design: it is the answer of a streaming run in
+    ``PRIMAL_ONLY`` mode that spent its round budget, and that mode keeps
+    no whack tallies, so there is no dual to check. Every other tag must
+    carry a vector of finite coordinates: a NaN would pass every
+    comparison below by failing it.
     """
     tol = slack.abs_tol
     v: list[Violation] = []

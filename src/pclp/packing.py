@@ -6,8 +6,17 @@ reference. ``solve_packing_fast`` runs the one phase scan
 every inequality flipped: a row is enforced while its dot exceeds
 (1 + eps/2) W, weights fall by powers of log1p(-eps vals / lam) found by the
 shared step search seeded at the Jensen bound (from this side a lower
-bound), and a phase breaks once the total falls below (1 - eps/2) W. The
-rows are the matrix's own, so their rates are computed once. Once a weight
+bound), and a phase breaks once the total falls below (1 - eps/2) W.
+
+The Jensen bound also gives the search its floor (``packing_floor``):
+S(d) = sum_j base_j exp(d rate_j) >= dot exp(d bg / dot), with
+bg = base . rate < 0, so every d below ln(W / dot) dot / bg keeps the row
+above W. With the covering floor's 1e-9 log margin for the float error of
+the test, the floor is ceil(q) - 1 for q = (ln(W / dot) + 1e-9) dot / bg,
+one below the Jensen guess in all but edge cases, and the search settles
+in the one evaluation at the guess unless the row needs a larger power.
+The rows are the matrix's own, so their rates, and the powers the search
+evaluates on them, are computed once (``StoredRowsState``). Once a weight
 falls below 1e-120 the shared exponent is rescaled by the peak. The primal
 is reported as x_hat / W, which keeps both the sum and the row bounds
 inside the plain (1 +/- eps) band.
@@ -22,8 +31,9 @@ import numpy as np
 
 from .certificates import Outcome
 from .instances import PackingInstanceView
-from .whack_static import (PreconditionViolated, Step, StoredRowsState, WhackStats, jensen_guess,
-                           powered_step, run_phases, total_rounds)
+from .whack_static import (PreconditionViolated, Step, StoredRowsState, WhackStats,
+                           anchor_log_ratio, jensen_guess, powered_step, run_phases,
+                           total_rounds)
 
 _RESCALE_BELOW = 1e-120
 
@@ -69,6 +79,23 @@ def solve_packing_basic(instance: PackingInstanceView,
     return Outcome.covering_dual(counts / float(T)), sequence
 
 
+def packing_floor(bg: float, dot: float, log_ratio: float, budget: int) -> int:
+    """Largest d at which the packing test S(d) <= W is known to fail, 0
+    when none is; ``budget`` stands for any floor at or past it.
+
+    By Jensen's inequality S(d) >= dot exp(d bg / dot), so every d with
+    d bg / dot > ln(W / dot) + 1e-9 keeps S(d) above W, and the 1e-9 log
+    margin covers the float error of the test itself. ``log_ratio`` is
+    ``anchor_log_ratio(dot, W)``; the bound is used only when bg < 0, and it
+    says nothing unless W < dot."""
+    if not bg < 0.0:
+        return 0
+    q = (log_ratio + 1e-9) * dot / bg
+    if not q > 1.0:  # also NaN
+        return 0
+    return budget if q > budget else math.ceil(q) - 1
+
+
 class PackingState(StoredRowsState):
     """The scan state of the packing template over a matrix's rows."""
 
@@ -96,21 +123,24 @@ class PackingState(StoredRowsState):
         return self._enforce(i, cols, vals, xh, dot)
 
     @staticmethod
-    def _step(base, rate, g_max, dot, W, budget):
+    def _step(base, rate, g_max, dot, W, budget, powers=None):
         # smallest d with sum_j base_j exp(d rate_j) <= W; Jensen bounds it
-        # from below, so the search gallops up from there
-        guess = jensen_guess(base, rate, dot, W, budget)
-        return powered_step(base, rate, W, operator.le, budget, guess)
+        # from below, and every d below the bound is ruled out unevaluated
+        log_ratio = anchor_log_ratio(dot, W)
+        bg = float(base @ rate)
+        return powered_step(base, rate, W, operator.le, budget,
+                            jensen_guess(bg, dot, log_ratio, budget),
+                            packing_floor(bg, dot, log_ratio, budget), powers)
 
     def _settle(self, cols, xh, delta, rate, power) -> float:
         # a weight may underflow to zero here: weights only fall, so it would
         # have kept shrinking, and the audit reads it as e^-745
-        lowest = float(self.x_hat.min())
+        lowest = float(np.minimum.reduce(self.x_hat))
         low = math.log(lowest) + self.log_scale if lowest > 0.0 else -math.inf
         self.stats.min_weight = min(self.stats.min_weight, math.exp(max(low, -745.0)))
         if lowest < _RESCALE_BELOW:
             self._rescale_by(float(self.x_hat.max()))
-        return float(self.x_hat.sum())
+        return float(np.add.reduce(self.x_hat))
 
     def budget_outcome(self) -> Outcome:
         return Outcome.covering_dual(self.whack_counts / float(self.T))

@@ -8,12 +8,14 @@ pass (the restart is counted, matching the static scan which also
 rescans from row zero after a phase break).
 
 State between rows is only {x_hat, W, t} plus the whack tallies in
-FULL_DUAL mode; the matrix is never materialized. ``live_words`` counts
-the solver-held words so tests can pin the space bound.
+FULL_DUAL mode; the matrix is never materialized, and no per-row rates or
+powers are kept (the state is a plain ``WhackState``, not the stored-rows
+one). ``live_words`` measures the words the state holds by walking it, so
+tests pin the space bound on what is held rather than on a formula.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -62,11 +64,34 @@ class StreamStats:
 
 
 def live_words(state: WhackState) -> int:
-    """Words of solver state held between rows (excludes the repository)."""
-    words = state.n + 6  # x_hat plus {W, t, T, log_scale, eps, lam}
-    if state.whack_counts is not None:
-        words += len(state.whack_counts)
-    return words
+    """Words of solver state held between rows, measured by walking the
+    state's ``__slots__``: an array counts its size, a container its
+    entries and an object its fields, recursively and each object once, and
+    any other value one word. The row source is the cursor's, so it is not
+    counted. Nothing a ``WhackState`` holds shrinks during a run, so the
+    count when the run ends is its peak."""
+    return _words(state, set())
+
+
+def _words(value, seen: set[int]) -> int:
+    own, parts = 0, ()
+    if isinstance(value, np.ndarray):
+        own = value.size
+    elif isinstance(value, dict):
+        parts = [part for item in value.items() for part in item]
+    elif isinstance(value, (list, tuple)):
+        parts = value
+    elif is_dataclass(value):
+        parts = [getattr(value, f.name) for f in fields(value)]
+    elif hasattr(value, "__slots__"):
+        parts = [getattr(value, name) for cls in type(value).__mro__
+                 for name in vars(cls).get("__slots__", ())]
+    else:
+        return 1
+    if id(value) in seen:
+        return 0
+    seen.add(id(value))
+    return own + sum(_words(part, seen) for part in parts)
 
 
 def solve_stream(cursor: StreamCursor, eps: float) -> tuple[Outcome, StreamStats]:

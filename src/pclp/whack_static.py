@@ -13,13 +13,20 @@ float test it would bisect with, in one evaluation when the bounds meet
 and usually two otherwise. The search hands back the power exp(d rate) it
 evaluated at its answer (``powered_step``), and the enforcement applies
 that vector. A stored row's rates log1p(eps vals / lam) are computed once
-per state (``StoredRowsState``); a streamed row's at each enforcement.
+per state (``StoredRowsState``), and so is each power exp(d rate) the
+search evaluates on it: the row keeps a table d -> exp(d rate) of at most
+one read-only array per d evaluated on that row, dropped with the rates
+when the row's array changes. A streamed row's rates and powers are
+computed at each enforcement, so a streamed state stays O(m + n) words.
+The common outcomes of the search, the guess holding just above the
+floor or holding with the power below it failing, are tested in
+straight-line code (``powered_step``).
 
 ``WhackState.visit`` is the only covering code that compares a row with
 the anchor and enforces it, and ``scan`` runs the phases of one state over
 a row source. A row's dot with x_hat is computed when the row is visited,
-so no per-row state is kept between rows and an enforcement touches only
-the enforced row's support. The settings differ only in the rows they feed,
+so no row's dot is kept between visits and an enforcement touches only the
+enforced row's support. The settings differ only in the rows they feed,
 in what an outcome means and, for packing, in the sign:
 
 - static (``solve_fast``) and the dynamic preprocessing and phase rebuilds
@@ -78,43 +85,46 @@ def whack(instance: NormalizedCoveringInstance, i: int, x_hat: np.ndarray) -> np
     return out
 
 
-def jensen_guess(base: np.ndarray, growth: np.ndarray, dot: float, W: float,
-                 budget: int) -> int:
+def anchor_log_ratio(dot: float, W: float) -> float:
+    """ln(W / dot), the one logarithm both ends of the step bracket read;
+    NaN when W / dot is not positive (no dot, or W on the wrong side of 0),
+    which makes every bound below fall back to saying nothing."""
+    ratio = W / dot if dot > 0.0 else 0.0
+    return math.log(ratio) if ratio > 0.0 else math.nan
+
+
+def jensen_guess(bg: float, dot: float, log_ratio: float, budget: int) -> int:
     """Closed-form seed for the step search, clamped to [1, budget].
 
     The search looks for the smallest d at which
     S(d) = sum_j base_j exp(d growth_j) crosses W, where base = vals * xh
     and ``dot`` is the row's dot (sum_j base_j). By Jensen's inequality
-    S(d) >= dot * exp(d g), with g = (base . growth) / dot the base-weighted
-    mean growth, so d = ceil(ln(W / dot) * dot / (base . growth)) is
+    S(d) >= dot * exp(d g), with g = bg / dot the base-weighted mean growth
+    (bg = base . growth), so d = ceil(ln(W / dot) * dot / bg) is
     - an upper bound on the answer when the row covers (growth >= 0,
       S rising to W from below): at that d, S(d) >= dot exp(d g) >= W;
     - a lower bound when the row packs (growth < 0, S falling to W from
       above): before that d, S(d) >= dot exp(d g) > W.
-    Returns 1 when the formula says nothing: dot <= 0, base . growth = 0,
-    or W on the wrong side of dot."""
-    bg = float(base @ growth)
-    ratio = W / dot if dot > 0.0 else 0.0
-    if not (ratio > 0.0 and bg != 0.0):
+    ``log_ratio`` is ``anchor_log_ratio(dot, W)``. Returns 1 when the
+    formula says nothing: dot <= 0, bg = 0, or W on the wrong side of dot."""
+    if bg == 0.0:
         return 1
-    d = math.log(ratio) * dot / bg
+    d = log_ratio * dot / bg
     if not d > 1.0:  # also NaN
         return 1
     return budget if d >= budget else math.ceil(d)
 
 
-def covering_floor(dot: float, W: float, g_max: float) -> int:
+def covering_floor(log_ratio: float, g_max: float) -> int:
     """Largest d at which the covering test is known to fail, 0 when none is.
 
     S(d) = sum_j base_j exp(d growth_j) <= dot exp(d g_max), with g_max the
     row's largest growth, so every d with d g_max < ln(W / dot) - 1e-9
     leaves S(d) below W; the 1e-9 log margin covers the float error of the
-    test itself, so the float test fails there too. The bound is used only
-    when dot > 0, W > dot, g_max > 0 and ln(W / dot) < 700."""
-    if not (dot > 0.0 and W > dot and g_max > 0.0):
-        return 0
-    log_ratio = math.log(W / dot)
-    if not log_ratio < 700.0:
+    test itself, so the float test fails there too. ``log_ratio`` is
+    ``anchor_log_ratio(dot, W)``; the bound is used only when W > dot, g_max > 0
+    and ln(W / dot) < 700."""
+    if not (0.0 < log_ratio < 700.0 and g_max > 0.0):
         return 0
     q = (log_ratio - 1e-9) / g_max
     return math.ceil(q) - 1 if q > 1.0 else 0
@@ -163,41 +173,78 @@ def first_step(reaches, budget: int, guess: int = 1, floor: int = 0) -> int:
     return hi
 
 
+def _power(rate: np.ndarray, d: int, powers: dict[int, np.ndarray] | None) -> np.ndarray:
+    """exp(d rate), read from the row's power table when it holds it; a
+    power computed for a table is kept there, read-only."""
+    if powers is None:
+        return np.exp(d * rate)
+    power = powers.get(d)
+    if power is None:
+        power = powers[d] = np.exp(d * rate)
+        power.setflags(write=False)
+    return power
+
+
 def powered_step(base: np.ndarray, rate: np.ndarray, W: float, holds, budget: int,
-                 guess: int, floor: int = 0) -> tuple[int, np.ndarray]:
+                 guess: int, floor: int = 0,
+                 powers: dict[int, np.ndarray] | None = None) -> tuple[int, np.ndarray]:
     """``first_step`` over the test ``holds(base . exp(d rate), W)``; returns
     its answer d and exp(d rate) as the search evaluated it, so the caller
-    applies the very power it tested."""
-    powers = {}
+    applies the very power it tested.
 
-    def reaches(d: int) -> bool:
-        power = powers[d] = np.exp(d * rate)
-        return holds(float(base @ power), W)
+    ``powers`` is a stored row's table d -> exp(d rate) (``StoredRowsState``):
+    the search reads a power from it before computing one, and keeps each
+    power it computes there, read-only. A streamed row passes None, and its
+    powers live only for this call.
 
-    d = first_step(reaches, budget, guess, floor)
-    power = powers.get(d)
-    if power is None:  # the floor reached the budget: nothing was evaluated
-        power = np.exp(d * rate)
-    return d, power
+    The common cases are tested here in straight-line code, with the
+    evaluations ``first_step`` would make first: the guess holds and sits
+    just above the floor, or it holds and the power below it fails. Past
+    them ``first_step`` takes over with the bracket they left; the test is
+    monotone in d, so the answer does not depend on the order of the
+    evaluations."""
+    if floor < guess <= budget:
+        power = _power(rate, guess, powers)
+        if not holds(float(base @ power), W):
+            if guess == budget:
+                return guess, power
+            floor = guess  # it fails at the guess, so at every power below it
+        elif guess - 1 == floor:
+            return guess, power
+        else:
+            below = _power(rate, guess - 1, powers)
+            if not holds(float(base @ below), W):
+                return guess, power
+            guess -= 1
+            if powers is None:
+                powers = {guess: below}
+    if powers is None:
+        powers = {}
+    d = first_step(lambda d: holds(float(base @ _power(rate, d, powers)), W),
+                   budget, guess, floor)
+    return d, _power(rate, d, powers)  # no evaluation at all when the floor reached the budget
 
 
 def covering_step(base: np.ndarray, growth: np.ndarray, g_max: float, dot: float, W: float,
-                  budget: int) -> tuple[int, np.ndarray]:
+                  budget: int, powers: dict[int, np.ndarray] | None = None
+                  ) -> tuple[int, np.ndarray]:
     """Smallest d in [1, budget] with sum_j base_j exp(d growth_j) >= W, else
     ``budget``, and exp(d growth). The search is bracketed from both sides
     in closed form: the Jensen upper bound (``jensen_guess``) seeds it, and
     the bound from the largest growth ``g_max`` (``covering_floor``) rules
-    out every d below it unevaluated."""
-    guess = jensen_guess(base, growth, dot, W, budget)
-    floor = covering_floor(dot, W, g_max)
+    out every d below it unevaluated. ``powers`` is the row's power table,
+    as in ``powered_step``."""
+    log_ratio = anchor_log_ratio(dot, W)
+    guess = jensen_guess(float(base @ growth), dot, log_ratio, budget)
+    floor = covering_floor(log_ratio, g_max)
     # S(d) <= dot exp(d g_max), so neither exp nor the dot can overflow while
     # budget g_max + ln dot < 700; past that they may, and inf compares
     # correctly. The guard is entered only then: a no-op context in the
     # common case would add two Python calls to every enforcement.
     if budget * g_max + (math.log(dot) if dot > 1.0 else 0.0) < 700.0:
-        return powered_step(base, growth, W, operator.ge, budget, guess, floor)
+        return powered_step(base, growth, W, operator.ge, budget, guess, floor, powers)
     with np.errstate(over="ignore"):
-        return powered_step(base, growth, W, operator.ge, budget, guess, floor)
+        return powered_step(base, growth, W, operator.ge, budget, guess, floor, powers)
 
 
 def row_step_size(vals: np.ndarray, xh: np.ndarray, lam: float, eps: float,
@@ -247,7 +294,7 @@ class WhackState:
     __slots__ = ("n", "lam", "eps", "x_hat", "log_scale", "total", "W", "threshold", "cap",
                  "floor", "t", "T", "whack_counts", "stats", "record_trace")
 
-    #: the step search: (base, rate, g_max, dot, W, budget) -> (d, exp(d rate))
+    #: the step search: (base, rate, g_max, dot, W, budget, powers) -> (d, exp(d rate))
     _step = staticmethod(covering_step)
     #: the rates are log1p(sign eps vals / lam): covering weights grow
     _RATE_SIGN = 1.0
@@ -303,8 +350,8 @@ class WhackState:
         budget = self.T - self.t
         rate = power = None
         if len(cols):
-            rate, g_max = self._row_rates(i, vals)
-            delta, power = self._step(vals * xh, rate, g_max, dot, self.W, budget)
+            rate, g_max, powers = self._row_rates(i, vals)
+            delta, power = self._step(vals * xh, rate, g_max, dot, self.W, budget, powers)
             self.x_hat[cols] = xh * power
         else:
             delta = budget
@@ -321,12 +368,14 @@ class WhackState:
         # written so that a NaN total breaks nothing
         return Step.BROKE if total > self.cap or total < self.floor else None
 
-    def _row_rates(self, i: int, vals: np.ndarray) -> tuple[np.ndarray, float]:
-        """Row i's rates log1p(sign eps vals / lam) and their largest,
-        computed afresh: a streamed row is the source's to change, so no
-        per-row state is kept for it."""
+    def _row_rates(self, i: int, vals: np.ndarray
+                   ) -> tuple[np.ndarray, float, dict[int, np.ndarray] | None]:
+        """Row i's rates log1p(sign eps vals / lam), their largest, and its
+        power table: here the rates are computed afresh and there is no
+        table, since a streamed row is the source's to change, so no per-row
+        state is kept for it."""
         rate = np.log1p(self._RATE_SIGN * self.eps * vals / self.lam)
-        return rate, float(rate.max())
+        return rate, float(rate.max()), None
 
     # -- scale handling ------------------------------------------------------
 
@@ -335,7 +384,8 @@ class WhackState:
         """The weight total after the enforcement just applied (the power
         exp(delta rate) on the pre-power weights ``xh``), once the shared
         exponent is rescaled, in their log space, if a weight grew too large."""
-        total = float(self.x_hat.sum())
+        # add.reduce is what ndarray.sum calls, without its Python wrapper
+        total = float(np.add.reduce(self.x_hat))
         if total > _RESCALE_AT:  # no weight exceeds the total, so below it no rescale is due
             if rate is not None:
                 peak_log = float((np.log(xh) + delta * rate).max())
@@ -377,21 +427,31 @@ class StoredRowsState(WhackState):
     (static and dynamic) or the rows an online state has seen. The owner
     hands row i out as one array until its entries change (a matrix ``set``
     builds a new one; an online row never changes), so row i's rates are
-    computed once per array and kept while the state lives."""
+    computed once per array and kept while the state lives.
+
+    Next to the rates, each row keeps its power table d -> exp(d rate), the
+    read-only powers the step search evaluated on that row: a stored row is
+    enforced again and again with the same d, and the search reads the
+    power from the table instead of computing it. The table holds at most
+    one array of the row's support size per d ever evaluated on the row.
+    It belongs to the rates entry, so a new ``vals`` array drops both."""
 
     __slots__ = ("_rates",)
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._rates: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+        # row -> (the vals array rated, (rate, g_max, power table))
+        self._rates: dict[int, tuple[np.ndarray, tuple[np.ndarray, float, dict]]] = {}
 
-    def _row_rates(self, i: int, vals: np.ndarray) -> tuple[np.ndarray, float]:
+    def _row_rates(self, i: int, vals: np.ndarray
+                   ) -> tuple[np.ndarray, float, dict[int, np.ndarray]]:
         hit = self._rates.get(i)
         if hit is not None and hit[0] is vals:
-            return hit[1], hit[2]
-        rate, g_max = super()._row_rates(i, vals)
-        self._rates[i] = (vals, rate, g_max)
-        return rate, g_max
+            return hit[1]
+        rate, g_max, _ = super()._row_rates(i, vals)
+        rated = rate, g_max, {}
+        self._rates[i] = (vals, rated)
+        return rated
 
 
 def scan(state: WhackState, rows: Callable[[], Iterable[tuple[int, np.ndarray, np.ndarray]]]) -> bool:

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import covering, packing, positive
 from pclp.certificates import CertificateSlack, Outcome, OutcomeTag, check_certificate
@@ -91,3 +93,34 @@ def test_missing_vector_is_a_violation():
     report = check_certificate(inst, Outcome(OutcomeTag.COVERING_PRIMAL, None),
                                CertificateSlack.whack_static(0.1))
     assert not report.ok and report.worst().kind == "MissingVector"
+
+
+@given(st.sampled_from(["cover", "pack", "both"]), st.integers(1, 4), st.integers(1, 4),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_any_non_finite_coordinate_is_rejected(side, m, n, data):
+    # a vector of the right length with finite coordinates and at least one
+    # NaN or infinity, anywhere: every tag that carries a vector rejects it
+    # at the first non-finite coordinate
+    dense = np.ones((m, n)).tolist()
+    if side == "cover":
+        inst = covering(dense)
+        cases = [(Outcome.covering_primal, n, CertificateSlack.whack_static(0.1)),
+                 (Outcome.packing_dual, m, CertificateSlack.whack_static(0.1))]
+    elif side == "pack":
+        inst = packing(dense)
+        cases = [(Outcome.packing_primal, n, CertificateSlack.packing_template(0.1)),
+                 (Outcome.covering_dual, m, CertificateSlack.packing_template(0.1))]
+    else:
+        inst = positive(dense, dense)
+        cases = [(Outcome.positive_solution, n, CertificateSlack.greedy_positive(inst.eps))]
+    make, size, slack = data.draw(st.sampled_from(cases))
+    vec = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                      min_size=size, max_size=size)))
+    bad = data.draw(st.sets(st.integers(0, size - 1), min_size=1))
+    for k in bad:
+        vec[k] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    report = check_certificate(inst, make(vec), slack)
+    assert not report.ok
+    assert report.worst().kind == "NonFinite"
+    assert report.worst().index == min(bad)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import packing
 from pclp.certificates import CertificateSlack, OutcomeTag, check_certificate
@@ -9,8 +11,9 @@ from pclp.cli import main
 from pclp.formats import emit_instance
 from pclp.generate import random_packing
 from pclp.oracle import solve_packing_exact
-from pclp.packing import PackingState, solve_packing_basic, solve_packing_fast, whack_packing
-from pclp.whack_static import WhackState, run_phases
+from pclp.packing import (PackingState, packing_floor, solve_packing_basic, solve_packing_fast,
+                          whack_packing)
+from pclp.whack_static import WhackState, anchor_log_ratio, jensen_guess, run_phases
 
 
 def test_whack_packing_scales_down():
@@ -77,6 +80,37 @@ def test_random_instances_certified_and_oracle_sound(rng):
             else:
                 # y/(1-4eps) is feasible for the covering min
                 assert opt <= 1.0 / (1 - 4 * eps) + 1e-9
+
+
+@st.composite
+def packing_rows(draw):
+    """A violated packing row: entries spread over up to 12 decades, W up to
+    1e250, and dots from just above W to e^700 W."""
+    n = draw(st.integers(1, 6))
+    lam = draw(st.floats(1.0, 150.0))
+    eps = draw(st.floats(0.003, 0.3))
+    spread = draw(st.floats(0.0, 12.0))
+    shares = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    vals = lam * 10.0 ** (-spread * shares)
+    xh = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    W = 10.0 ** draw(st.floats(-10.0, 250.0))
+    log_ratio = draw(st.one_of(st.floats(1e-9, 10.0), st.floats(10.0, 700.0)))
+    xh *= W * math.exp(log_ratio) / float(vals @ xh)
+    rate = np.log1p(-eps * vals / lam)
+    return vals * xh, rate, float(vals @ xh), W
+
+
+@given(packing_rows(), st.integers(1, 10 ** 12))
+@settings(max_examples=300, deadline=None)
+def test_no_power_at_or_below_the_packing_floor_passes(row, budget):
+    base, rate, dot, W = row
+    bg = float(base @ rate)
+    floor = packing_floor(bg, dot, anchor_log_ratio(dot, W), budget)
+    guess = jensen_guess(bg, dot, anchor_log_ratio(dot, W), budget)
+    assert floor < guess or floor == budget
+    # S(d) falls with d, so passing nowhere at the floor means nowhere below it
+    for d in {floor, floor // 2} - {0}:
+        assert not float(base @ np.exp(d * rate)) <= W
 
 
 def test_fast_packing_min_weight_positive():

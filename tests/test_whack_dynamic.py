@@ -93,6 +93,40 @@ def test_enforcement_budget_and_certificates_on_halving_streams(rng):
         assert check_certificate(inst, state.current_outcome(), slack).ok
 
 
+def test_update_rebuilds_the_row_power_table():
+    # an update hands the row out as a new array, so its rates and power table
+    # are built again from the new entries: an enforcement after the update
+    # applies exp(d log1p(eps vals / lam)) of the new vals, also at a d the
+    # old table held
+    rng = np.random.default_rng(22)
+    inst = random_covering(rng, 5, 5, eps=0.1, lam=2.0, density=0.6)
+    state, _ = preprocess(inst)
+    checked = reused = 0
+    for line in restricting_stream(rng, inst, 400):
+        if state.terminal is not None:
+            break
+        i = line.row
+        held = set(state._rates[i][1][2]) if i in state._rates else set()
+        x_hat, log_scale, phases = state.x_hat.copy(), state.log_scale, state.stats.phases
+        enforced, whacks = int(state.enforce_log[i]), int(state.whack_counts[i])
+        state.handle_update(restrict(i, line.col, line.value))
+        cols, vals = inst.C.row(i)
+        rate = np.log1p(inst.eps * vals / inst.lam)
+        if state.enforce_log[i] > enforced:
+            rated, (_, _, powers) = state._rates[i]
+            assert rated is vals
+            for d, power in powers.items():
+                assert power.tobytes() == np.exp(d * rate).tobytes()
+        if (state.enforce_log[i] == enforced + 1 and state.stats.phases == phases
+                and state.log_scale == log_scale):
+            # one enforcement and nothing after it: x_hat moved by its power alone
+            d = int(state.whack_counts[i]) - whacks
+            assert state.x_hat[cols].tobytes() == (x_hat[cols] * np.exp(d * rate)).tobytes()
+            checked += 1
+            reused += d in held
+    assert checked >= 1 and reused >= 1
+
+
 def test_column_touch_accounting(rng):
     # total propagation work stays within c(N log n / eps^2 log^2T + tau)
     # measured as operation counters, audit constant c = 16

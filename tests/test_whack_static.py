@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import covering
 from pclp.certificates import CertificateSlack, OutcomeTag, check_certificate
-from pclp.generate import random_covering, random_general, restricting_stream
+from pclp.generate import random_covering, random_general, random_packing, restricting_stream
 from pclp.online import OnlineState
 from pclp.oracle import brute_force_step_size, solve_covering_exact
+from pclp.packing import solve_packing_fast
 from pclp.reductions import solve_general_stream
 from pclp.sparse import UpdateEvent, UpdateKind
 from pclp.streaming import StreamCursor, StreamMode, solve_stream
@@ -19,7 +20,9 @@ from pclp.whack_dynamic import preprocess
 from pclp.whack_static import (
     PreconditionViolated,
     Step,
+    StoredRowsState,
     WhackState,
+    anchor_log_ratio,
     covering_floor,
     covering_step,
     first_step,
@@ -195,7 +198,7 @@ def test_jensen_guess_bounds_the_step(seed):
     for sign, W in ((1.0, dot * float(rng.uniform(1.01, 50.0))),
                     (-1.0, dot / float(rng.uniform(1.01, 50.0)))):
         growth = np.log1p(sign * eps * vals)
-        d = jensen_guess(base, growth, dot, W, budget)
+        d = jensen_guess(float(base @ growth), dot, anchor_log_ratio(dot, W), budget)
         assert 1 <= d < budget
         if sign > 0:
             assert float(base @ np.exp(d * growth)) >= W * (1 - 1e-9)
@@ -204,11 +207,14 @@ def test_jensen_guess_bounds_the_step(seed):
 
 
 def test_jensen_guess_falls_back_to_one():
+    def guess(base, growth, dot, W, budget):
+        return jensen_guess(float(base @ growth), dot, anchor_log_ratio(dot, W), budget)
+
     base, growth = np.array([0.5]), np.array([0.1])
-    assert jensen_guess(base, growth, 0.5, 0.4, 100) == 1   # W on the wrong side
-    assert jensen_guess(base, growth, 0.0, 1.0, 100) == 1   # no dot
-    assert jensen_guess(base, np.zeros(1), 0.5, 1.0, 100) == 1  # no growth
-    assert jensen_guess(base, growth, 0.5, 1e300, 100) == 100  # clamped to the budget
+    assert guess(base, growth, 0.5, 0.4, 100) == 1   # W on the wrong side
+    assert guess(base, growth, 0.0, 1.0, 100) == 1   # no dot
+    assert guess(base, np.zeros(1), 0.5, 1.0, 100) == 1  # no growth
+    assert guess(base, growth, 0.5, 1e300, 100) == 100  # clamped to the budget
 
 
 @st.composite
@@ -241,7 +247,7 @@ def covers(base, rate, W, d):
 @settings(max_examples=300, deadline=None)
 def test_no_power_at_or_below_the_floor_passes(row):
     base, rate, g_max, dot, W, _ = row
-    floor = covering_floor(dot, W, g_max)
+    floor = covering_floor(anchor_log_ratio(dot, W), g_max)
     # S(d) is monotone in d, so failing at the floor means failing below it
     assert floor == 0 or not covers(base, rate, W, floor)
     if floor > 1:
@@ -261,6 +267,23 @@ def test_covering_step_matches_unguided_and_brute_force_searches(row):
         assert d == brute
     with np.errstate(over="ignore"):
         assert power.tobytes() == np.exp(d * rate).tobytes()
+
+
+@given(covering_rows())
+@settings(max_examples=100, deadline=None)
+def test_covering_step_with_a_power_table_answers_the_same(row):
+    # a second search on the same row reads the power the first one kept
+    base, rate, g_max, dot, W, budget = row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d, power = covering_step(base, rate, g_max, dot, W, budget)
+        powers = {}
+        first = covering_step(base, rate, g_max, dot, W, budget, powers)
+        again = covering_step(base, rate, g_max, dot, W, budget, powers)
+    assert first[0] == again[0] == d
+    assert again[1] is first[1] is powers[d]
+    assert first[1].tobytes() == power.tobytes()
+    assert not any(p.flags.writeable for p in powers.values())
 
 
 def test_overflowing_search_emits_no_warning():
@@ -333,6 +356,75 @@ def test_nan_dot_is_skipped():
     state.start_phase()
     assert state.visit(0, np.array([0]), np.array([np.nan])) is None
     assert state.t == 0 and state.stats.enforcements == 0
+
+
+# -- stored rows' power tables -----------------------------------------------------
+
+def test_cached_powers_are_read_only():
+    inst = random_covering(np.random.default_rng(7), 12, 12, eps=0.1, density=0.4)
+    state = StoredRowsState(inst.n, inst.lam, inst.eps, np.zeros(inst.m, dtype=np.int64))
+    run_phases(state, inst.C)
+    powers = [power for _, (_, _, table) in state._rates.values() for power in table.values()]
+    assert powers and not any(power.flags.writeable for power in powers)
+    with pytest.raises(ValueError):
+        powers[0][0] = 1.0
+
+
+def exp_calls_per_run(monkeypatch, run):
+    """np.exp calls made by ``run()`` and the enforcements it returns."""
+    calls = []
+    real = np.exp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    enforcements = run()
+    monkeypatch.setattr(np, "exp", real)
+    return len(calls), enforcements
+
+
+def static_run():
+    inst = random_covering(np.random.default_rng(7), 12, 12, eps=0.1, density=0.4)
+    return solve_fast(inst)[1].enforcements
+
+
+def dynamic_run():
+    rng = np.random.default_rng(8)
+    inst = random_covering(rng, 8, 8, eps=0.1, density=0.5, hot_column=True)
+    state, _ = preprocess(inst)
+    for line in restricting_stream(rng, inst, 300):
+        if state.terminal is not None:
+            break
+        state.handle_update(UpdateEvent(UpdateKind.RESTRICT_COVERING_ENTRY,
+                                        line.row, line.col, line.value))
+    return state.stats.enforcements
+
+
+def online_run():
+    inst = random_covering(np.random.default_rng(9), 20, 10, eps=0.1, density=0.4)
+    state = OnlineState(inst.n, inst.lam, inst.eps)
+    for i in range(inst.m):
+        if state.insert_row(*inst.C.row(i)).terminal is not None:
+            break
+    return state.stats.enforcements
+
+
+def packing_run():
+    return sum(solve_packing_fast(random_packing(np.random.default_rng(seed), 14, 29, eps=0.05,
+                                                 lam=20.0))[1].enforcements
+               for seed in range(3))
+
+
+# before the power tables every enforcement computed at least one power:
+# 107, 146, 55 and 9,288 np.exp calls for 96, 136, 48 and 5,010 enforcements
+@pytest.mark.parametrize("run", [static_run, dynamic_run, online_run, packing_run],
+                         ids=["static", "dynamic", "online", "packing"])
+def test_stored_rows_reuse_their_powers(monkeypatch, run):
+    calls, enforcements = exp_calls_per_run(monkeypatch, run)
+    assert enforcements >= 40
+    assert calls * 4 <= enforcements
 
 
 # -- solvers -------------------------------------------------------------------
