@@ -3,8 +3,11 @@
 Each digest covers the tag, the raw bytes of every vector, the stats'
 ``as_dict()`` and the setting's audit figure (``min_weight`` for packing,
 ``max_weight_ratio`` for the static covering scan) of a fixed set of runs.
-A change that moves any output bit of any run fails its digest; a change
-meant to be byte-identical must leave every digest as it is.
+The general-LP reductions are pinned on their static, streaming, dynamic
+and online wrappers, and the certificate check on the reports it gives for
+the static covering and packing runs. A change that moves any output bit of
+any run fails its digest; a change meant to be byte-identical must leave
+every digest as it is.
 """
 import hashlib
 import json
@@ -13,10 +16,13 @@ import math
 import numpy as np
 import pytest
 
-from pclp.generate import random_covering, random_general, random_packing, restricting_stream
+from pclp.certificates import CertificateSlack, check_certificate
+from pclp.generate import (general_restricting_stream, random_covering, random_general,
+                           random_packing, restricting_stream)
 from pclp.online import OnlineState
 from pclp.packing import _RESCALE_BELOW, solve_packing_fast
-from pclp.reductions import solve_general_static, solve_general_stream
+from pclp.reductions import (GeneralDynamicSolver, GeneralOnlineSolver, solve_general_static,
+                             solve_general_stream)
 from pclp.sparse import UpdateEvent, UpdateKind
 from pclp.streaming import StreamCursor, StreamMode, solve_stream
 from pclp.whack_dynamic import preprocess
@@ -170,8 +176,75 @@ def digest_general() -> tuple[str, set[str]]:
     return h.hexdigest(), cases
 
 
-# per setting: the runs, their digest captured before any refactor, and the
-# cases the runs must reach for the digest to pin them
+def digest_general_online() -> tuple[str, set[str]]:
+    h = hashlib.sha256()
+    cases = set()
+    rng = np.random.default_rng(2028)
+    for _ in range(6):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+        gen = random_general(rng, m, n, density=0.6)
+        solver = GeneralOnlineSolver(gen.n, gen.a, gen.L, gen.U, 0.1)
+        for i, cols, vals in gen.C.rows():
+            mu, x = solver.insert_constraint(cols, vals, float(gen.b[i]))
+            _feed(h, mu, x)
+        _feed(h, solver.recourse_total(), len(solver.states))
+        if solver.recourse_total() > 0:
+            cases.add("recourse")
+        if any(state.terminal is not None for state in solver.states):
+            cases.add("dual_guess")
+    return h.hexdigest(), cases
+
+
+def digest_general_dynamic() -> tuple[str, set[str]]:
+    h = hashlib.sha256()
+    cases = set()
+    rng = np.random.default_rng(2029)
+    for _ in range(4):
+        m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        gen = random_general(rng, m, n, density=0.6)
+        lines = general_restricting_stream(rng, gen, 25)
+        solver = GeneralDynamicSolver(gen, 0.1)
+        start = solver.hi
+        _feed(h, *solver.current())
+        for line in lines:
+            mu, x = solver.apply(line)
+            _feed(h, line.target, mu, x)
+            cases.add(line.target)
+        _feed(h, solver.updates_seen, solver.updates_applied, solver.hi)
+        if solver.updates_applied < solver.updates_seen:
+            cases.add("absorbed")
+        if solver.hi > start:
+            cases.add("moved")
+    return h.hexdigest(), cases
+
+
+#: zero bounds and an infinitely negative tolerance: every inequality the
+#: check tests is reported, with its left-hand side, bit for bit, as the residual
+_EVERY_RESIDUAL = CertificateSlack(primal_sum_max=0.0, cover_min=0.0, dual_sum_min=0.0,
+                                   dual_sum_max=0.0, pack_max=0.0, abs_tol=-math.inf)
+
+
+def _report(h, report) -> None:
+    _feed(h, report.ok, [(v.kind, v.index) for v in report.violations],
+          np.array([v.residual for v in report.violations], dtype=float))
+
+
+def digest_certificates() -> tuple[str, set[str]]:
+    h = hashlib.sha256()
+    cases = set()
+    runs = [(inst, solve_fast(inst)[0], CertificateSlack.whack_static(inst.eps))
+            for inst in _covering_instances()]
+    runs += [(inst, solve_packing_fast(inst)[0], CertificateSlack.packing_template(inst.eps))
+             for inst in _packing_instances()]
+    for inst, outcome, slack in runs:
+        _report(h, check_certificate(inst, outcome, slack))
+        _report(h, check_certificate(inst, outcome, _EVERY_RESIDUAL))
+        cases.add(outcome.tag.value)
+    return h.hexdigest(), cases
+
+
+# per setting: the runs, their digest captured before any refactor of the
+# code they run, and the cases the runs must reach for the digest to pin them
 DIGESTS = {
     "packing": (digest_packing,
                 "61f6d7d1951b9f51f13d5edb527dd02692607ce4286529a04458fa8e0b807498",
@@ -194,6 +267,15 @@ DIGESTS = {
     "general": (digest_general,
                 "a06277312dc4a3a1ead0c964d26961b143653f73bf71b3f235cbafb8667a7604",
                 {"static", "stream"}),
+    "general_online": (digest_general_online,
+                       "8129c2c599c7e6badc0457a64d2125d88b05236bfeb6058439ab24fc60cada5e",
+                       {"recourse", "dual_guess"}),
+    "general_dynamic": (digest_general_dynamic,
+                        "74f6247937defbb6e836ace3499e0ce5c6a94140de89bb88bf689078fb965af2",
+                        {"C", "a", "b", "absorbed", "moved"}),
+    "certificates": (digest_certificates,
+                     "63e8be6fae67703f64f12c42bf22f8197a3bf2f6c305a76a326fbf8bcdf00221",
+                     {"covering_primal", "packing_dual", "packing_primal", "covering_dual"}),
 }
 
 
