@@ -59,10 +59,12 @@ class OnlineState(StoredRowsState):
         # when the caller reuses its buffers
         cols = np.array(cols, dtype=np.int64)
         vals = np.array(vals, dtype=np.float64)
-        # written so that NaN fails it
-        if not np.all((vals >= 0) & (vals <= self.lam)):
+        # the reductions without their Python wrappers; an empty row has no
+        # extremes and passes, and a NaN extreme fails the comparison
+        if len(vals) and not (np.minimum.reduce(vals) >= 0.0
+                              and np.maximum.reduce(vals) <= self.lam):
             raise ValueError("row entries must lie in [0, lambda]")
-        if np.any(cols < 0) or np.any(cols >= self.n):
+        if len(cols) and (np.minimum.reduce(cols) < 0 or np.maximum.reduce(cols) >= self.n):
             raise ValueError("column index out of range")
         if len(set(cols.tolist())) != len(cols):
             raise ValueError("repeated column index")

@@ -117,7 +117,7 @@ class PackingState(StoredRowsState):
         """Enforce row i if its dot with x_hat exceeds (1 + eps/2) W; a NaN
         dot fails the comparison, so the row is skipped."""
         xh = self.x_hat[cols]
-        dot = float(vals @ xh)
+        dot = float(vals.dot(xh))
         if not dot > self.threshold:
             return None
         return self._enforce(i, cols, vals, xh, dot)
@@ -127,7 +127,7 @@ class PackingState(StoredRowsState):
         # smallest d with sum_j base_j exp(d rate_j) <= W; Jensen bounds it
         # from below, and every d below the bound is ruled out unevaluated
         log_ratio = anchor_log_ratio(dot, W)
-        bg = float(base @ rate)
+        bg = float(base.dot(rate))
         return powered_step(base, rate, W, operator.le, budget,
                             jensen_guess(bg, dot, log_ratio, budget),
                             packing_floor(bg, dot, log_ratio, budget), powers)

@@ -44,7 +44,7 @@ class IndexOutOfRange(SparseError):
 class SparseNonnegMatrix:
     """Sparse m-by-n matrix over nonnegative reals, indexed both ways."""
 
-    __slots__ = ("m", "n", "_rows", "_cols", "_row_cache", "_col_cache")
+    __slots__ = ("m", "n", "_rows", "_cols", "_row_cache", "_col_cache", "_row_list")
 
     def __init__(self, m: int, n: int):
         if m < 1 or n < 1:
@@ -55,6 +55,8 @@ class SparseNonnegMatrix:
         self._cols: list[dict[int, float]] = [dict() for _ in range(n)]
         self._row_cache: list[tuple[np.ndarray, np.ndarray] | None] = [None] * m
         self._col_cache: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n
+        # (i, cols, vals) for every row, built from row(i); dropped by set
+        self._row_list: list[tuple[int, np.ndarray, np.ndarray]] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -97,6 +99,7 @@ class SparseNonnegMatrix:
             self._cols[j][i] = value
         self._row_cache[i] = None
         self._col_cache[j] = None
+        self._row_list = None
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Return (column indexes, values) of row i as parallel arrays."""
@@ -111,10 +114,16 @@ class SparseNonnegMatrix:
         return cached
 
     def rows(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Yield (i, column indexes, values) for every row in ascending order."""
-        for i in range(self.m):
-            cols, vals = self.row(i)
-            yield i, cols, vals
+        """Iterate (i, column indexes, values) over every row in ascending
+        order. The triples are kept in a list until the next ``set``, and
+        each row's arrays are the ones ``row(i)`` returns, so a scan pays no
+        generator resume or ``row`` call per row and a row's arrays change
+        only when its entries do. A ``set`` during a pass shows from the
+        next ``rows()`` call on."""
+        listed = self._row_list
+        if listed is None:
+            listed = self._row_list = [(i, *self.row(i)) for i in range(self.m)]
+        return iter(listed)
 
     def col(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Return (row indexes, values) of column j as parallel arrays."""
@@ -155,7 +164,7 @@ class SparseNonnegMatrix:
         cols, vals = self.row(i)
         if len(cols) == 0:
             return 0.0
-        return float(vals @ x[cols])
+        return float(vals.dot(x[cols]))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Row-major (C x). x has length n."""
@@ -170,7 +179,7 @@ class SparseNonnegMatrix:
         for j in range(self.n):
             rows, vals = self.col(j)
             if len(rows):
-                out[j] = float(vals @ y[rows])
+                out[j] = float(vals.dot(y[rows]))
         return out
 
     # -- mutation ----------------------------------------------------------

@@ -20,7 +20,11 @@ when the row's array changes. A streamed row's rates and powers are
 computed at each enforcement, so a streamed state stays O(m + n) words.
 The common outcomes of the search, the guess holding just above the
 floor or holding with the power below it failing, are tested in
-straight-line code (``powered_step``).
+straight-line code (``powered_step``). Every per-row dot here is
+``ndarray.dot``: on 1-D rows ``a @ b`` adds the matmul gufunc's dispatch
+and reaches the same BLAS ``ddot``, so it costs more for the same result.
+The bits agree but for the sign of a zero from a one-entry row, which no
+caller reads: every dot is compared or tested against zero.
 
 ``WhackState.visit`` is the only covering code that compares a row with
 the anchor and enforces it, and ``scan`` runs the phases of one state over
@@ -205,7 +209,7 @@ def powered_step(base: np.ndarray, rate: np.ndarray, W: float, holds, budget: in
     evaluations."""
     if floor < guess <= budget:
         power = _power(rate, guess, powers)
-        if not holds(float(base @ power), W):
+        if not holds(float(base.dot(power)), W):
             if guess == budget:
                 return guess, power
             floor = guess  # it fails at the guess, so at every power below it
@@ -213,14 +217,14 @@ def powered_step(base: np.ndarray, rate: np.ndarray, W: float, holds, budget: in
             return guess, power
         else:
             below = _power(rate, guess - 1, powers)
-            if not holds(float(base @ below), W):
+            if not holds(float(base.dot(below)), W):
                 return guess, power
             guess -= 1
             if powers is None:
                 powers = {guess: below}
     if powers is None:
         powers = {}
-    d = first_step(lambda d: holds(float(base @ _power(rate, d, powers)), W),
+    d = first_step(lambda d: holds(float(base.dot(_power(rate, d, powers))), W),
                    budget, guess, floor)
     return d, _power(rate, d, powers)  # no evaluation at all when the floor reached the budget
 
@@ -235,7 +239,7 @@ def covering_step(base: np.ndarray, growth: np.ndarray, g_max: float, dot: float
     out every d below it unevaluated. ``powers`` is the row's power table,
     as in ``powered_step``."""
     log_ratio = anchor_log_ratio(dot, W)
-    guess = jensen_guess(float(base @ growth), dot, log_ratio, budget)
+    guess = jensen_guess(float(base.dot(growth)), dot, log_ratio, budget)
     floor = covering_floor(log_ratio, g_max)
     # S(d) <= dot exp(d g_max), so neither exp nor the dot can overflow while
     # budget g_max + ln dot < 700; past that they may, and inf compares
@@ -256,7 +260,7 @@ def row_step_size(vals: np.ndarray, xh: np.ndarray, lam: float, eps: float,
     if len(vals) == 0:
         return budget
     rate = np.log1p(eps * vals / lam)
-    return covering_step(vals * xh, rate, float(rate.max()), float(vals @ xh), W, budget)[0]
+    return covering_step(vals * xh, rate, float(rate.max()), float(vals.dot(xh)), W, budget)[0]
 
 
 class Step(Enum):
@@ -340,7 +344,7 @@ class WhackState:
         Returns None unless an enforcement ran out the round budget or broke
         the phase."""
         xh = self.x_hat[cols]
-        dot = float(vals @ xh)
+        dot = float(vals.dot(xh))
         if not dot < self.threshold:
             return None
         return self._enforce(i, cols, vals, xh, dot)
@@ -374,8 +378,11 @@ class WhackState:
         power table: here the rates are computed afresh and there is no
         table, since a streamed row is the source's to change, so no per-row
         state is kept for it."""
-        rate = np.log1p(self._RATE_SIGN * self.eps * vals / self.lam)
-        return rate, float(rate.max()), None
+        # in place, the same bits as np.log1p(sign * eps * vals / lam)
+        rate = self._RATE_SIGN * self.eps * vals
+        rate /= self.lam
+        np.log1p(rate, out=rate)
+        return rate, float(np.maximum.reduce(rate)), None
 
     # -- scale handling ------------------------------------------------------
 

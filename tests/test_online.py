@@ -79,6 +79,19 @@ def test_entry_validation():
         state.insert_row([0], [np.nan])  # neither in nor out of range by comparison
     with pytest.raises(ValueError):
         state.insert_row([5], [0.5])  # column out of range
+    with pytest.raises(ValueError, match="lie in"):
+        state.insert_row([0, 1], [0.5, -0.25])  # negative entry
+    with pytest.raises(ValueError, match="lie in"):
+        state.insert_row([0], [np.inf])
+    with pytest.raises(ValueError, match="out of range"):
+        state.insert_row([-1, 1], [0.5, 0.5])  # negative column
+    with pytest.raises(ValueError, match="lie in"):
+        state.insert_row([0, 1], [0.5, np.nan])  # a NaN next to valid entries
+    with pytest.raises(ValueError, match="lie in"):
+        state.insert_row([0, 1], [np.nan, 0.5])
+    assert state.rows == [] and state.t == 0
+    state.insert_row([], [])  # an empty row is accepted
+    assert len(state.rows) == 1
 
 
 def test_repeated_columns_rejected():

@@ -28,6 +28,39 @@ def test_set_to_zero_removes_entry():
     assert m.col(0)[0].size == 0
 
 
+def test_rows_yields_the_arrays_row_returns():
+    m = SparseNonnegMatrix.from_dense([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [0.5, 0.25, 0.0]])
+    for _ in range(2):  # the first pass builds the list, the second reads it
+        seen = list(m.rows())
+        assert [i for i, _, _ in seen] == [0, 1, 2]
+        for i, cols, vals in seen:
+            assert cols is m.row(i)[0] and vals is m.row(i)[1]
+
+
+def test_rows_after_set_renews_only_the_set_row():
+    m = SparseNonnegMatrix.from_dense([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]])
+    before = list(m.rows())
+    m.set(1, 0, 2.5)
+    after = list(m.rows())
+    for (i, cols, vals), (_, cols2, vals2) in zip(before, after):
+        if i == 1:
+            assert vals2 is not vals and vals2.tolist() == [2.5, 4.0]
+        else:
+            assert cols2 is cols and vals2 is vals
+
+
+def test_copy_does_not_share_the_row_list():
+    m = SparseNonnegMatrix.from_dense([[1.0, 2.0], [3.0, 0.0]])
+    list(m.rows())
+    dup = m.copy()
+    dup.set(0, 1, 0.5)
+    assert [v.tolist() for _, _, v in m.rows()] == [[1.0, 2.0], [3.0]]
+    assert [v.tolist() for _, _, v in dup.rows()] == [[1.0, 0.5], [3.0]]
+    m.set(1, 0, 1.5)
+    assert [v.tolist() for _, _, v in dup.rows()] == [[1.0, 0.5], [3.0]]
+    assert all(a is not b for (_, _, a), (_, _, b) in zip(m.rows(), dup.rows()))
+
+
 def test_restrict_update_applies():
     m = SparseNonnegMatrix.from_dense([[1.0]])
     old = m.apply_update(UpdateEvent(UpdateKind.RESTRICT_COVERING_ENTRY, 0, 0, 0.5))

@@ -128,6 +128,16 @@ def test_unsorted_columns_accepted():
     assert outcome.tag in (OutcomeTag.COVERING_PRIMAL, OutcomeTag.PACKING_DUAL)
 
 
+def test_instance_source_sees_a_row_set_between_passes():
+    inst = covering([[0.5, 0.7], [0.6, 0.0]], eps=0.1)
+    cursor = StreamCursor.from_instance(inst)
+    first = [(i, cols.tolist(), vals.tolist()) for i, cols, vals in cursor.source()]
+    inst.C.set(1, 1, 0.3)
+    second = [(i, cols.tolist(), vals.tolist()) for i, cols, vals in cursor.source()]
+    assert first == [(0, [0, 1], [0.5, 0.7]), (1, [0], [0.6])]
+    assert second == [(0, [0, 1], [0.5, 0.7]), (1, [0, 1], [0.6, 0.3])]
+
+
 def test_rows_changed_in_place_between_passes_are_read_afresh(rng):
     # a live source may rewrite a row's array between passes; the scan keeps
     # no per-row state for streamed rows, so it solves as fresh arrays do
