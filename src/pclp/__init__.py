@@ -8,7 +8,6 @@ relaxing updates; and an exact rational oracle for desk-scale ground truth.
 
 from .certificates import (
     CertificateSlack,
-    CertificateViolation,
     Outcome,
     OutcomeTag,
     check_certificate,
@@ -30,7 +29,6 @@ from .sparse import (
 
 __all__ = [
     "CertificateSlack",
-    "CertificateViolation",
     "GeneralInstance",
     "IndexOutOfRange",
     "NonMonotoneUpdate",

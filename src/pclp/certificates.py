@@ -128,12 +128,6 @@ class CertificateReport:
         return self.ok
 
 
-class CertificateViolation(ValueError):
-    def __init__(self, report: CertificateReport):
-        self.report = report
-        super().__init__(str(report.worst()))
-
-
 def _cover_side(matvec: np.ndarray, lower: float, tol: float, kind: str) -> list[Violation]:
     out = []
     for i, v in enumerate(matvec):

@@ -71,6 +71,14 @@ def _load(path: str, eps: float):
     return instance
 
 
+def _load_as(args, cls, kind: str):
+    """The command's instance file, parsed, validated and of class ``cls``."""
+    instance = _load(args.instance, args.eps)
+    if not isinstance(instance, cls):
+        raise ParseError(f"{args.command} expects a {kind} instance")
+    return instance
+
+
 def _verify(payload: dict, instance, outcome, slack) -> int:
     """Check the outcome's certificate into the payload; the exit code."""
     report = check_certificate(instance, outcome, slack)
@@ -81,48 +89,39 @@ def _verify(payload: dict, instance, outcome, slack) -> int:
     return 0 if report.ok else 2
 
 
-def cmd_solve(args) -> int:
-    instance = _load(args.instance, args.eps)
-    if not isinstance(instance, NormalizedCoveringInstance):
-        raise ParseError("solve expects a covering instance")
-    if args.basic:
-        outcome, seq = solve_basic(instance)
-        stats = {"whacks": len(seq), "outcome": outcome.tag.value}
-    else:
-        outcome, st = solve_fast(instance)
-        stats = st.as_dict()
-    payload = {"outcome_tag": outcome.tag.value, "vector": _digest(outcome.vector),
-               "stats": stats}
-    code = 0
-    if args.verify:
-        code = _verify(payload, instance, outcome, CertificateSlack.whack_static(instance.eps))
+def _verify_and_report(args, instance, outcome, payload: dict, slack) -> int:
+    """The end of every covering-family command: with --verify, check the
+    outcome under ``slack(eps)``; report the payload; return the exit code."""
+    payload["outcome_tag"] = outcome.tag.value
+    code = _verify(payload, instance, outcome, slack(instance.eps)) if args.verify else 0
     _report(args, payload)
     return code
 
 
-def cmd_packing(args) -> int:
-    instance = _load(args.instance, args.eps)
-    if not isinstance(instance, PackingInstanceView):
-        raise ParseError("packing expects a packing instance")
+#: command -> (instance class, kind, T-round template, fast solver, slack)
+_STATIC = {
+    "solve": (NormalizedCoveringInstance, "covering", solve_basic, solve_fast,
+              CertificateSlack.whack_static),
+    "packing": (PackingInstanceView, "packing", solve_packing_basic, solve_packing_fast,
+                CertificateSlack.packing_template),
+}
+
+
+def cmd_static(args) -> int:
+    cls, kind, basic, fast, slack = _STATIC[args.command]
+    instance = _load_as(args, cls, kind)
     if args.basic:
-        outcome, seq = solve_packing_basic(instance)
+        outcome, seq = basic(instance)
         stats = {"whacks": len(seq), "outcome": outcome.tag.value}
     else:
-        outcome, st = solve_packing_fast(instance)
+        outcome, st = fast(instance)
         stats = st.as_dict()
-    payload = {"outcome_tag": outcome.tag.value, "vector": _digest(outcome.vector),
-               "stats": stats}
-    code = 0
-    if args.verify:
-        code = _verify(payload, instance, outcome, CertificateSlack.packing_template(instance.eps))
-    _report(args, payload)
-    return code
+    payload = {"vector": _digest(outcome.vector), "stats": stats}
+    return _verify_and_report(args, instance, outcome, payload, slack)
 
 
 def cmd_dynamic(args) -> int:
-    instance = _load(args.instance, args.eps)
-    if not isinstance(instance, NormalizedCoveringInstance):
-        raise ParseError("dynamic expects a covering instance")
+    instance = _load_as(args, NormalizedCoveringInstance, "covering")
     updates = parse_updates(Path(args.updates).read_text())
     state, outcome = preprocess(instance)
     applied = 0
@@ -136,37 +135,24 @@ def cmd_dynamic(args) -> int:
             applied += 1
         except UpdateAfterTerminal:
             frozen += 1
-    payload = {"outcome_tag": outcome.tag.value, "vector": _digest(outcome.vector),
+    payload = {"vector": _digest(outcome.vector),
                "stats": {**state.stats.as_dict(), "updates_applied": applied,
                          "updates_after_terminal": frozen}}
-    code = 0
-    if args.verify:
-        code = _verify(payload, instance, outcome, CertificateSlack.whack_dynamic(instance.eps))
-    _report(args, payload)
-    return code
+    return _verify_and_report(args, instance, outcome, payload, CertificateSlack.whack_dynamic)
 
 
 def cmd_stream(args) -> int:
-    instance = _load(args.instance, args.eps)
-    if not isinstance(instance, NormalizedCoveringInstance):
-        raise ParseError("stream expects a covering instance")
+    instance = _load_as(args, NormalizedCoveringInstance, "covering")
     mode = StreamMode.FULL_DUAL if args.mode == "fulldual" else StreamMode.PRIMAL_ONLY
     cursor = StreamCursor.from_instance(instance, mode)
     outcome, stats = solve_stream(cursor, instance.eps)
-    payload = {"outcome_tag": outcome.tag.value, "vector": _digest(outcome.vector),
-               "stats": stats.as_dict()}
-    code = 0
-    if args.verify:
-        # a primal-only run that hits the budget returns null: vacuously ok
-        code = _verify(payload, instance, outcome, CertificateSlack.whack_static(instance.eps))
-    _report(args, payload)
-    return code
+    payload = {"vector": _digest(outcome.vector), "stats": stats.as_dict()}
+    # a primal-only run that hits the budget returns null: vacuously ok
+    return _verify_and_report(args, instance, outcome, payload, CertificateSlack.whack_static)
 
 
 def cmd_online(args) -> int:
-    instance = _load(args.instance, args.eps)
-    if not isinstance(instance, NormalizedCoveringInstance):
-        raise ParseError("online expects a covering instance")
+    instance = _load_as(args, NormalizedCoveringInstance, "covering")
     state = OnlineState(instance.n, instance.lam, instance.eps)
     lines = []
     for i in range(instance.m):
@@ -184,25 +170,19 @@ def cmd_online(args) -> int:
         outcome = Outcome.packing_dual(np.concatenate([y, np.zeros(instance.m - len(y))]))
     else:
         outcome = Outcome.covering_primal(result.maintained)
-    payload = {"outcome_tag": outcome.tag.value, "steps": lines,
+    payload = {"steps": lines,
                "stats": {"recourse": state.recourse,
                          "phase_transitions": state.phase_transitions,
                          "recourse_bound": state.recourse_bound()}}
-    code = 0
-    if args.verify:
-        # the maintained vector is x_hat/W, so the dynamic sum bound applies
-        code = _verify(payload, instance, outcome, CertificateSlack.whack_dynamic(instance.eps))
-    _report(args, payload)
-    return code
+    # the maintained vector is x_hat/W, so the dynamic sum bound applies
+    return _verify_and_report(args, instance, outcome, payload, CertificateSlack.whack_dynamic)
 
 
 def cmd_positive(args) -> int:
     if not args.eps <= POSITIVE_EPS_CAP:
         raise UsageError(f"positive --eps must be at most 1/200 = {POSITIVE_EPS_CAP}, "
                          f"got {args.eps}")
-    instance = _load(args.instance, args.eps)
-    if not isinstance(instance, PositiveInstance):
-        raise ParseError("positive expects a positive instance")
+    instance = _load_as(args, PositiveInstance, "positive")
     outcome, state = solve_static_positive(instance)
     if args.updates:
         for line in parse_updates(Path(args.updates).read_text()):
@@ -238,9 +218,7 @@ def cmd_general(args) -> int:
     if args.updates and args.setting != "dynamic":
         raise UsageError(f"general --updates applies to --setting dynamic only, "
                          f"not --setting {args.setting}")
-    instance = _load(args.instance, args.eps)
-    if not isinstance(instance, GeneralInstance):
-        raise ParseError("general expects a general instance")
+    instance = _load_as(args, GeneralInstance, "general")
     eps = args.eps
     payload: dict = {"setting": args.setting}
     code = 0
@@ -327,15 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
         if updates:
             sp.add_argument("--updates", default=None)
 
-    sp = sub.add_parser("solve", help="static covering solve")
-    common(sp)
-    sp.add_argument("--basic", action="store_true", help="use the T-round template")
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("packing", help="static packing solve")
-    common(sp)
-    sp.add_argument("--basic", action="store_true")
-    sp.set_defaults(func=cmd_packing)
+    for command, help_text in (("solve", "static covering solve"),
+                               ("packing", "static packing solve")):
+        sp = sub.add_parser(command, help=help_text)
+        common(sp)
+        sp.add_argument("--basic", action="store_true", help="use the T-round template")
+        sp.set_defaults(func=cmd_static)
 
     sp = sub.add_parser("dynamic", help="covering maintenance under restricting updates")
     common(sp, updates=True)

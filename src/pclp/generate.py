@@ -136,7 +136,7 @@ def general_restricting_stream(rng: np.random.Generator, gen: GeneralInstance,
 
 
 def relaxing_stream_positive(rng: np.random.Generator, inst: PositiveInstance,
-                             tau: int, translations: bool = True) -> list[SetLine]:
+                             tau: int) -> list[SetLine]:
     """Relaxing events for a positive LP: P entries fall, C entries grow,
     packing RHS grows (`a` lines, indexed by packing row), covering RHS
     falls (`b` lines, indexed by covering row)."""
@@ -160,11 +160,11 @@ def relaxing_stream_positive(rng: np.random.Generator, inst: PositiveInstance,
             new = old * float(rng.uniform(1.1, 2.0)) if old else float(rng.uniform(0.2, 1.0))
             live_C[(i, j)] = new
             out.append(SetLine("C", i, j, new))
-        elif translations and roll < 0.9:
+        elif roll < 0.9:
             i = int(rng.integers(inst.m_p))
             rhs_p[i] *= float(rng.uniform(1.02, 1.3))
             out.append(SetLine("a", None, i, float(rhs_p[i])))
-        elif translations:
+        else:
             j = int(rng.integers(inst.m_c))
             rhs_c[j] *= float(rng.uniform(0.75, 0.98))
             out.append(SetLine("b", j, None, float(rhs_c[j])))

@@ -170,6 +170,9 @@ def validate(instance) -> list[ValidationError]:
             if not (instance.L <= v <= instance.U):
                 errors.append(ValidationError(
                     "EntryAboveLambda", f"C[{i},{j}]={v} outside [{instance.L},{instance.U}]"))
+        # a row with no entry cannot reach its positive b_i: the LP is infeasible
+        errors += [ValidationError("EmptyRow", f"C row {i} has no entry")
+                   for i in range(instance.m) if not instance.C.row_map(i)]
     elif isinstance(instance, PositiveInstance):
         errors += _non_finite(L=instance.L, U=instance.U)
         errors += _matrix_errors(instance.P, None, "P")

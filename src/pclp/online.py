@@ -37,7 +37,7 @@ class OnlineState(StoredRowsState):
 
     def __init__(self, n: int, lam: float, eps: float):
         super().__init__(n, lam, eps, whack_counts=[])
-        self.rows: list[tuple[np.ndarray, np.ndarray]] = []
+        self.rows: list[tuple[int, np.ndarray, np.ndarray]] = []  # (i, cols, vals)
         self.terminal: Outcome | None = None
 
     @property
@@ -47,10 +47,6 @@ class OnlineState(StoredRowsState):
     @property
     def recourse(self) -> int:
         return self.n * self.stats.phases
-
-    def _seen_rows(self):
-        for idx, (cols, vals) in enumerate(self.rows):
-            yield idx, cols, vals
 
     def insert_row(self, cols, vals) -> InsertResult:
         if self.terminal is not None:
@@ -68,12 +64,13 @@ class OnlineState(StoredRowsState):
             raise ValueError("column index out of range")
         if len(set(cols.tolist())) != len(cols):
             raise ValueError("repeated column index")
-        self.rows.append((cols, vals))
+        i = len(self.rows)
+        self.rows.append((i, cols, vals))
         self.whack_counts.append(0)
-        step = self.visit(len(self.rows) - 1, cols, vals)
+        step = self.visit(i, cols, vals)
         if step is Step.BROKE:
             # a new anchor: every row seen so far is scanned against it
-            step = Step.BUDGET if scan(self, self._seen_rows) else None
+            step = Step.BUDGET if scan(self, self.rows.__iter__) else None
         if step is Step.BUDGET:
             self.terminal = self.budget_outcome()
             return InsertResult(None, self.terminal)

@@ -31,7 +31,7 @@ from .certificates import Outcome, OutcomeTag
 from .formats import SetLine
 from .instances import GeneralInstance, NormalizedCoveringInstance
 from .online import OnlineState
-from .sparse import NonMonotoneUpdate, SparseNonnegMatrix, UpdateEvent, UpdateKind
+from .sparse import NonMonotoneUpdate, SparseError, SparseNonnegMatrix, UpdateEvent, UpdateKind
 from .whack_dynamic import DynamicWhackState, preprocess
 from .whack_static import Step, WhackState, solve_fast
 
@@ -240,6 +240,8 @@ class GeneralDynamicSolver:
                                     f"{new} {'>' if falls else '<'} {old}")
         if low == high or (low > 0 and high / low < 1.0 + self.eps):
             return self.current()  # not meaningful yet
+        if line.target == "C" and new == 0.0 and len(C.row_map(line.row)) == 1:
+            raise SparseError(f"{name} = 0 empties row {line.row}: the LP becomes infeasible")
         self.updates_applied += 1
         if line.target == "C":
             C.set(line.row, line.col, new)

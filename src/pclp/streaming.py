@@ -1,11 +1,11 @@
 """Multi-pass streaming covering solver over row-arrival streams.
 
-The row source is the cursor's ``source()``: ``whack_static.scan`` runs
-over it with one pass per phase, so a pass is exactly one phase of the
-static scan. W is anchored at pass start, each arriving row is visited
-against the anchor and enforced in place, and a phase break aborts the
-pass (the restart is counted, matching the static scan which also
-rescans from row zero after a phase break).
+``whack_static.scan`` runs over the cursor's ``source()`` as it is, one
+pass per phase, so the passes a run reports are its state's phases. W is
+anchored at pass start, each arriving row is visited against the anchor
+and enforced in place, and a phase break aborts the pass, as the static
+scan rescans from row zero after a phase break. An item that is not a
+well-formed (row_index, cols, vals) triple raises ``StreamExhaustedMidRow``.
 
 State between rows is only {x_hat, W, t} plus the whack tallies in
 FULL_DUAL mode; the matrix is never materialized, and no per-row rates or
@@ -44,7 +44,6 @@ class StreamCursor:
         self.n = n
         self.lam = lam
         self.mode = mode
-        self.pass_count = 0
 
     @classmethod
     def from_instance(cls, instance, mode: StreamMode = StreamMode.FULL_DUAL) -> "StreamCursor":
@@ -98,16 +97,12 @@ def solve_stream(cursor: StreamCursor, eps: float) -> tuple[Outcome, StreamStats
     counts = np.zeros(cursor.m, dtype=np.int64) if cursor.mode is StreamMode.FULL_DUAL else None
     state = WhackState(cursor.n, cursor.lam, eps, counts)
 
-    def one_pass():
-        cursor.pass_count += 1
-        for item in cursor.source():
-            try:
-                i, cols, vals = item
-            except (TypeError, ValueError) as exc:
-                raise StreamExhaustedMidRow(f"malformed streamed row: {item!r}") from exc
-            yield i, cols, vals
-
-    outcome = state.budget_outcome() if scan(state, one_pass) else state.primal_outcome()
-    stats = StreamStats(passes=cursor.pass_count, outcome=outcome.tag.value,
+    try:
+        budget_spent = scan(state, cursor.source)
+    except (TypeError, ValueError) as exc:
+        # a well-formed row raises neither: the visit's logs and ceilings are guarded
+        raise StreamExhaustedMidRow(f"malformed streamed row: {exc}") from exc
+    outcome = state.budget_outcome() if budget_spent else state.primal_outcome()
+    stats = StreamStats(passes=state.stats.phases, outcome=outcome.tag.value,
                         peak_live_words=live_words(state))
     return outcome, stats

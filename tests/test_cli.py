@@ -263,6 +263,26 @@ def test_general_updates_rejected_outside_dynamic(tmp_path, capsys, setting):
     assert f"--setting {setting}" in captured.err
 
 
+@pytest.mark.parametrize("setting", ["static", "dynamic", "stream", "online"])
+def test_general_empty_row_exits_3(tmp_path, capsys, setting):
+    # row 1 has no entry, so C x >= b cannot hold: every setting used to end
+    # in a traceback (the guess grid never answering primal, or an overflow)
+    inst = write(tmp_path, "g.txt", "general 2 1\nC 0 0 1.0\na 0 1.0\nb 0 1.0\nb 1 1.0\n")
+    assert main(["general", inst, "--setting", setting]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "EmptyRow: C row 1 has no entry" in captured.err
+
+
+def test_general_update_emptying_a_row_exits_3(tmp_path, capsys):
+    inst = write(tmp_path, "g.txt", "general 1 1\nC 0 0 1.0\na 0 1.0\nb 0 1.0\n")
+    ups = write(tmp_path, "g.ups", "set C 0 0 0.0\n")
+    assert main(["general", inst, "--setting", "dynamic", "--updates", ups]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empties row 0" in captured.err
+
+
 def test_gen_same_seed_byte_identical(tmp_path):
     a1 = tmp_path / "a1.txt"
     a2 = tmp_path / "a2.txt"

@@ -41,7 +41,7 @@ def test_rows_stay_covered_and_sum_bounded(rng):
             break
         x = result.maintained
         assert float(x.sum()) <= 1.0 / (1 - eps / 2) + 1e-9
-        for cols_r, vals_r in state.rows:
+        for _, cols_r, vals_r in state.rows:
             assert float(vals_r @ x[cols_r]) >= 1 - eps - 1e-9
     assert state.recourse == n * state.phase_transitions
     assert state.recourse <= state.recourse_bound()
@@ -64,7 +64,7 @@ def test_adversarial_shrinking_support_terminates_with_valid_dual():
     assert np.isclose(y.sum(), 1.0)
     # C^T y <= (1 + Theta(eps)) over the seen rows
     ct = np.zeros(n)
-    for (cols_r, vals_r), yi in zip(state.rows, y):
+    for (_, cols_r, vals_r), yi in zip(state.rows, y):
         ct[cols_r] += vals_r * yi
     assert np.all(ct <= 1 + 4 * eps + 1e-9)
     with pytest.raises(RowAfterTermination):
@@ -115,5 +115,24 @@ def test_reused_buffers_leave_stored_rows_alone():
         got = reused.insert_row(cols_buf, vals_buf)
         want = fresh.insert_row(list(cols), list(vals))
         assert np.array_equal(got.maintained, want.maintained)
-    assert [v.tolist() for _, v in reused.rows] == [vals for _, vals in rows]
+    assert [v.tolist() for _, _, v in reused.rows] == [vals for _, vals in rows]
     assert reused.whack_counts == fresh.whack_counts and reused.t == fresh.t
+
+
+def test_rescan_visits_the_stored_arrays():
+    # a phase transition hands the scan the stored rows themselves, so the
+    # rates kept for a row's vals array are found again by identity
+    visited = []
+
+    class Recording(OnlineState):
+        def visit(self, i, cols, vals):
+            visited.append((i, cols, vals))
+            return super().visit(i, cols, vals)
+
+    state = Recording(3, 1.0, 0.1)
+    for cols, vals in [([0, 1, 2], [1.0, 1.0, 1.0]), ([0, 1], [1.0, 0.5])]:
+        assert state.insert_row(cols, vals).terminal is None
+    assert state.phase_transitions > 1 and len(visited) > len(state.rows)
+    for i, cols, vals in visited:
+        assert state.rows[i][0] == i
+        assert cols is state.rows[i][1] and vals is state.rows[i][2]

@@ -39,9 +39,10 @@ def test_pass_count_equals_fast_phase_count(rng):
         eps = float(rng.choice([0.1, 0.2]))
         inst = random_covering(rng, m, n, eps=eps, density=0.5)
         outcome_f, stats_f = solve_fast(inst)
-        outcome_s, stats_s = solve_stream(
-            StreamCursor.from_instance(inst, StreamMode.FULL_DUAL), eps)
-        assert stats_s.passes == stats_f.phases
+        cursor = StreamCursor.from_instance(inst, StreamMode.FULL_DUAL)
+        outcome_s, stats_s = solve_stream(cursor, eps)
+        _, again = solve_stream(cursor, eps)  # a reused cursor counts the new run's passes only
+        assert stats_s.passes == again.passes == stats_f.phases
         assert outcome_s.tag is outcome_f.tag
         if outcome_f.vector is not None:
             assert np.allclose(outcome_s.vector, outcome_f.vector, atol=1e-9)
@@ -91,9 +92,14 @@ def test_live_words_bounds():
 
 
 def test_malformed_row_raises():
-    cursor = StreamCursor(lambda: iter([42]), 1, 1, 1.0, StreamMode.FULL_DUAL)
-    with pytest.raises(StreamExhaustedMidRow):
-        solve_stream(cursor, 0.1)
+    # the error the scan met is kept as the cause
+    for item, cause in [(42, TypeError),                      # not iterable
+                        ((0, np.array([0])), ValueError),      # a truncated triple
+                        ((0, np.array([0, 1]), np.array([0.5])), ValueError)]:  # lengths differ
+        cursor = StreamCursor(lambda: iter([item]), 1, 2, 1.0, StreamMode.FULL_DUAL)
+        with pytest.raises(StreamExhaustedMidRow) as info:
+            solve_stream(cursor, 0.1)
+        assert type(info.value.__cause__) is cause
 
 
 def test_overflow_instance_rescales_in_every_setting():
