@@ -4,10 +4,14 @@ Each digest covers the tag, the raw bytes of every vector, the stats'
 ``as_dict()`` and the setting's audit figure (``min_weight`` for packing,
 ``max_weight_ratio`` for the static covering scan) of a fixed set of runs.
 The general-LP reductions are pinned on their static, streaming, dynamic
-and online wrappers, and the certificate check on the reports it gives for
-the static covering and packing runs. A change that moves any output bit of
-any run fails its digest; a change meant to be byte-identical must leave
-every digest as it is.
+and online wrappers. The certificate check is pinned on the reports it gives
+for the static covering and packing runs, and on every tag: greedy positive
+solutions (as found, halved and doubled), dynamic covering vectors, and every
+early exit. A change that moves any output bit of any run fails its digest; a
+change meant to be byte-identical must leave every digest as it is.
+
+``PYTHONPATH=src python tests/test_output_digests.py`` prints each setting's
+current digest and the cases its runs reached.
 """
 import hashlib
 import json
@@ -16,9 +20,10 @@ import math
 import numpy as np
 import pytest
 
-from pclp.certificates import CertificateSlack, check_certificate
+from pclp.certificates import CertificateSlack, Outcome, OutcomeTag, check_certificate
 from pclp.generate import (general_restricting_stream, random_covering, random_general,
-                           random_packing, restricting_stream)
+                           random_packing, random_positive, restricting_stream)
+from pclp.greedy import solve_static_positive
 from pclp.online import OnlineState
 from pclp.packing import _RESCALE_BELOW, solve_packing_fast
 from pclp.reductions import (GeneralDynamicSolver, GeneralOnlineSolver, solve_general_static,
@@ -243,6 +248,66 @@ def digest_certificates() -> tuple[str, set[str]]:
     return h.hexdigest(), cases
 
 
+_PRESETS = (CertificateSlack.whack_static, CertificateSlack.whack_dynamic,
+            CertificateSlack.packing_template, CertificateSlack.greedy_positive)
+
+
+def _tag_runs():
+    """(instance, outcome, preset slacks) for every tag the check handles."""
+    rng = np.random.default_rng(2030)
+    for k in range(24):
+        m_p, m_c, n = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(2, 7))
+        inst = random_positive(rng, m_p, m_c, n, eps=(1 / 200, 1 / 1000, 1 / 2000)[k % 3])
+        outcome, _ = solve_static_positive(inst)
+        slacks = (CertificateSlack.greedy_positive(inst.eps),)
+        if outcome.vector is None:
+            yield inst, outcome, slacks
+            continue
+        # halved, the covering rows fall short; doubled, the packing rows overflow
+        for scale in (1.0, 0.5, 2.0):
+            yield inst, Outcome(outcome.tag, scale * outcome.vector), slacks
+    for inst in _covering_instances():
+        # the dynamic setting's relaxed sum bound, on the maintained vector x_hat/W
+        # and on that vector pushed inside and past the band of 1 + eps
+        _, outcome = preprocess(inst)
+        for scale in (1.0, 1.0 + inst.eps / 2, 1.0 + 2.0 * inst.eps):
+            yield (inst, Outcome(outcome.tag, scale * outcome.vector),
+                   (CertificateSlack.whack_dynamic(inst.eps),))
+    # a negative coordinate and every early exit, for every tag
+    cover = random_covering(np.random.default_rng(2031), 3, 4, eps=0.1)
+    pack = random_packing(np.random.default_rng(2032), 3, 4, eps=0.1)
+    mixed = random_positive(np.random.default_rng(2033), 2, 3, 4)
+    presets = tuple(preset(0.1) for preset in _PRESETS)
+    for tag, inst, length in ((OutcomeTag.COVERING_PRIMAL, cover, 4),
+                              (OutcomeTag.PACKING_DUAL, cover, 3),
+                              (OutcomeTag.PACKING_PRIMAL, pack, 4),
+                              (OutcomeTag.COVERING_DUAL, pack, 3),
+                              (OutcomeTag.POSITIVE_SOLUTION, mixed, 4)):
+        good = np.full(length, 1.0 / length)
+        bad = [np.where(np.arange(length) == 0, -0.25, good),
+               None, np.array([]), good[:-1], np.append(good, 0.0),
+               np.where(np.arange(length) == 1, np.nan, good),
+               np.where(np.arange(length) == 2, -np.inf, good), np.array([0.5, np.inf])]
+        for vec in bad:
+            yield inst, Outcome(tag, vec), presets
+    for tag in (OutcomeTag.INFEASIBLE, OutcomeTag.NULL):
+        for vec in (None, np.zeros(4), np.array([np.nan])):
+            yield cover, Outcome(tag, vec), presets
+
+
+def digest_certificate_tags() -> tuple[str, set[str]]:
+    h = hashlib.sha256()
+    cases = set()
+    for inst, outcome, slacks in _tag_runs():
+        for slack in slacks:
+            report = check_certificate(inst, outcome, slack)
+            _report(h, report)
+            cases.add(outcome.tag.value)
+            cases.update(v.kind for v in report.violations)
+        _report(h, check_certificate(inst, outcome, _EVERY_RESIDUAL))
+    return h.hexdigest(), cases
+
+
 # per setting: the runs, their digest captured before any refactor of the
 # code they run, and the cases the runs must reach for the digest to pin them
 DIGESTS = {
@@ -276,6 +341,11 @@ DIGESTS = {
     "certificates": (digest_certificates,
                      "63e8be6fae67703f64f12c42bf22f8197a3bf2f6c305a76a326fbf8bcdf00221",
                      {"covering_primal", "packing_dual", "packing_primal", "covering_dual"}),
+    "certificate_tags": (digest_certificate_tags,
+                         "ff23e283b3ecf09b263c93a3acdac6855fbb8c82c518682ae3ac3b407798628d",
+                         {tag.value for tag in OutcomeTag}
+                         | {"RowAbovePack", "RowBelowCover", "SumAboveBound", "NegativeCoordinate",
+                            "VectorOnNullOutcome", "MissingVector", "NonFinite", "BadLength"}),
 }
 
 
@@ -285,3 +355,10 @@ def test_outputs_match_their_digest(setting):
     got, reached = run()
     assert reached >= cases, f"the runs miss {cases - reached}"
     assert got == want
+
+
+if __name__ == "__main__":
+    # a refactor meant to be byte-identical captures its parent's digests here
+    for setting, (run, _, _) in sorted(DIGESTS.items()):
+        got, reached = run()
+        print(f"{setting} {got} {' '.join(sorted(reached))}")
