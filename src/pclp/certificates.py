@@ -15,8 +15,6 @@ from enum import Enum
 
 import numpy as np
 
-from .instances import PositiveInstance
-
 #: absolute float headroom on top of the epsilon slack of each inequality
 ABS_TOL = 1e-9
 
@@ -116,8 +114,11 @@ class Violation:
 
 @dataclass
 class CertificateReport:
-    ok: bool
     violations: list[Violation] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def worst(self) -> Violation | None:
         if not self.violations:
@@ -128,25 +129,32 @@ class CertificateReport:
         return self.ok
 
 
-def _cover_side(matvec: np.ndarray, lower: float, tol: float, kind: str) -> list[Violation]:
-    out = []
-    for i, v in enumerate(matvec):
-        if v < lower - tol:
-            out.append(Violation(kind, i, float(v - lower)))
-    return out
-
-
-def _pack_side(matvec: np.ndarray, upper: float, tol: float, kind: str) -> list[Violation]:
-    out = []
-    for i, v in enumerate(matvec):
-        if v > upper + tol:
-            out.append(Violation(kind, i, float(v - upper)))
-    return out
+#: Each vector tag's promises, in the order ``check_certificate`` tests
+#: them: the product it takes of the vector (``matvec`` for a primal x,
+#: ``rmatvec`` for a dual y); its bounds on 1^T v, as (CertificateSlack
+#: field, upper?); and its bounds on the product, as (matrix, CertificateSlack
+#: field, upper?, violation kind). The vector's length is the matrix's n
+#: under ``matvec`` and its m under ``rmatvec``.
+_UPPER, _LOWER = True, False
+_PROMISES = {
+    OutcomeTag.COVERING_PRIMAL: ("matvec", [("primal_sum_max", _UPPER)],
+                                 [("C", "cover_min", _LOWER, "RowBelowCover")]),
+    OutcomeTag.PACKING_DUAL: ("rmatvec", [("dual_sum_min", _LOWER), ("dual_sum_max", _UPPER)],
+                              [("C", "pack_max", _UPPER, "ColAbovePack")]),
+    OutcomeTag.PACKING_PRIMAL: ("matvec", [("primal_sum_max", _UPPER), ("cover_min", _LOWER)],
+                                [("P", "pack_max", _UPPER, "RowAbovePack")]),
+    OutcomeTag.COVERING_DUAL: ("rmatvec", [("dual_sum_min", _LOWER), ("dual_sum_max", _UPPER)],
+                               [("P", "cover_min", _LOWER, "ColBelowCover")]),
+    OutcomeTag.POSITIVE_SOLUTION: ("matvec", [],
+                                   [("P", "pack_max", _UPPER, "RowAbovePack"),
+                                    ("C", "cover_min", _LOWER, "RowBelowCover")]),
+}
 
 
 def check_certificate(instance, outcome: Outcome,
                       slack: CertificateSlack) -> CertificateReport:
-    """Verify the outcome's promised inequalities against the instance.
+    """Verify the outcome's promised inequalities, as ``_PROMISES`` lists
+    them for its tag, against the instance.
 
     Infeasible and Null outcomes are vacuously accepted here; their
     soundness is established against the exact oracle in the test suite.
@@ -157,75 +165,30 @@ def check_certificate(instance, outcome: Outcome,
     comparison below by failing it.
     """
     tol = slack.abs_tol
-    v: list[Violation] = []
     vec = outcome.vector
-    tag = outcome.tag
-
-    if tag in (OutcomeTag.INFEASIBLE, OutcomeTag.NULL):
-        if vec is not None:
-            v.append(Violation("VectorOnNullOutcome", -1, 0.0))
-        return CertificateReport(not v, v)
+    if outcome.tag in (OutcomeTag.INFEASIBLE, OutcomeTag.NULL):
+        return CertificateReport([] if vec is None else [Violation("VectorOnNullOutcome", -1, 0.0)])
     if vec is None:
-        return CertificateReport(False, [Violation("MissingVector", -1, 0.0)])
+        return CertificateReport([Violation("MissingVector", -1, 0.0)])
     bad = np.flatnonzero(~np.isfinite(vec))
     if len(bad):
-        return CertificateReport(False, [Violation("NonFinite", int(bad[0]), float(vec[bad[0]]))])
+        return CertificateReport([Violation("NonFinite", int(bad[0]), float(vec[bad[0]]))])
+    product, sums, bounds = _PROMISES[outcome.tag]
+    first = getattr(instance, bounds[0][0])
+    if len(vec) != (first.n if product == "matvec" else first.m):
+        return CertificateReport([Violation("BadLength", len(vec), 0.0)])
 
-    if tag is OutcomeTag.COVERING_PRIMAL:
-        mat = instance.C
-        if len(vec) != mat.n:
-            return CertificateReport(False, [Violation("BadLength", len(vec), 0.0)])
-        if np.any(vec < -tol):
-            v.append(Violation("NegativeCoordinate", int(np.argmin(vec)), float(vec.min())))
-        total = float(vec.sum())
-        if total > slack.primal_sum_max + tol:
-            v.append(Violation("SumAboveBound", -1, total - slack.primal_sum_max))
-        v += _cover_side(mat.matvec(vec), slack.cover_min, tol, "RowBelowCover")
-    elif tag is OutcomeTag.PACKING_DUAL:
-        mat = instance.C
-        if len(vec) != mat.m:
-            return CertificateReport(False, [Violation("BadLength", len(vec), 0.0)])
-        if np.any(vec < -tol):
-            v.append(Violation("NegativeCoordinate", int(np.argmin(vec)), float(vec.min())))
-        total = float(vec.sum())
-        if total < slack.dual_sum_min - tol:
-            v.append(Violation("SumBelowBound", -1, total - slack.dual_sum_min))
-        if total > slack.dual_sum_max + tol:
-            v.append(Violation("SumAboveBound", -1, total - slack.dual_sum_max))
-        v += _pack_side(mat.rmatvec(vec), slack.pack_max, tol, "ColAbovePack")
-    elif tag is OutcomeTag.PACKING_PRIMAL:
-        mat = instance.P
-        if len(vec) != mat.n:
-            return CertificateReport(False, [Violation("BadLength", len(vec), 0.0)])
-        if np.any(vec < -tol):
-            v.append(Violation("NegativeCoordinate", int(np.argmin(vec)), float(vec.min())))
-        total = float(vec.sum())
-        if total > slack.primal_sum_max + tol:
-            v.append(Violation("SumAboveBound", -1, total - slack.primal_sum_max))
-        if total < slack.cover_min - tol:
-            v.append(Violation("SumBelowBound", -1, total - slack.cover_min))
-        v += _pack_side(mat.matvec(vec), slack.pack_max, tol, "RowAbovePack")
-    elif tag is OutcomeTag.COVERING_DUAL:
-        mat = instance.P
-        if len(vec) != mat.m:
-            return CertificateReport(False, [Violation("BadLength", len(vec), 0.0)])
-        if np.any(vec < -tol):
-            v.append(Violation("NegativeCoordinate", int(np.argmin(vec)), float(vec.min())))
-        total = float(vec.sum())
-        if total < slack.dual_sum_min - tol:
-            v.append(Violation("SumBelowBound", -1, total - slack.dual_sum_min))
-        if total > slack.dual_sum_max + tol:
-            v.append(Violation("SumAboveBound", -1, total - slack.dual_sum_max))
-        v += _cover_side(mat.rmatvec(vec), slack.cover_min, tol, "ColBelowCover")
-    elif tag is OutcomeTag.POSITIVE_SOLUTION:
-        assert isinstance(instance, PositiveInstance)
-        if len(vec) != instance.n:
-            return CertificateReport(False, [Violation("BadLength", len(vec), 0.0)])
-        if np.any(vec < -tol):
-            v.append(Violation("NegativeCoordinate", int(np.argmin(vec)), float(vec.min())))
-        v += _pack_side(instance.P.matvec(vec), slack.pack_max, tol, "RowAbovePack")
-        v += _cover_side(instance.C.matvec(vec), slack.cover_min, tol, "RowBelowCover")
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled tag {tag}")
-
-    return CertificateReport(not v, v)
+    v: list[Violation] = []
+    if np.any(vec < -tol):
+        v.append(Violation("NegativeCoordinate", int(np.argmin(vec)), float(vec.min())))
+    total = float(vec.sum())
+    for name, upper in sums:
+        bound = getattr(slack, name)
+        if (total > bound + tol) if upper else (total < bound - tol):
+            v.append(Violation("SumAboveBound" if upper else "SumBelowBound", -1, total - bound))
+    for mat, name, upper, kind in bounds:
+        bound = getattr(slack, name)
+        got = getattr(getattr(instance, mat), product)(vec)
+        hits = np.flatnonzero((got > bound + tol) if upper else (got < bound - tol))
+        v += [Violation(kind, i, r) for i, r in zip(hits.tolist(), (got[hits] - bound).tolist())]
+    return CertificateReport(v)

@@ -31,6 +31,7 @@ from .oracle import TooLarge, positive_feasible_exact, solve_covering_exact
 from .packing import solve_packing_basic, solve_packing_fast
 from .reductions import (
     GeneralOnlineSolver,
+    GuessLadderExhausted,
     solve_general_dynamic,
     solve_general_static,
     solve_general_stream,
@@ -355,7 +356,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UsageError, NonMonotoneUpdate, SparseError,
+    except (ParseError, UsageError, NonMonotoneUpdate, SparseError, GuessLadderExhausted,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

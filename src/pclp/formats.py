@@ -23,6 +23,7 @@ updates that move the wrong way for its setting.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -163,27 +164,36 @@ def emit_instance(instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: the arguments of each ``set`` target: its indexes, then the value
+_SET_ARGS = {"C": "i j v", "P": "i j v", "a": "j v", "b": "i v"}
+
+
 def parse_updates(text: str) -> list[SetLine]:
     out: list[SetLine] = []
     for parts in _tokens(text):
         lineno = parts[0]
         if parts[1] != "set":
             raise ParseError(f"line {lineno}: update lines must start with 'set'")
-        target = parts[2]
-        if target in ("C", "P"):
-            if len(parts) != 6:
-                raise ParseError(f"line {lineno}: set {target} needs i j v")
-            out.append(SetLine(target, int(parts[3]), int(parts[4]), float(parts[5])))
-        elif target == "a":
-            if len(parts) != 5:
-                raise ParseError(f"line {lineno}: set a needs j v")
-            out.append(SetLine("a", None, int(parts[3]), float(parts[4])))
-        elif target == "b":
-            if len(parts) != 5:
-                raise ParseError(f"line {lineno}: set b needs i v")
-            out.append(SetLine("b", int(parts[3]), None, float(parts[4])))
-        else:
+        target = parts[2] if len(parts) > 2 else ""
+        args = _SET_ARGS.get(target)
+        if args is None:
             raise ParseError(f"line {lineno}: unknown set target {target!r}")
+        if len(parts) != 3 + len(args.split()):
+            raise ParseError(f"line {lineno}: set {target} needs {args}")
+        try:
+            idx = [int(t) for t in parts[3:-1]]
+            value = float(parts[-1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: set {target} needs integer indexes and a "
+                             f"number: {' '.join(parts[1:])}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"line {lineno}: set {target} value is not finite: {value}")
+        if target in ("C", "P"):
+            out.append(SetLine(target, idx[0], idx[1], value))
+        elif target == "a":
+            out.append(SetLine("a", None, idx[0], value))
+        else:
+            out.append(SetLine("b", idx[0], None, value))
     return out
 
 

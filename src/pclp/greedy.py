@@ -783,6 +783,8 @@ class GreedyState:
     def translate_packing_rhs(self, i: int, new_rhs: float) -> Outcome:
         """Relaxing RHS increase on packing row i, replayed as entry scalings
         once the pending factor reaches (1+eps)."""
+        if not new_rhs > 0.0:
+            raise NonMonotoneUpdate(f"packing rhs {i} must be positive: {new_rhs}")
         if not new_rhs > self.rhs_true_p[i]:
             raise NonMonotoneUpdate(f"packing rhs {i} must increase")
         self.rhs_true_p[i] = new_rhs
@@ -798,6 +800,8 @@ class GreedyState:
         return out
 
     def translate_covering_rhs(self, j: int, new_rhs: float) -> Outcome:
+        if not new_rhs > 0.0:
+            raise NonMonotoneUpdate(f"covering rhs {j} must be positive: {new_rhs}")
         if not new_rhs < self.rhs_true_c[j]:
             raise NonMonotoneUpdate(f"covering rhs {j} must decrease")
         self.rhs_true_c[j] = new_rhs

@@ -7,7 +7,9 @@ that guess. A primal answer at guess mu recovers a covering solution of
 objective exactly mu; a dual answer witnesses OPT >= mu/(1+4 eps). The
 static and dynamic reductions locate the crossing between the two regions
 with one search (``_crossing``): the grid is extended on demand in the
-corner cases where its top does not answer primal, then bisected.
+corner cases where its top does not answer primal, then bisected. Every
+reduction extends its grid through ``GuessGrid.extend_up``, which gives up
+after 64 extensions.
 
 The dynamic, streaming and online wrappers run one standard solver per
 guess and translate objective/RHS updates into entry updates against the
@@ -40,6 +42,10 @@ class ZeroScaleFactor(ValueError):
     pass
 
 
+class GuessLadderExhausted(ValueError):
+    """The guess grid was extended MAX_EXTENSIONS times without a primal answer."""
+
+
 # ---------------------------------------------------------------------------
 # normalization and guess grids
 # ---------------------------------------------------------------------------
@@ -67,12 +73,22 @@ def normalize(gen: GeneralInstance) -> NormalizedView:
     return NormalizedView(out, lam_unit=gen.U / (gen.L * gen.L))
 
 
+#: extensions a guess grid allows above its top: a dual answer at guess mu
+#: certifies OPT >= mu/(1+4eps), so on data in [L, U] a few always suffice
+MAX_EXTENSIONS = 64
+
+
 @dataclass
 class GuessGrid:
     guesses: list[float]
     ratio: float
+    extensions: int = 0
 
     def extend_up(self) -> float:
+        if self.extensions == MAX_EXTENSIONS:
+            raise GuessLadderExhausted(f"no guess answered primal within {MAX_EXTENSIONS} "
+                                       "extensions above the guess grid")
+        self.extensions += 1
         nxt = self.guesses[-1] * self.ratio
         self.guesses.append(nxt)
         return nxt
@@ -94,16 +110,11 @@ def guess_grid(n: int, L: float, U: float, eps: float) -> GuessGrid:
 def _crossing(grid: GuessGrid, primal: Callable[[int], bool]) -> tuple[int, int]:
     """Indexes (lo, hi): hi is the smallest probed guess that answers primal,
     lo the largest probed one below it (-1 if none). The top is extended
-    until it answers primal, since a dual there certifies OPT >= top/(1+4eps)
-    and so a few extensions always suffice; then the grid is bisected."""
+    until it answers primal, then the grid is bisected."""
     hi = len(grid) - 1
-    for _ in range(64):
-        if primal(hi):
-            break
+    while not primal(hi):
         grid.extend_up()
         hi = len(grid) - 1
-    else:  # pragma: no cover
-        raise RuntimeError("guess grid failed to reach a primal answer")
     lo = -1
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -361,7 +372,9 @@ class GeneralOnlineSolver:
     def insert_constraint(self, cols, vals, b_i: float) -> tuple[float, np.ndarray]:
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
-        prime = vals / (self.a[cols] * b_i) if len(cols) else vals
+        if not len(cols):
+            raise ValueError("an empty row cannot be covered: the LP is infeasible")
+        prime = vals / (self.a[cols] * b_i)
         self.seen_rows.append((cols, prime))
         for mu, state in zip(self.grid.guesses, self.states):
             if state.terminal is None:

@@ -283,6 +283,48 @@ def test_general_update_emptying_a_row_exits_3(tmp_path, capsys):
     assert "empties row 0" in captured.err
 
 
+_UPDATE_COMMANDS = {
+    "dynamic": ("covering 2 2 1.0\nC 0 0 1.0\nC 1 1 1.0\n", ["dynamic"]),
+    "positive": ("positive 1 1 2\nP 0 0 1.0\nP 0 1 1.0\nC 0 0 1.0\nC 0 1 1.0\n", ["positive"]),
+    "general": ("general 2 2\nC 0 0 1.0\nC 0 1 2.0\nC 1 1 1.5\na 0 1.0\na 1 2.0\n"
+                "b 0 1.0\nb 1 1.0\n", ["general", "--setting", "dynamic"]),
+}
+
+
+def _exits_3(tmp_path, capsys, command, stream):
+    text, argv = _UPDATE_COMMANDS[command]
+    inst = write(tmp_path, "inst.txt", text)
+    ups = write(tmp_path, "ups.txt", stream)
+    assert main([*argv, inst, "--updates", ups]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    return captured.err
+
+
+@pytest.mark.parametrize("command", sorted(_UPDATE_COMMANDS))
+@pytest.mark.parametrize("line", ["set C x 0 1.0", "set C 0 0 1.0.5"])
+def test_update_with_bad_number_exits_3(tmp_path, capsys, command, line):
+    # a non-integer index or a non-numeric value used to end in a ValueError
+    err = _exits_3(tmp_path, capsys, command, f"set C 0 0 0.5\n{line}\n")
+    assert err.startswith("error: line 2: set C needs integer indexes and a number")
+
+
+@pytest.mark.parametrize("command, line", [("general", "set a 0 inf"), ("general", "set b 1 nan"),
+                                           ("positive", "set a 0 inf"), ("dynamic", "set C 0 0 -inf")])
+def test_update_with_non_finite_value_exits_3(tmp_path, capsys, command, line):
+    # general --setting dynamic used to die in an OverflowError on `set a 0 inf`
+    err = _exits_3(tmp_path, capsys, command, f"{line}\n")
+    assert err.startswith(f"error: line 1: set {line.split()[1]} value is not finite")
+
+
+@pytest.mark.parametrize("line", ["set b 0 0", "set b 0 -1", "set a 0 -1"])
+def test_positive_non_positive_rhs_exits_3(tmp_path, capsys, line):
+    # `set b 0 0` used to end in a ZeroDivisionError, `set b 0 -1` to be accepted
+    err = _exits_3(tmp_path, capsys, "positive", f"{line}\n")
+    assert "rhs 0 must be positive" in err
+
+
 def test_gen_same_seed_byte_identical(tmp_path):
     a1 = tmp_path / "a1.txt"
     a2 = tmp_path / "a2.txt"

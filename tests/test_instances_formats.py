@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,19 @@ def test_parse_rejects_garbage():
         parse_instance("")
     with pytest.raises(ParseError):
         parse_updates("set Q 0 0 1\n")
+
+
+@pytest.mark.parametrize("line, detail", [
+    ("set C x 0 1.0", "set C needs integer indexes and a number"),
+    ("set a 0 1.5.2", "set a needs integer indexes and a number"),
+    ("set b 0.5 1.0", "set b needs integer indexes and a number"),
+    ("set a 0 inf", "set a value is not finite: inf"),
+    ("set C 0 0 nan", "set C value is not finite: nan"),
+    ("set", "unknown set target ''"),
+])
+def test_parse_updates_names_the_bad_line(line, detail):
+    with pytest.raises(ParseError, match=f"^line 2: {re.escape(detail)}"):
+        parse_updates(f"set b 0 1.0\n{line}\n")
 
 
 def test_parse_general_requires_positive_scales():

@@ -11,6 +11,8 @@ from pclp.oracle import solve_covering_exact
 from pclp.reductions import (
     GeneralDynamicSolver,
     GeneralOnlineSolver,
+    GuessLadderExhausted,
+    MAX_EXTENSIONS,
     ZeroScaleFactor,
     guess_grid,
     normalize,
@@ -280,6 +282,42 @@ def test_online_recourse_sums_across_guesses(rng):
     assert solver.recourse_total() <= bound
     # maintained solution nearly covers all seen constraints
     assert np.all(gen.C.matvec(x) >= (1 - 2 * eps) * gen.b - 1e-9)
+
+
+def _empty_row_instance() -> GeneralInstance:
+    # row 1 has no entry, so every guess answers dual (reached without validate)
+    C = SparseNonnegMatrix(2, 1)
+    C.set(0, 0, 1.0)
+    return GeneralInstance(C=C, a=np.ones(1), b=np.ones(2), L=1.0, U=1.0)
+
+
+def test_stream_reduction_gives_up_after_the_capped_extensions():
+    # every guess answers dual: the ladder stops at its cap, short of overflowing mu * lam_unit
+    gen = _empty_row_instance()
+    with pytest.raises(GuessLadderExhausted):
+        solve_general_stream(gen, 0.1)
+
+
+def test_online_reduction_rejects_an_empty_row_before_any_state_changes():
+    gen = _empty_row_instance()
+    solver = GeneralOnlineSolver(gen.n, gen.a, gen.L, gen.U, 0.1)
+    before = solver.insert_constraint([0], [1.0], 1.0)
+    guesses, states = list(solver.grid.guesses), list(solver.states)
+    with pytest.raises(ValueError, match="empty row"):
+        solver.insert_constraint([], [], 1.0)
+    assert solver.grid.guesses == guesses and solver.states == states
+    assert len(solver.seen_rows) == 1
+    mu, x = solver.current()
+    assert mu == before[0] and np.array_equal(x, before[1])
+
+
+def test_online_reduction_gives_up_after_the_capped_extensions():
+    # an entry far below L moves the optimum past the capped ladder
+    solver = GeneralOnlineSolver(1, np.ones(1), 1.0, 1.0, 0.1)
+    top = len(solver.grid)
+    with pytest.raises(GuessLadderExhausted):
+        solver.insert_constraint([0], [1e-30], 1.0)
+    assert len(solver.grid) == top + MAX_EXTENSIONS
 
 
 # -- golden outputs -------------------------------------------------------------------------
