@@ -169,10 +169,16 @@ class GreedyState:
         self.sthr_p = [self._sthr_p(i) for i in range(self.m_p)]
         self.sthr_c = [self._sthr_c(j) for j in range(self.m_c)]
 
-        # hat-cost fractions per column, in the same mantissa scales
+        # hat-cost fractions per column, in the same mantissa scales.
+        # Refreshes subtract from a column's covering sum, so it is resummed
+        # once it falls 9 orders below its largest value since the last
+        # resum (peakD), before it is only rounding residue: a negative sum
+        # reads as never cheap
         self.hatN = [0.0] * n
         self.hatD = [0.0] * n
-        self._rebuild_fractions()
+        self.peakD = [0.0] * n
+        self._rebuild_hatN()
+        self._rebuild_hatD()
 
         self.prep: list[dict[int, float]] = [dict(col) for col in self.pcol]
         self.crep: list[dict[int, float]] = [dict(col) for col in self.ccol]
@@ -270,12 +276,21 @@ class GreedyState:
         self.sthr_c[j] = self._sthr_c(j)
         for k, v in self.crow[j].items():
             self.hatD[k] += d * v
+            if self.hatD[k] < 1e-9 * self.peakD[k]:
+                self.hatD[k] = self.peakD[k] = self._column_hatD(k)
         self.stats.weight_refreshes += 1
 
-    def _rebuild_fractions(self) -> None:
+    def _rebuild_hatN(self) -> None:
         for k in range(self.n):
             self.hatN[k] = sum(self.hm_p[i] * v for i, v in self.pcol[k].items())
-            self.hatD[k] = sum(self.hm_c[j] * v for j, v in self.ccol[k].items())
+
+    def _column_hatD(self, k: int) -> float:
+        return sum(self.hm_c[j] * v for j, v in self.ccol[k].items())
+
+    def _rebuild_hatD(self) -> None:
+        for k in range(self.n):
+            self.hatD[k] = self._column_hatD(k)
+        self.peakD[:] = self.hatD
 
     def _maybe_rescale(self) -> None:
         if self.tot_p > _MANT_HI:
@@ -286,10 +301,14 @@ class GreedyState:
                 self.hm_p[i] *= inv
             self.off_p += math.log(peak)
             self.tot_p = sum(self.mant_p)
-            for k in range(self.n):
-                self.hatN[k] = sum(self.hm_p[i] * v for i, v in self.pcol[k].items())
+            self._rebuild_hatN()
         if self.tot_c < 1e-9 * self.anchor_c or self.tot_c < _MANT_LO * self.m_c:
             peak = max(self.mant_c)
+            if peak < _MANT_LO ** 2:
+                # a relaxed entry can move S_c far enough in one step to
+                # flush every mantissa, leaving nothing to divide by
+                self._resync_covering()
+                return
             inv = 1.0 / peak
             for j in range(self.m_c):
                 self.mant_c[j] *= inv
@@ -297,8 +316,7 @@ class GreedyState:
             self.off_c += math.log(peak)
             self.tot_c = sum(self.mant_c)
             self.anchor_c = self.tot_c
-            for k in range(self.n):
-                self.hatD[k] = sum(self.hm_c[j] * v for j, v in self.ccol[k].items())
+            self._rebuild_hatD()
 
     # -- heap oracle -----------------------------------------------------------
 
@@ -638,6 +656,13 @@ class GreedyState:
             self.hm_p[i] = self.mant_p[i]
             self.sthr_p[i] = self._sthr_p(i)
         self.tot_p = sum(self.mant_p)
+        self._rebuild_hatN()
+        self.stats.weight_refreshes += self.m_p
+        self._resync_covering()
+
+    def _resync_covering(self) -> None:
+        """The covering half of _resync: weights, hats and hatD from S_c."""
+        eta = self.eta
         self.off_c = max(-eta * s for s in self.S_c)
         for j in range(self.m_c):
             self.mant_c[j] = math.exp(-eta * self.S_c[j] - self.off_c)
@@ -646,8 +671,8 @@ class GreedyState:
             self.sthr_c[j] = self._sthr_c(j)
         self.tot_c = sum(self.mant_c)
         self.anchor_c = self.tot_c
-        self._rebuild_fractions()
-        self.stats.weight_refreshes += self.m_p + self.m_c
+        self._rebuild_hatD()
+        self.stats.weight_refreshes += self.m_c
 
     def _iterate(self) -> bool:
         """Scan-and-boost until no coordinate is cheap under a stable anchor."""
@@ -742,6 +767,7 @@ class GreedyState:
                 self.top_dirty[k] = True
                 self.stats.heap_readjusts += 1
         self.hatD[k] += self.hm_c[j] * (new - old)
+        self.peakD[k] = max(self.peakD[k], self.hatD[k])
         self.colver[k] += 1
         grow = (new - old) * self.x[k]
         oldS = self.S_c[j]
@@ -869,7 +895,7 @@ class GreedyState:
                 continue
             if expect < bar - 30.0 and got < bar - 30.0:
                 continue
-            if math.isinf(expect) and math.isinf(got):
+            if expect == got:
                 continue
             lam_dev = max(lam_dev, abs(expect - got))
         return {"c_lo": worst_c_lo, "c_hi": worst_c_hi,

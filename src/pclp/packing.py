@@ -90,7 +90,7 @@ def packing_floor(bg: float, dot: float, log_ratio: float, budget: int) -> int:
     says nothing unless W < dot."""
     if not bg < 0.0:
         return 0
-    q = (log_ratio + 1e-9) * dot / bg
+    q = (log_ratio + 1e-9) * (dot / bg)
     if not q > 1.0:  # also NaN
         return 0
     return budget if q > budget else math.ceil(q) - 1

@@ -178,6 +178,25 @@ def test_positive_translation_after_solved_rescales_the_live_row(tmp_path, capsy
     assert "P[0,0] must decrease" in captured.err
 
 
+def test_positive_relax_that_flushes_every_covering_weight(tmp_path, capsys):
+    # set C 0 0 moves S_c far enough in one step that every covering
+    # mantissa underflows to 0; the next boost's rescale must rebuild the
+    # covering side from S_c instead of dividing by the largest mantissa.
+    # The translation applies (1/0.89 > 1 + eps), so --verify checks the
+    # verdict on the instance with every update in force.
+    inst = write(tmp_path, "p.txt",
+                 "positive 1 2 2\nP 0 1 1.9568430662801588\nC 0 0 1.4458668362534146\n"
+                 "C 1 1 0.7729302844602052\n")
+    ups = write(tmp_path, "u.txt",
+                "set P 0 1 1.236237276145283\nset C 0 1 0.20004493514680838\n"
+                "set b 0 0.8915513146242682\nset P 0 1 0.8912765509958722\n"
+                "set C 0 0 2.875894524389669\nset C 1 0 0.5055576695349485\n")
+    assert main(["positive", inst, "--eps", "0.001", "--updates", ups, "--verify"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stats"]["translations_applied"] == 1
+    assert payload["verify_result"]["ok"]
+
+
 # payload of `positive --updates` on the `gen --kind positive --seed 3` files
 # (5x3x5, 50 relaxing events); a change to the greedy's storage must leave it
 GOLDEN_POSITIVE_REPLAY = {

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 
 import numpy as np
@@ -291,6 +292,23 @@ def test_invariants_hold_after_every_relaxing_event(rng):
                 assert st.wstar_sandwich_ok()
 
 
+def test_a_hat_that_falls_far_resums_its_columns():
+    # event 7 inserts C[2,0] and moves S_c[2] from 0.003 to 0.81 at once.
+    # Subtracting row 2's refreshed hat from column 0's covering sum left
+    # rounding residue (-1.2e-164), so column 0, which packs nothing, read
+    # as never cheap and the replay stopped with row 2 at 0.81; resummed,
+    # column 0 is boosted until its rows reach 2 and then drops out
+    rng = np.random.default_rng(1032)
+    inst = random_positive(rng, 3, 3, 3, density=0.6)
+    stream = relaxing_stream_positive(rng, inst, 30)
+    st = GreedyState(inst)
+    st.run_static()
+    for _ in itertools.islice(_replay(st, inst, stream), 8):
+        pass
+    assert inst.P.col_map(0) == {} and inst.C.get(2, 0) > 0.0
+    assert st.exhausted[0] and st.S_c[2] >= 2.0
+
+
 def test_non_monotone_relaxing_rejected():
     st = GreedyState(positive([[1.0]], [[0.4]]))
     st.run_static()
@@ -467,6 +485,77 @@ def test_relax_inserting_new_covering_entry_revives():
     assert inst.P.matvec(x)[0] <= 1 + 200 * st.eps + 1e-9
 
 
+# -- Farkas gate on infeasible verdicts ------------------------------------------------------
+
+def farkas_ratio(st: GreedyState) -> float:
+    """min_k (P^T y_p)_k / (C^T y_c)_k over the columns that C touches, for the
+    state's exact weights normalized to sum one per side: y_p ~ exp(eta S_p)
+    and y_c ~ exp(-eta S_c). The rows are the caller's instance (the state's
+    storage) scaled by rhs_applied / rhs_true, so pending translations
+    count. Above 1 it proves that no x >= 0 has P x <= 1 and C x >= 1: any x
+    with C x >= 1 has max_i (P x)_i >= y_p . P x >= r y_c . C x >= r."""
+    lp = [st.eta * s for s in st.S_p]
+    lc = [-st.eta * s for s in st.S_c]
+    y_p = np.exp(np.array(lp) - _logsumexp(lp))
+    y_c = np.exp(np.array(lc) - _logsumexp(lc))
+    P = st.P.to_dense() * (np.array(st.rhs_applied_p) / np.array(st.rhs_true_p))[:, None]
+    C = st.C.to_dense() * (np.array(st.rhs_applied_c) / np.array(st.rhs_true_c))[:, None]
+    num, den = P.T @ (y_p / y_p.sum()), C.T @ (y_c / y_c.sum())
+    return min((a / b for a, b in zip(num, den) if b > 0.0), default=math.inf)
+
+
+def infeasible_ratios(inst, stream) -> list[float]:
+    """The Farkas ratio of every infeasible verdict of a static solve and of
+    the replay of ``stream`` after it, one per verdict."""
+    st = GreedyState(inst)
+    st.run_static()
+    ratios = [] if st.solved else [farkas_ratio(st)]
+    for _ in _replay(st, inst, stream):
+        if not st.solved:
+            ratios.append(farkas_ratio(st))
+    return ratios
+
+
+def test_farkas_ratio_of_the_two_row_witness():
+    # P = [1], C = [0.4]: y_p = y_c = 1 and r = 1 / 0.4
+    st = GreedyState(positive([[1.0]], [[0.4]]))
+    assert st.run_static().tag is OutcomeTag.INFEASIBLE
+    assert farkas_ratio(st) == pytest.approx(2.5)
+
+
+def test_farkas_gate_on_the_goldens():
+    ratios = {case: infeasible_ratios(*golden_inputs(case)) for case in GOLDEN}
+    assert ratios["feasible"] == [] and len(ratios["infeasible"]) == 1
+    assert len(ratios["relaxing"]) > 1
+    for case, rs in ratios.items():
+        assert all(r > 1.0 for r in rs), (case, rs)
+
+
+def test_farkas_gate_on_static_verdicts():
+    ratios = []
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        m_p, m_c, n = (int(v) for v in rng.integers(2, 5, size=3))
+        inst = random_positive(rng, m_p, m_c, n)
+        found = infeasible_ratios(inst, [])
+        if found:
+            assert not positive_feasible_exact(inst.P, inst.C, 0)[0], seed
+        ratios += [(seed, r) for r in found]
+    assert len(ratios) > 30
+    assert all(r > 1.0 for _, r in ratios), min(ratios, key=lambda sr: sr[1])
+
+
+def test_farkas_gate_on_relaxing_replays():
+    ratios = []
+    for seed in range(1000, 1040):
+        rng = np.random.default_rng(seed)
+        inst = random_positive(rng, 3, 3, 3, density=0.6)
+        ratios += [(seed, r) for r in
+                   infeasible_ratios(inst, relaxing_stream_positive(rng, inst, 30))]
+    assert len(ratios) > 300
+    assert all(r > 1.0 for _, r in ratios), min(ratios, key=lambda sr: sr[1])
+
+
 # -- budgets ----------------------------------------------------------------------------------
 
 def test_boost_budget_within_audit_constant(rng):
@@ -555,14 +644,16 @@ def record_jump_attempts(monkeypatch, look):
     return seen
 
 
-def golden_run(case):
+def golden_inputs(case):
     if case == "relaxing":
         rng = np.random.default_rng(19)
         inst = random_positive(rng, 3, 3, 3, density=0.6)
-        stream = relaxing_stream_positive(rng, inst, 30)
-    else:
-        inst = random_positive(np.random.default_rng(15 if case == "feasible" else 7), 3, 3, 3)
-        stream = []
+        return inst, relaxing_stream_positive(rng, inst, 30)
+    return random_positive(np.random.default_rng(15 if case == "feasible" else 7), 3, 3, 3), []
+
+
+def golden_run(case):
+    inst, stream = golden_inputs(case)
     st = GreedyState(inst)
     st.run_static()
     for _ in _replay(st, inst, stream):

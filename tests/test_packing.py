@@ -113,6 +113,18 @@ def test_no_power_at_or_below_the_packing_floor_passes(row, budget):
         assert not float(base @ np.exp(d * rate)) <= W
 
 
+def test_packing_floor_divides_before_it_multiplies():
+    # log_ratio * dot overflows to -inf at a dot of 1.2e306; the floor must
+    # still come out one below the first power that passes, not clamp to
+    # the budget although S(budget) passes
+    base, rate, W = np.full(5, 2.4769e305), np.full(5, -0.28768), 1e234
+    dot, bg = float(base.sum()), float(base @ rate)
+    floor = packing_floor(bg, dot, anchor_log_ratio(dot, W), 578)
+    assert floor == 577
+    assert not float(base @ np.exp(floor * rate)) <= W
+    assert float(base @ np.exp((floor + 1) * rate)) <= W
+
+
 def test_fast_packing_min_weight_positive():
     inst = packing([[1.0], [1.0]], lam=1.0, eps=0.1)
     outcome, stats = solve_packing_fast(inst)
