@@ -525,28 +525,31 @@ class GreedyState:
         given the segment's endpoint parts ``p0 = parts(0)`` and
         ``pB = parts(B)``.
 
-        h is convex, so its maximum sits at an endpoint; u is convex, so
-        its tangent lines at the two endpoints bound it from below.
+        g = h - u with h and u convex. h lies below its chord over [0, B],
+        and u lies above its tangents T0 and TB at the two endpoints, so
+        g(b) <= chord(b) - max(T0(b), TB(b)). That bound is concave and
+        piecewise linear; its maximum sits at b = 0 (h0 - u0), at b = B
+        (hB - uB), or at b*, where the tangents cross inside the segment
+        (only when us0 < usB). The bound follows g's own movement, so a
+        rise of h that u matches costs nothing; none of the three values
+        exceeds max(h0, hB) minus the tangents' minimum, so no segment is
+        refused that the separate bounds on h and u would certify.
 
-        The test is monotone in B: max(h0, hB) is the maximum of h over
-        [0, B], which does not fall as B grows, and a tangent taken farther
-        out lies lower on [0, B], so the bound on u does not rise. A B that
-        fails therefore fails for every longer segment too, which is what
-        lets _try_jump start its grid search anywhere.
+        The test is monotone in B: on [0, B] the chord over a longer
+        segment lies higher (a convex function's secant slope from 0 only
+        rises), and a tangent taken farther out lies lower, so the bound
+        at each b does not fall as B grows. A B that fails therefore fails
+        for every longer segment too, which is what lets _try_jump start
+        its grid search anywhere.
         """
         h0, _, u0, us0 = p0
         hB, _, uB, usB = pB
-        max_h = max(h0, hB)
-        if us0 >= 0.0:
-            min_u = u0
-        elif usB <= 0.0:
-            min_u = uB
-        elif us0 < usB:
+        worst = max(h0 - u0, hB - uB)
+        if us0 < usB:
             bstar = (uB - usB * B - u0) / (us0 - usB)
-            min_u = u0 + us0 * min(max(bstar, 0.0), B)
-        else:
-            min_u = min(u0, uB)
-        return max_h - min_u <= math.log1p(5.0 * self.eps) - 1e-12
+            if 0.0 < bstar < B:
+                worst = max(worst, h0 + (hB - h0) * bstar / B - (u0 + us0 * bstar))
+        return worst <= math.log1p(5.0 * self.eps) - 1e-12
 
     def _segment_cap(self, k: int, delta: float) -> float:
         """b_hi: the longest segment of same-size boosts on k that leaves
@@ -587,6 +590,13 @@ class GreedyState:
         _segment_certified is monotone in B, this lands on the grid point
         a climb from 16 stops at, after one endpoint evaluation at b = 0
         and typically two on the grid.
+
+        The certificate bounds g itself rather than h and u apart, so a
+        coordinate that stays well inside the bar certifies segments of
+        up to b_hi boosts: a run of 10^5 boosts takes a few jumps, each
+        followed by one O(m + nnz) _resync. Near the bar most attempts
+        certify nothing and fall back to one boost, and those rejected
+        attempts are then what a run costs.
         """
         b_hi = self._segment_cap(k, delta)
         if not b_hi >= 16:

@@ -571,13 +571,13 @@ def test_boost_budget_within_audit_constant(rng):
 
 def test_every_accepted_jump_stays_cheap(monkeypatch):
     # the certified segment keeps the exact cost within (1+5 eps) of the
-    # exact lambda_0 at its start, middle and end
+    # exact lambda_0 at 17 evenly spaced lengths from 1 to B
     jump = GreedyState._jump
     checked = []
 
     def checked_jump(self, k, delta, B):
         assert B >= 16
-        for b in (1, B // 2, B):
+        for b in sorted({max(1, B * i // 16) for i in range(17)}):
             trial = copy.deepcopy(self)
             if jump(trial, k, delta, b):
                 trial._resync()  # a solving jump returns before the rebuild
@@ -675,7 +675,9 @@ def test_segment_profile_matches_a_fresh_build(monkeypatch):
     # the per-run profile is reused across attempts; at every attempt it
     # must give the endpoints a build from the current state gives. Columns
     # 0 and 2 of the first instance share their increment, so a profile
-    # keyed without the run would be reused across coordinates
+    # keyed without the run would be reused across coordinates. Criterion
+    # 8's first 50 draws add the attempts that certified jumps no longer
+    # need on the two fixed runs
     profile = GreedyState._segment_profile
     compared = []
 
@@ -691,6 +693,11 @@ def test_segment_profile_matches_a_fresh_build(monkeypatch):
     solve_static_positive(positive([[0.5, 0.2, 0.1], [0.1, 0.5, 0.4]],
                                    [[1.0, 0.3, 1.0], [0.3, 1.0, 0.5]]))
     golden_run("relaxing")
+    rng = np.random.default_rng(808)
+    for _ in range(50):
+        m_p, m_c, n = int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        solve_static_positive(random_positive(rng, m_p, m_c, n,
+                                              density=float(rng.uniform(0.4, 1.0))))
     assert len(compared) > 2000 and all(compared)
 
 
@@ -719,6 +726,72 @@ def test_certification_is_monotone_on_the_grid(seed):
         for _ in _replay(st, inst, relaxing_stream_positive(rng, inst, 10)):
             pass
     assert len(seen) == st.stats.jump_attempts
+
+
+def reference_certified(eps, p0, pB, B):
+    """The segment test the chord/tangent bound replaced: h's larger endpoint
+    against u's minimum under its two endpoint tangents. Kept as the
+    reference the new bound must never fall short of."""
+    h0, _, u0, us0 = p0
+    hB, _, uB, usB = pB
+    max_h = max(h0, hB)
+    if us0 >= 0.0:
+        min_u = u0
+    elif usB <= 0.0:
+        min_u = uB
+    elif us0 < usB:
+        bstar = (uB - usB * B - u0) / (us0 - usB)
+        min_u = u0 + us0 * min(max(bstar, 0.0), B)
+    else:
+        min_u = min(u0, uB)
+    return max_h - min_u <= math.log1p(5.0 * eps) - 1e-12
+
+
+@given(hst.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_chord_tangent_bound_is_sound_and_keeps_every_old_segment(seed):
+    # at every attempt and every grid length B up to b_hi (and b_hi when it
+    # is finite): the exact g = h - u stays under the bar at 33 evenly
+    # spaced points of [0, B] and at the tangents' crossing b* whenever
+    # the bound certifies B, and every B the old test certified certifies.
+    # A run in the infeasible regime can make 20,000 attempts, so only a
+    # run's first 1,000 are checked, which keeps an example under a second
+    certified = []
+
+    def check(state, k, delta, b_hi):
+        if state.stats.jump_attempts >= 1000:
+            return None
+        parts = state._segment_profile(k, delta)
+        p0 = parts(0.0)
+        bar = math.log1p(5.0 * state.eps) + 1e-9
+        grid = [16 * 4 ** i for i in range(11) if 16 * 4 ** i <= b_hi]
+        if b_hi < math.inf and b_hi not in grid:
+            grid.append(b_hi)
+        for B in map(float, grid):
+            pB = parts(B)
+            ok = state._segment_certified(p0, pB, B)
+            assert ok or not reference_certified(state.eps, p0, pB, B), (k, delta, B)
+            if not ok:
+                continue
+            points = list(np.linspace(0.0, B, 33))
+            (_, _, u0, us0), (_, _, uB, usB) = p0, pB
+            if us0 < usB:
+                points.append(min(max((uB - usB * B - u0) / (us0 - usB), 0.0), B))
+            for b in points:
+                h, _, u, _ = parts(float(b))
+                assert h - u <= bar, (k, delta, B, b, h - u)
+            certified.append(B)
+
+    with pytest.MonkeyPatch.context() as mp:
+        seen = record_jump_attempts(mp, check)
+        rng = np.random.default_rng(seed)
+        inst = random_positive(rng, *rng.integers(1, 4, size=3), density=0.7)
+        st = GreedyState(inst)
+        st.run_static()
+        for _ in _replay(st, inst, relaxing_stream_positive(rng, inst, 10)):
+            pass
+    assert len(seen) == st.stats.jump_attempts
+    assert len(certified) >= sum(got > 0 for _, got in seen[:1000])
 
 
 def test_audit_mode_never_jumps():
