@@ -433,12 +433,18 @@ class GreedyState:
         every weight along an exponential of the boost count, so a whole
         segment is executed at once when a convexity bound certifies that
         the coordinate stays cheap throughout (see _segment_certified).
-        After 24 single boosts on k, every further boost first tries a
-        jump: _try_jump evaluates the segment's b = 0 endpoint once and
-        then one endpoint per candidate length on the 16 * 4^i grid,
-        starting from the length k's last attempt certified, plus one
-        probe at the cap b_hi. A rejected attempt falls back to a single
-        boost. Audit mode single-steps everything.
+        After 24 single boosts on k, a boost may first try a jump:
+        _try_jump evaluates the segment's b = 0 endpoint once and then one
+        endpoint per candidate length on the 16 * 4^i grid, starting from
+        the length k's last attempt certified, plus one probe at the cap
+        b_hi. A refused attempt (nothing certified, or b_hi < 16) falls
+        back to a single boost and backs off within the run: the next
+        attempt waits 1, 2, 4, ... further singles (attempts at singles
+        24, 25, 27, 31, 39, ...), and an accepted jump resets the wait, so
+        the next boost tries again at once. A run that has made s singles
+        has been refused at most 1 + log2(s - 23) times; since every jump
+        is still certified, the back-off only decides when attempts are
+        made, never what a jump may do. Audit mode single-steps everything.
 
         Each run has its own serial: only the rows of column k move while
         k boosts, so the slopes, log-entries and off-column constants of
@@ -449,6 +455,7 @@ class GreedyState:
         self._run += 1
         scale = self.eps / (2.0 * self.eta)
         singles = 0
+        next_try, gap = 24, 1
         while self._cheap(k):
             top = self._top(k)
             if top == 0.0:
@@ -458,12 +465,14 @@ class GreedyState:
                 self.exhausted[k] = True
                 return False
             delta = scale / top
-            if singles >= 24 and self.audit_hook is None:
+            if singles >= next_try and self.audit_hook is None:
                 jumped, solved = self._try_jump(k, delta)
                 if solved:
                     return True
                 if jumped:
+                    gap = 1
                     continue
+                next_try, gap = singles + gap, 2 * gap
             if self._boost_once(k, delta):
                 return True
             singles += 1
@@ -595,8 +604,9 @@ class GreedyState:
         coordinate that stays well inside the bar certifies segments of
         up to b_hi boosts: a run of 10^5 boosts takes a few jumps, each
         followed by one O(m + nnz) _resync. Near the bar most attempts
-        certify nothing and fall back to one boost, and those rejected
-        attempts are then what a run costs.
+        certify nothing and fall back to one boost; _boost_run spaces
+        the attempts after each refusal, so a run pays for O(log s) of
+        them over its s singles rather than one per boost.
         """
         b_hi = self._segment_cap(k, delta)
         if not b_hi >= 16:

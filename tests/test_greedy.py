@@ -531,27 +531,93 @@ def test_farkas_gate_on_the_goldens():
         assert all(r > 1.0 for r in rs), (case, rs)
 
 
-def test_farkas_gate_on_static_verdicts():
+def gate_input(seed):
+    """The Farkas gate's inputs: seeds 0-59 are static solves, seeds
+    1000-1039 relaxing replays. A replay writes into its instance, so each
+    call draws a fresh copy."""
+    rng = np.random.default_rng(seed)
+    if seed < 1000:
+        m_p, m_c, n = (int(v) for v in rng.integers(2, 5, size=3))
+        return random_positive(rng, m_p, m_c, n), []
+    inst = random_positive(rng, 3, 3, 3, density=0.6)
+    return inst, relaxing_stream_positive(rng, inst, 30)
+
+
+GATE_SEEDS = [*range(60), *range(1000, 1040)]
+
+
+def verdicts(st, inst, stream):
+    """Solve, then replay ``stream``; yields the outcome after the static
+    solve and after each event."""
+    st.run_static()
+    yield st.current_outcome()
+    for _ in _replay(st, inst, stream):
+        yield st.current_outcome()
+
+
+@pytest.fixture(scope="module")
+def gate_runs():
+    """Each gate seed solved twice, by the back-off and by the every-boost
+    reference (EveryBoostAttempts below). Per seed: the instance, the
+    back-off's verdicts with the Farkas ratio of each infeasible one and
+    the check_certificate verdict of each solution, its state, its per-run
+    log of _try_jump calls, and the reference's verdicts and state.
+
+    The per-run log keys on the run serial and holds [singles made so far,
+    [(singles, accepted) at each _try_jump call]]; a refusal by the b_hi
+    cap is a call too."""
+    try_jump, boost_once = GreedyState._try_jump, GreedyState._boost_once
+
+    def logged_jump(self, k, delta):
+        out = try_jump(self, k, delta)
+        if type(self) is GreedyState:
+            run = runs.setdefault(self._run, [0, []])
+            run[1].append((run[0], out[0]))
+        return out
+
+    def logged_boost(self, k, delta):
+        if type(self) is GreedyState:
+            runs.setdefault(self._run, [0, []])[0] += 1
+        return boost_once(self, k, delta)
+
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GreedyState, "_try_jump", logged_jump)
+        mp.setattr(GreedyState, "_boost_once", logged_boost)
+        for seed in GATE_SEEDS:
+            runs = {}
+            inst, stream = gate_input(seed)
+            slack = CertificateSlack.greedy_positive(inst.eps)
+            st = GreedyState(inst)
+            tags, ratios, certified = [], [], []
+            for got in verdicts(st, inst, stream):
+                tags.append(got.tag)
+                if got.tag is OutcomeTag.POSITIVE_SOLUTION:
+                    certified.append(check_certificate(inst, got, slack).ok)
+                else:
+                    ratios.append(farkas_ratio(st))
+            ref_inst, ref_stream = gate_input(seed)
+            ref = EveryBoostAttempts(ref_inst)
+            ref_tags = [got.tag for got in verdicts(ref, ref_inst, ref_stream)]
+            out[seed] = dict(inst=inst, tags=tags, ratios=ratios, certified=certified,
+                             state=st, runs=runs, ref_tags=ref_tags, ref=ref)
+    return out
+
+
+def test_farkas_gate_on_static_verdicts(gate_runs):
     ratios = []
     for seed in range(60):
-        rng = np.random.default_rng(seed)
-        m_p, m_c, n = (int(v) for v in rng.integers(2, 5, size=3))
-        inst = random_positive(rng, m_p, m_c, n)
-        found = infeasible_ratios(inst, [])
-        if found:
+        run = gate_runs[seed]
+        if run["ratios"]:
+            inst = run["inst"]
             assert not positive_feasible_exact(inst.P, inst.C, 0)[0], seed
-        ratios += [(seed, r) for r in found]
+        ratios += [(seed, r) for r in run["ratios"]]
     assert len(ratios) > 30
     assert all(r > 1.0 for _, r in ratios), min(ratios, key=lambda sr: sr[1])
 
 
-def test_farkas_gate_on_relaxing_replays():
-    ratios = []
-    for seed in range(1000, 1040):
-        rng = np.random.default_rng(seed)
-        inst = random_positive(rng, 3, 3, 3, density=0.6)
-        ratios += [(seed, r) for r in
-                   infeasible_ratios(inst, relaxing_stream_positive(rng, inst, 30))]
+def test_farkas_gate_on_relaxing_replays(gate_runs):
+    ratios = [(seed, r) for seed in range(1000, 1040) for r in gate_runs[seed]["ratios"]]
     assert len(ratios) > 300
     assert all(r > 1.0 for _, r in ratios), min(ratios, key=lambda sr: sr[1])
 
@@ -792,6 +858,67 @@ def test_chord_tangent_bound_is_sound_and_keeps_every_old_segment(seed):
             pass
     assert len(seen) == st.stats.jump_attempts
     assert len(certified) >= sum(got > 0 for _, got in seen[:1000])
+
+
+# -- jump back-off ----------------------------------------------------------------------
+
+class EveryBoostAttempts(GreedyState):
+    """The attempt rule the back-off replaced: once a run has made 24 single
+    boosts, every further boost first tries a jump. Kept as the reference
+    the back-off must match in verdicts and never exceed in attempts."""
+
+    def _boost_run(self, k):
+        if self.exhausted[k]:
+            return False
+        self._run += 1
+        scale = self.eps / (2.0 * self.eta)
+        singles = 0
+        while self._cheap(k):
+            top = self._top(k)
+            if top == 0.0:
+                self.exhausted[k] = True
+                return False
+            delta = scale / top
+            if singles >= 24 and self.audit_hook is None:
+                jumped, solved = self._try_jump(k, delta)
+                if solved:
+                    return True
+                if jumped:
+                    continue
+            if self._boost_once(k, delta):
+                return True
+            singles += 1
+        lwc = math.log(self.tot_c) + self.off_c
+        if self.log_wstar_c > lwc + math.log1p(self.eps):
+            self.log_wstar_c = lwc
+            self.stats.wstar_refreshes += 1
+        return False
+
+
+def test_back_off_keeps_verdicts_and_spaces_refused_attempts(gate_runs):
+    windows = 0
+    for seed, run in gate_runs.items():
+        st, ref = run["state"], run["ref"]
+        assert run["tags"] == run["ref_tags"], seed
+        assert all(run["certified"]), seed
+        assert all(r > 1.0 for r in run["ratios"]), seed
+        assert st.stats.jump_attempts <= ref.stats.jump_attempts, seed
+        assert sum(len(a) for _, a in run["runs"].values()) >= st.stats.jump_attempts
+        # an accepted jump resets the wait; between resets, the r-th refusal
+        # comes 2^(r-1) - 1 singles after the first and is followed by one
+        # single, so r refusals span at least 2^(r-1) singles
+        for singles, attempts in run["runs"].values():
+            first, refused = None, 0
+            for at, accepted in attempts + [(singles, True)]:
+                if accepted:
+                    if refused:
+                        windows += 1
+                        assert refused <= 1 + int(math.log2(at - first)), (seed, first, at)
+                    first, refused = None, 0
+                else:
+                    first = at if first is None else first
+                    refused += 1
+    assert windows > 1000
 
 
 def test_audit_mode_never_jumps():
