@@ -205,7 +205,7 @@ GOLDEN_POSITIVE_REPLAY = {
                "min": 0.0842208556884484, "max": 0.2229429666831455},
     "stats": {"boosts": 276296, "phases": 103, "heap_readjusts": 0,
               "weight_refreshes": 55806, "wstar_refreshes": 513,
-              "translations_applied": 11, "jump_attempts": 8339, "jumps": 2554,
+              "translations_applied": 11, "jump_attempts": 4577, "jumps": 2554,
               "jump_boosts": 258160, "outcome": "positive_solution"},
 }
 
