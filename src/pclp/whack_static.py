@@ -113,7 +113,7 @@ def jensen_guess(bg: float, dot: float, log_ratio: float, budget: int) -> int:
     formula says nothing: dot <= 0, bg = 0, or W on the wrong side of dot."""
     if bg == 0.0:
         return 1
-    d = log_ratio * dot / bg
+    d = log_ratio * (dot / bg)  # divided first: log_ratio * dot overflows near 1e306
     if not d > 1.0:  # also NaN
         return 1
     return budget if d >= budget else math.ceil(d)

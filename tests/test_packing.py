@@ -125,7 +125,16 @@ def test_packing_floor_divides_before_it_multiplies():
     assert float(base @ np.exp((floor + 1) * rate)) <= W
 
 
-def test_fast_packing_min_weight_positive():
+def test_jensen_guess_divides_before_it_multiplies():
+    # the packing row above: log_ratio * dot is -inf, which would clamp the
+    # guess to the budget; the bound itself is 578, the first power that passes
+    base, rate, W = np.full(5, 2.4769e305), np.full(5, -0.28768), 1e234
+    dot, bg = float(base.sum()), float(base @ rate)
+    assert jensen_guess(bg, dot, anchor_log_ratio(dot, W), 10 ** 12) == 578
+    assert float(base @ np.exp(578 * rate)) <= W
+
+
+
     inst = packing([[1.0], [1.0]], lam=1.0, eps=0.1)
     outcome, stats = solve_packing_fast(inst)
     assert stats.min_weight > 0.0
