@@ -4,9 +4,18 @@ their audit budgets, certified-jump attempts, accepted jumps and boosts per
 jump, segment endpoint evaluations per jump attempt, plus the
 feasible/infeasible split by density.
 
-Endpoint evaluations are the calls of the ``parts`` function that
-``GreedyState._segment_profile`` returns; the script counts them by
-wrapping that method, so the solver carries no counter for them.
+Each trial also says why its single boosts were not jumps:
+- ``pre_attempt_singles``: boosts a run made before its first jump attempt
+  (its first 24 singles, or all of a shorter run);
+- ``cap_refusals``: attempts that ``_segment_cap`` refused (b_hi < 16,
+  because the increment or the active set is about to change);
+- ``certify_refusals``: attempts whose segment search certified nothing;
+- ``backoff_skipped``: singles after a run's first attempt that the
+  back-off made without an attempt before them.
+
+The script counts all of these, and the calls of the ``parts`` function
+that ``GreedyState._segment_profile`` returns (endpoint evaluations), by
+wrapping solver methods, so the solver carries no counter for them.
 
     PYTHONPATH=src python scripts/run_greedy_experiments.py --trials 5 --seed 1
 """
@@ -20,7 +29,15 @@ import numpy as np
 from pclp.generate import random_positive, relaxing_stream_positive
 from pclp.greedy import GreedyState, solve_static_positive
 
-ENDPOINTS = [0]  # parts(b) evaluations since the last reset
+COUNTS = dict.fromkeys(["endpoints", "pre_attempt_singles", "cap_refusals", "backoff_skipped"], 0)
+# the boost run the wrappers last saw, whether it has tried a jump yet, and
+# whether its last step was an attempt
+RUN = {"serial": None, "tried": False, "after_try": False}
+
+
+def _enter_run(state):
+    if RUN["serial"] != state._run:
+        RUN.update(serial=state._run, tried=False, after_try=False)
 
 
 def _counting_profile(profile):
@@ -28,10 +45,41 @@ def _counting_profile(profile):
         parts = profile(self, k, delta)
 
         def counted(b):
-            ENDPOINTS[0] += 1
+            COUNTS["endpoints"] += 1
             return parts(b)
 
         return counted
+
+    return wrapped
+
+
+def _counting_cap(cap):
+    def wrapped(self, k, delta):
+        b_hi = cap(self, k, delta)
+        COUNTS["cap_refusals"] += not b_hi >= 16
+        return b_hi
+
+    return wrapped
+
+
+def _counting_try(try_jump):
+    def wrapped(self, k, delta):
+        _enter_run(self)
+        RUN.update(tried=True, after_try=True)
+        return try_jump(self, k, delta)
+
+    return wrapped
+
+
+def _counting_boost(boost_once):
+    def wrapped(self, k, delta):
+        _enter_run(self)
+        if not RUN["tried"]:
+            COUNTS["pre_attempt_singles"] += 1
+        elif not RUN["after_try"]:
+            COUNTS["backoff_skipped"] += 1
+        RUN["after_try"] = False
+        return boost_once(self, k, delta)
 
     return wrapped
 
@@ -49,9 +97,13 @@ def main() -> int:
     args = ap.parse_args()
 
     GreedyState._segment_profile = _counting_profile(GreedyState._segment_profile)
+    GreedyState._segment_cap = _counting_cap(GreedyState._segment_cap)
+    GreedyState._try_jump = _counting_try(GreedyState._try_jump)
+    GreedyState._boost_once = _counting_boost(GreedyState._boost_once)
     rng = np.random.default_rng(args.seed)
     for trial in range(args.trials):
-        ENDPOINTS[0] = 0
+        COUNTS.update(dict.fromkeys(COUNTS, 0))
+        RUN.update(serial=None)  # a new state numbers its runs from 1 again
         inst = random_positive(rng, args.mp, args.mc, args.n, density=args.density)
         outcome, state = solve_static_positive(inst)
         if args.relax_tau and not state.solved:
@@ -79,8 +131,12 @@ def main() -> int:
             "jumps": state.stats.jumps,
             "boosts_per_jump": (round(state.stats.jump_boosts / state.stats.jumps, 1)
                                 if state.stats.jumps else 0.0),
-            "endpoints_per_attempt": (round(ENDPOINTS[0] / state.stats.jump_attempts, 3)
+            "endpoints_per_attempt": (round(COUNTS["endpoints"] / state.stats.jump_attempts, 3)
                                       if state.stats.jump_attempts else 0.0),
+            "pre_attempt_singles": COUNTS["pre_attempt_singles"],
+            "cap_refusals": COUNTS["cap_refusals"],
+            "certify_refusals": state.stats.jump_attempts - state.stats.jumps,
+            "backoff_skipped": COUNTS["backoff_skipped"],
             "weight_refreshes": state.stats.weight_refreshes,
             "heap_readjusts": state.stats.heap_readjusts,
             "translations": state.stats.translations_applied,
