@@ -441,8 +441,8 @@ class GreedyState:
         back to a single boost and backs off within the run: the next
         attempt waits 1, 2, 4, ... further singles (attempts at singles
         24, 25, 27, 31, 39, ...), and an accepted jump resets the wait, so
-        the next boost tries again at once. A run that has made s singles
-        has been refused at most 1 + log2(s - 23) times; since every jump
+        the next boost tries again at once. Between two resets, r
+        refusals therefore take at least 2^(r-1) singles; since every jump
         is still certified, the back-off only decides when attempts are
         made, never what a jump may do. Audit mode single-steps everything.
 

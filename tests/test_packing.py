@@ -134,7 +134,7 @@ def test_jensen_guess_divides_before_it_multiplies():
     assert float(base @ np.exp(578 * rate)) <= W
 
 
-
+def test_fast_packing_min_weight_positive():
     inst = packing([[1.0], [1.0]], lam=1.0, eps=0.1)
     outcome, stats = solve_packing_fast(inst)
     assert stats.min_weight > 0.0
