@@ -11,6 +11,25 @@ Instance files (UTF-8, 0-based indexes)::
     C i j v                  a j v
     ...                      b i v
 
+An instance file is read as the records it holds:
+
+* ``#`` starts a comment that runs to the end of its line; blank lines,
+  comment lines and CRLF line endings are skipped, so the header is the
+  first line that holds a record, and tokens are split on any whitespace.
+* Entry records are applied in file order with the rules of
+  ``SparseNonnegMatrix.set``: a later line for the same (i, j) overwrites
+  the value in place and keeps the first line's position in the row's and
+  the column's order; a zero value removes the entry, and a later non-zero
+  value puts it back at the end. An ``a`` or ``b`` line overwrites the
+  value an earlier one set.
+* ``L`` and ``U`` of a positive or general instance are the least and the
+  largest of the stored entries (and of ``a`` and ``b``), so a value a
+  later line overwrote, or a zero, does not count.
+* A malformed header or record, an index outside the header's shape (a
+  negative one included) and a negative entry are each a ``ParseError``
+  naming the line; NaN and infinite values parse, and ``validate`` rejects
+  them.
+
 Update streams are ``set`` lines against the same names::
 
     set C i j v
@@ -25,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -52,87 +72,171 @@ class SetLine:
     value: float
 
 
-def _tokens(text: str) -> Iterator[list[str]]:
+def _tokens(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of every line that holds a record."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        yield [str(lineno)] + line.split()
+        parts = raw.partition("#")[0].split()
+        if parts:
+            yield lineno, parts
 
 
-def _entry(parts: list[str], what: str) -> tuple[int, int, float]:
-    lineno = parts[0]
-    if len(parts) != 5:
-        raise ParseError(f"line {lineno}: malformed {what} entry: {' '.join(parts[1:])}")
+def _records(text: str) -> Iterator[list[str]]:
+    """The tokens of ``_tokens``' records, without their line numbers: each
+    line is split once, when the iterator reaches it."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = (raw.partition("#")[0] for raw in lines)
+    return filter(None, map(str.split, lines))
+
+
+#: per kind: the names and types of the header's fields after the kind word
+_HEADERS = {"covering": (("m", int), ("n", int), ("lambda", float)),
+            "packing": (("m", int), ("n", int), ("lambda", float)),
+            "positive": (("mp", int), ("mc", int), ("n", int)),
+            "general": (("m", int), ("n", int))}
+
+#: per kind: the record tags it takes and the names of each one's indexes
+_RECORDS = {"covering": {"C": "i j"}, "packing": {"P": "i j"},
+            "positive": {"P": "i j", "C": "i j"},
+            "general": {"C": "i j", "a": "j", "b": "i"}}
+
+#: records converted at a time: a file's tokens are never all held at once
+_BLOCK = 64
+
+
+def _shapes(kind: str, header: list) -> dict[str, tuple[int, ...]]:
+    """Each record tag's index bounds: (rows, columns) of a matrix, (length,)
+    of a vector."""
+    if kind == "positive":
+        mp, mc, n = header
+        return {"P": (mp, n), "C": (mc, n)}
+    m, n = header[:2]
+    return {"C": (m, n), "P": (m, n), "a": (n,), "b": (m,)}
+
+
+def _convert(records: Iterator[list[str]], kind: str,
+             shapes: dict[str, tuple[int, ...]]) -> dict[str, tuple[list, ...]]:
+    """Per record tag of ``kind``, the index columns (ints) and the value
+    column (floats) of its records, in file order. The records are taken a
+    block at a time: a block whose records all carry one tag is transposed
+    and each of its columns converted in one ``map``; a block that mixes
+    tags is converted record by record. A record of an unknown tag or of
+    the wrong width, or a token that is not a number, raises LookupError or
+    ValueError."""
+    out = {tag: ([], [], []) if len(shapes[tag]) == 2 else ([], []) for tag in _RECORDS[kind]}
+    while block := list(islice(records, _BLOCK)):
+        tag = block[0][0]
+        if tag == block[-1][0]:
+            tokens = list(zip(*block))
+            if tokens[0].count(tag) == len(block):
+                columns = out[tag]
+                if len(tokens) != len(columns) + 1 \
+                        or sum(map(len, block)) != len(block) * len(tokens):
+                    raise ValueError("a record of the wrong width")
+                for column, text in zip(columns[:-1], tokens[1:-1]):
+                    column.extend(map(int, text))
+                columns[-1].extend(map(float, tokens[-1]))
+                continue
+        for parts in block:
+            columns = out[parts[0]]
+            if len(parts) == 4:
+                _, i, j, v = parts
+                rows, cols, vals = columns
+                rows.append(int(i))
+                cols.append(int(j))
+                vals.append(float(v))
+            else:
+                _, k, v = parts
+                index, vals = columns
+                index.append(int(k))
+                vals.append(float(v))
+    return out
+
+
+def _build(columns: tuple[list, ...], shape: tuple[int, ...]):
+    """The matrix (``shape`` (m, n)) or vector (``shape`` (n,)) that records
+    with these converted columns write in turn; an index outside ``shape``
+    or a negative entry raises ValueError or IndexError."""
+    if len(shape) == 2:
+        return SparseNonnegMatrix.from_entries(*shape, zip(*columns))
+    out = np.zeros(shape[0])
+    for j, v in zip(*columns):
+        if j < 0:
+            raise IndexError(f"negative index {j}")
+        out[j] = v
+    return out
+
+
+def _record_error(parts: list[str], kind: str, shapes: dict[str, tuple[int, ...]]) -> str | None:
+    """Why one record of a ``kind`` file is bad, or None."""
+    tag, names = parts[0], _RECORDS[kind].get(parts[0])
+    if names is None:
+        return f"expected {' or '.join(_RECORDS[kind])} records, got {tag!r}"
+    if len(parts) != 2 + len(names.split()):
+        return f"{tag} needs {names} v: {' '.join(parts)}"
     try:
-        return int(parts[2]), int(parts[3]), float(parts[4])
-    except ValueError as exc:
-        raise ParseError(f"line {lineno}: {exc}") from exc
+        index = [int(t) for t in parts[1:-1]]
+        value = float(parts[-1])
+    except ValueError:
+        return f"{tag} needs integer indexes and a number: {' '.join(parts)}"
+    where = ",".join(map(str, index))
+    if not all(0 <= k < size for k, size in zip(index, shapes[tag])):
+        return f"{tag}[{where}] outside shape {shapes[tag]}"
+    if len(index) == 2 and value < 0.0:
+        return f"negative entry {tag}[{where}]={value}"
+    return None
 
 
 def parse_instance(text: str, eps: float = 0.1):
-    """Parse an instance file; ``eps`` is attached where the type carries one."""
-    it = _tokens(text)
+    """Parse an instance file; ``eps`` is attached where the type carries one.
+
+    One pass over the lines splits each record and converts its numbers
+    (``_convert``); each matrix is then built by one
+    ``SparseNonnegMatrix.from_entries`` call. Only when either raises is the
+    file walked again, record by record, to name the first bad line."""
+    records = _records(text)
+    head = next(records, None)
+    if head is None:
+        raise ParseError("empty instance file")
+    kind, *fields = head
+    spec = _HEADERS.get(kind)
+    if spec is None:
+        raise ParseError(f"line {next(_tokens(text))[0]}: unknown instance kind {kind!r}")
     try:
-        header = next(it)
-    except StopIteration:
-        raise ParseError("empty instance file") from None
-    kind = header[1]
+        if len(fields) != len(spec):
+            raise ValueError
+        header = [convert(t) for (_, convert), t in zip(spec, fields)]
+    except ValueError:
+        raise ParseError(f"line {next(_tokens(text))[0]}: {kind} header needs "
+                         f"{' '.join(name for name, _ in spec)}: {' '.join(head)}") from None
+    shapes = _shapes(kind, header)
+    if min(map(min, shapes.values())) < 1:
+        raise ParseError(f"line {next(_tokens(text))[0]}: a matrix must be at least 1x1: "
+                         f"{' '.join(head)}")
     try:
-        if kind in ("covering", "packing"):
-            m, n, lam = int(header[2]), int(header[3]), float(header[4])
-            mat = SparseNonnegMatrix(m, n)
-            want = "C" if kind == "covering" else "P"
-            for parts in it:
-                if parts[1] != want:
-                    raise ParseError(f"line {parts[0]}: expected {want} entries")
-                i, j, v = _entry(parts, want)
-                mat.set(i, j, v)
-            if kind == "covering":
-                return NormalizedCoveringInstance(C=mat, lam=lam, eps=eps)
-            return PackingInstanceView(P=mat, lam=lam, eps=eps)
-        if kind == "positive":
-            mp, mc, n = int(header[2]), int(header[3]), int(header[4])
-            P = SparseNonnegMatrix(mp, n)
-            C = SparseNonnegMatrix(mc, n)
-            for parts in it:
-                if parts[1] == "P":
-                    i, j, v = _entry(parts, "P")
-                    P.set(i, j, v)
-                elif parts[1] == "C":
-                    i, j, v = _entry(parts, "C")
-                    C.set(i, j, v)
-                else:
-                    raise ParseError(f"line {parts[0]}: expected P or C entries")
-            vals = [v for _, _, v in P.entries()] + [v for _, _, v in C.entries()]
-            L = min(vals) if vals else 1.0
-            U = max(vals) if vals else 1.0
-            return PositiveInstance(P=P, C=C, L=L, U=U, eps=eps)
-        if kind == "general":
-            m, n = int(header[2]), int(header[3])
-            C = SparseNonnegMatrix(m, n)
-            a = np.zeros(n)
-            b = np.zeros(m)
-            for parts in it:
-                if parts[1] == "C":
-                    i, j, v = _entry(parts, "C")
-                    C.set(i, j, v)
-                elif parts[1] in ("a", "b"):
-                    if len(parts) != 4:
-                        raise ParseError(f"line {parts[0]}: malformed {parts[1]} line")
-                    idx, v = int(parts[2]), float(parts[3])
-                    (a if parts[1] == "a" else b)[idx] = v
-                else:
-                    raise ParseError(f"line {parts[0]}: unknown record {parts[1]}")
-            if np.any(a <= 0) or np.any(b <= 0):
-                raise ParseError("general instance requires every a_j and b_i set positive")
-            vals = [v for _, _, v in C.entries()] + list(a) + list(b)
-            return GeneralInstance(C=C, a=a, b=b, L=min(vals), U=max(vals))
-    except ParseError:
-        raise
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"bad header or entry: {exc}") from exc
-    raise ParseError(f"unknown instance kind {kind!r}")
+        columns = _convert(records, kind, shapes)
+        built = {tag: _build(cols, shapes[tag]) for tag, cols in columns.items()}
+    except (LookupError, ValueError) as exc:
+        for lineno, parts in islice(_tokens(text), 1, None):
+            why = _record_error(parts, kind, shapes)
+            if why is not None:
+                raise ParseError(f"line {lineno}: {why}") from None
+        raise ParseError(f"bad entry: {exc}") from None
+    if kind == "covering":
+        return NormalizedCoveringInstance(C=built["C"], lam=header[2], eps=eps)
+    if kind == "packing":
+        return PackingInstanceView(P=built["P"], lam=header[2], eps=eps)
+    if kind == "positive":
+        P, C = built["P"], built["C"]
+        vals = P.values() + C.values()
+        L = min(vals) if vals else 1.0
+        U = max(vals) if vals else 1.0
+        return PositiveInstance(P=P, C=C, L=L, U=U, eps=eps)
+    C, a, b = built["C"], built["a"], built["b"]
+    if np.any(a <= 0) or np.any(b <= 0):
+        raise ParseError("general instance requires every a_j and b_i set positive")
+    vals = C.values() + list(a) + list(b)
+    return GeneralInstance(C=C, a=a, b=b, L=min(vals), U=max(vals))
 
 
 def emit_instance(instance) -> str:
@@ -170,22 +274,21 @@ _SET_ARGS = {"C": "i j v", "P": "i j v", "a": "j v", "b": "i v"}
 
 def parse_updates(text: str) -> list[SetLine]:
     out: list[SetLine] = []
-    for parts in _tokens(text):
-        lineno = parts[0]
-        if parts[1] != "set":
+    for lineno, parts in _tokens(text):
+        if parts[0] != "set":
             raise ParseError(f"line {lineno}: update lines must start with 'set'")
-        target = parts[2] if len(parts) > 2 else ""
+        target = parts[1] if len(parts) > 1 else ""
         args = _SET_ARGS.get(target)
         if args is None:
             raise ParseError(f"line {lineno}: unknown set target {target!r}")
-        if len(parts) != 3 + len(args.split()):
+        if len(parts) != 2 + len(args.split()):
             raise ParseError(f"line {lineno}: set {target} needs {args}")
         try:
-            idx = [int(t) for t in parts[3:-1]]
+            idx = [int(t) for t in parts[2:-1]]
             value = float(parts[-1])
         except ValueError:
             raise ParseError(f"line {lineno}: set {target} needs integer indexes and a "
-                             f"number: {' '.join(parts[1:])}") from None
+                             f"number: {' '.join(parts)}") from None
         if not math.isfinite(value):
             raise ParseError(f"line {lineno}: set {target} value is not finite: {value}")
         if target in ("C", "P"):

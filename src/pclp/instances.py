@@ -119,11 +119,25 @@ class PositiveInstance:
         return self.P.n
 
 
-def _matrix_errors(mat: SparseNonnegMatrix, lam: float | None, name: str) -> list[ValidationError]:
+def _all_within(vals: list[float], lo: float, hi: float) -> bool:
+    """True when every value is finite and in [lo, hi]; a NaN value or bound
+    gives False, and the caller then finds the errors entry by entry."""
+    inf = math.inf
+    for v in vals:
+        if not (lo <= v <= hi and v < inf):
+            return False
+    return True
+
+
+def _matrix_errors(mat: SparseNonnegMatrix, vals: list[float], lam: float | None,
+                   name: str) -> list[ValidationError]:
+    """``vals`` is ``mat.values()``."""
     errors = []
     if mat.m < 1 or mat.n < 1:
         errors.append(ValidationError("EmptyMatrix", f"{name} is {mat.m}x{mat.n}"))
     inf = math.inf
+    if _all_within(vals, 0.0, inf if lam is None else lam):
+        return errors
     for i, j, v in mat.entries():
         if not (0.0 <= v < inf):
             code = "NegativeEntry" if -inf < v < 0.0 else "NonFinite"
@@ -132,6 +146,14 @@ def _matrix_errors(mat: SparseNonnegMatrix, lam: float | None, name: str) -> lis
             errors.append(
                 ValidationError("EntryAboveLambda", f"{name}[{i},{j}]={v} > {lam}"))
     return errors
+
+
+def _range_errors(mat: SparseNonnegMatrix, vals: list[float], L: float, U: float,
+                  name: str) -> list[ValidationError]:
+    if _all_within(vals, L, U):
+        return []
+    return [ValidationError("EntryAboveLambda", f"{name}[{i},{j}]={v} outside [{L},{U}]")
+            for i, j, v in mat.entries() if not (L <= v <= U)]
 
 
 def _non_finite(**scalars: float) -> list[ValidationError]:
@@ -145,7 +167,8 @@ def validate(instance) -> list[ValidationError]:
     if isinstance(instance, (NormalizedCoveringInstance, PackingInstanceView)):
         name = "C" if isinstance(instance, NormalizedCoveringInstance) else "P"
         errors += _non_finite(lam=instance.lam)
-        errors += _matrix_errors(getattr(instance, name), instance.lam, name)
+        mat = getattr(instance, name)
+        errors += _matrix_errors(mat, mat.values(), instance.lam, name)
         if not (0 < instance.eps < 0.5):
             errors.append(ValidationError(
                 "EpsOutOfRange", f"eps={instance.eps} outside (0, 1/2)"))
@@ -153,7 +176,8 @@ def validate(instance) -> list[ValidationError]:
             errors.append(ValidationError("EntryAboveLambda", f"lambda={instance.lam} <= 0"))
     elif isinstance(instance, GeneralInstance):
         errors += _non_finite(L=instance.L, U=instance.U)
-        errors += _matrix_errors(instance.C, None, "C")
+        vals = instance.C.values()
+        errors += _matrix_errors(instance.C, vals, None, "C")
         if instance.L > instance.U:
             errors.append(ValidationError("EpsOutOfRange", f"L={instance.L} > U={instance.U}"))
         for name, vec in (("a", instance.a), ("b", instance.b)):
@@ -166,26 +190,21 @@ def validate(instance) -> list[ValidationError]:
                 elif not (instance.L <= v <= instance.U):
                     errors.append(ValidationError(
                         "EntryAboveLambda", f"{name}[{idx}]={v} outside [{instance.L},{instance.U}]"))
-        for i, j, v in instance.C.entries():
-            if not (instance.L <= v <= instance.U):
-                errors.append(ValidationError(
-                    "EntryAboveLambda", f"C[{i},{j}]={v} outside [{instance.L},{instance.U}]"))
+        errors += _range_errors(instance.C, vals, instance.L, instance.U, "C")
         # a row with no entry cannot reach its positive b_i: the LP is infeasible
         errors += [ValidationError("EmptyRow", f"C row {i} has no entry")
                    for i in range(instance.m) if not instance.C.row_map(i)]
     elif isinstance(instance, PositiveInstance):
         errors += _non_finite(L=instance.L, U=instance.U)
-        errors += _matrix_errors(instance.P, None, "P")
-        errors += _matrix_errors(instance.C, None, "C")
+        P, C = instance.P, instance.C
+        p_vals, c_vals = P.values(), C.values()
+        errors += _matrix_errors(P, p_vals, None, "P")
+        errors += _matrix_errors(C, c_vals, None, "C")
         if not (0 < instance.eps <= POSITIVE_EPS_CAP):
             errors.append(ValidationError(
                 "EpsOutOfRange", f"eps={instance.eps} outside (0, 1/200]"))
-        for name, mat in (("P", instance.P), ("C", instance.C)):
-            for i, j, v in mat.entries():
-                if not (instance.L <= v <= instance.U):
-                    errors.append(ValidationError(
-                        "EntryAboveLambda",
-                        f"{name}[{i},{j}]={v} outside [{instance.L},{instance.U}]"))
+        errors += _range_errors(P, p_vals, instance.L, instance.U, "P")
+        errors += _range_errors(C, c_vals, instance.L, instance.U, "C")
     else:
         raise TypeError(f"unknown instance type {type(instance)!r}")
     return errors

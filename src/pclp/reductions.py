@@ -33,7 +33,8 @@ from .certificates import Outcome, OutcomeTag
 from .formats import SetLine
 from .instances import GeneralInstance, NormalizedCoveringInstance
 from .online import OnlineState
-from .sparse import NonMonotoneUpdate, SparseError, SparseNonnegMatrix, UpdateEvent, UpdateKind
+from .sparse import (IndexOutOfRange, NonMonotoneUpdate, SparseError, SparseNonnegMatrix,
+                     UpdateEvent, UpdateKind)
 from .whack_dynamic import DynamicWhackState, preprocess
 from .whack_static import Step, WhackState, solve_fast
 
@@ -58,18 +59,18 @@ class NormalizedView:
     lam_unit: float  # upper bound U/L^2 on C' entries; lambda per guess is mu*lam_unit
 
     def instance_for(self, mu: float, eps: float) -> NormalizedCoveringInstance:
-        scaled = SparseNonnegMatrix(self.c_prime.m, self.c_prime.n)
-        for i, j, v in self.c_prime.entries():
-            scaled.set(i, j, mu * v)
+        scaled = SparseNonnegMatrix.from_entries(
+            self.c_prime.m, self.c_prime.n,
+            ((i, j, mu * v) for i, j, v in self.c_prime.entries()))
         return NormalizedCoveringInstance(C=scaled, lam=mu * self.lam_unit, eps=eps)
 
 
 def normalize(gen: GeneralInstance) -> NormalizedView:
     if np.any(gen.a == 0) or np.any(gen.b == 0):
         raise ZeroScaleFactor("a and b must be strictly positive")
-    out = SparseNonnegMatrix(gen.m, gen.n)
-    for i, j, v in gen.C.entries():
-        out.set(i, j, v / (gen.a[j] * gen.b[i]))
+    a, b = gen.a, gen.b
+    out = SparseNonnegMatrix.from_entries(
+        gen.m, gen.n, ((i, j, v / (a[j] * b[i])) for i, j, v in gen.C.entries()))
     return NormalizedView(out, lam_unit=gen.U / (gen.L * gen.L))
 
 
@@ -235,16 +236,23 @@ class GeneralDynamicSolver:
 
     def apply(self, line: SetLine) -> tuple[float, np.ndarray]:
         """Apply one restricting update; returns (objective guess, x)."""
-        self.updates_seen += 1
         new, C = line.value, self.applied_C
         if line.target == "C":
-            name, old, falls = f"C[{line.row},{line.col}]", C.get(line.row, line.col), True
+            name, falls, index, size = (f"C[{line.row},{line.col}]", True,
+                                        (line.row, line.col), (C.m, C.n))
         elif line.target == "a":
-            name, old, falls = f"a[{line.col}]", self.applied_a[line.col], False
+            name, falls, index, size = f"a[{line.col}]", False, (line.col,), (C.n,)
         elif line.target == "b":
-            name, old, falls = f"b[{line.row}]", self.applied_b[line.row], False
+            name, falls, index, size = f"b[{line.row}]", False, (line.row,), (C.m,)
         else:
             raise NonMonotoneUpdate(f"unknown restricting target {line.target!r}")
+        if not all(0 <= k < bound for k, bound in zip(index, size)):
+            raise IndexOutOfRange(f"set {line.target}: {name} outside shape {size}")
+        self.updates_seen += 1
+        if line.target == "C":
+            old = C.get(line.row, line.col)
+        else:
+            old = (self.applied_a if line.target == "a" else self.applied_b)[index[0]]
         low, high = (new, old) if falls else (old, new)
         if low > high:
             raise NonMonotoneUpdate(f"{name} must {'decrease' if falls else 'increase'}: "

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,7 +43,11 @@ class IndexOutOfRange(SparseError):
 
 
 class SparseNonnegMatrix:
-    """Sparse m-by-n matrix over nonnegative reals, indexed both ways."""
+    """Sparse m-by-n matrix over nonnegative reals, indexed both ways.
+
+    ``from_entries`` builds a matrix from (i, j, v) triples in one loop,
+    with the result and the errors of ``set`` applied to each triple in
+    turn; ``from_dense`` goes through it."""
 
     __slots__ = ("m", "n", "_rows", "_cols", "_row_cache", "_col_cache", "_row_list")
 
@@ -61,16 +66,36 @@ class SparseNonnegMatrix:
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def from_entries(cls, m: int, n: int,
+                     entries: Iterable[tuple[int, int, float]]) -> "SparseNonnegMatrix":
+        """The m-by-n matrix that ``set(i, j, v)`` on each triple in turn
+        builds from an empty one, raising what that ``set`` raises: a later
+        triple for (i, j) overwrites the value in place, keeping its position
+        in the row and column order, and a zero removes the entry, so a
+        later non-zero value puts it at the end again."""
+        mat = cls(m, n)
+        rows, cols = mat._rows, mat._cols
+        for i, j, v in entries:
+            if not (0 <= i < m and 0 <= j < n):
+                raise IndexOutOfRange(f"({i},{j}) outside {m}x{n}")
+            if not v <= 0.0:  # positive or NaN: stored, as set stores it
+                rows[i][j] = v
+                cols[j][i] = v
+            elif v == 0.0:
+                rows[i].pop(j, None)
+                cols[j].pop(i, None)
+            else:
+                raise SparseError(f"negative entry ({i},{j})={v}")
+        return mat
+
+    @classmethod
     def from_dense(cls, dense) -> "SparseNonnegMatrix":
         arr = np.asarray(dense, dtype=float)
         if arr.ndim != 2:
             raise SparseError("dense input must be 2-dimensional")
-        mat = cls(arr.shape[0], arr.shape[1])
-        for i in range(arr.shape[0]):
-            for j in range(arr.shape[1]):
-                if arr[i, j] != 0.0:
-                    mat.set(i, j, float(arr[i, j]))
-        return mat
+        i, j = np.nonzero(arr)
+        return cls.from_entries(arr.shape[0], arr.shape[1],
+                                zip(i.tolist(), j.tolist(), arr[i, j].tolist()))
 
     def copy(self) -> "SparseNonnegMatrix":
         out = SparseNonnegMatrix(self.m, self.n)
@@ -147,6 +172,10 @@ class SparseNonnegMatrix:
         for i, rowmap in enumerate(self._rows):
             for j, v in rowmap.items():
                 yield (i, j, v)
+
+    def values(self) -> list[float]:
+        """Every stored value, in the order of ``entries()``."""
+        return list(chain.from_iterable(map(dict.values, self._rows)))
 
     @property
     def nnz(self) -> int:

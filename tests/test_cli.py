@@ -337,6 +337,28 @@ def test_update_with_non_finite_value_exits_3(tmp_path, capsys, command, line):
     assert err.startswith(f"error: line 1: set {line.split()[1]} value is not finite")
 
 
+@pytest.mark.parametrize("line, detail", [("set a 5 1.5", "a[5] outside shape (2,)"),
+                                          ("set b 9 1.5", "b[9] outside shape (2,)"),
+                                          ("set a -1 1.5", "a[-1] outside shape (2,)"),
+                                          ("set C 0 -1 0.5", "C[0,-1] outside shape (2, 2)")])
+def test_general_update_index_outside_exits_3(tmp_path, capsys, line, detail):
+    # an index past the end used to die in an IndexError, and a negative one
+    # wrapped to the last coordinate
+    err = _exits_3(tmp_path, capsys, "general", f"{line}\n")
+    assert err == f"error: set {line.split()[1]}: {detail}\n"
+
+
+@pytest.mark.parametrize("kind", ["covering", "general"])
+def test_bad_instance_record_exits_3_naming_its_line(tmp_path, capsys, kind):
+    text = {"covering": "covering 2 2 1.0\n# entries\nC 0 0 1.0\nC 5 1 0.5\n",
+            "general": "general 2 2\nC 0 0 1.0\nC 1 1 1.0\na 0 1.0\na -1 2.0\n"}[kind]
+    inst = write(tmp_path, "inst.txt", text)
+    assert main([{"covering": "solve", "general": "general"}[kind], inst]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: line {4 if kind == 'covering' else 5}: ")
+
+
 @pytest.mark.parametrize("line", ["set b 0 0", "set b 0 -1", "set a 0 -1"])
 def test_positive_non_positive_rhs_exits_3(tmp_path, capsys, line):
     # `set b 0 0` used to end in a ZeroDivisionError, `set b 0 -1` to be accepted

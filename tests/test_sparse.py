@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from pclp.sparse import (
     IndexOutOfRange,
     NonMonotoneUpdate,
+    SparseError,
     SparseNonnegMatrix,
     UpdateEvent,
     UpdateKind,
@@ -88,6 +89,28 @@ def test_index_out_of_range():
         m.apply_update(UpdateEvent(UpdateKind.RESTRICT_COVERING_ENTRY, 5, 0, 1.0))
 
 
+def test_from_entries_keeps_the_order_set_gives():
+    # a later value for (0, 2) overwrites in place; a zero removes (0, 1), and
+    # its next value goes to the end of the row
+    entries = [(0, 2, .5), (0, 0, .25), (0, 2, .75), (0, 1, .5), (0, 1, 0.0), (0, 1, .125)]
+    mat = SparseNonnegMatrix.from_entries(1, 3, entries)
+    cols, vals = mat.row(0)
+    assert cols.tolist() == [2, 0, 1]
+    assert vals.tolist() == [.75, .25, .125]
+    assert mat.values() == [.75, .25, .125]
+
+
+@pytest.mark.parametrize("entry, error", [((2, 0, 1.0), IndexOutOfRange),
+                                          ((0, -1, 1.0), IndexOutOfRange),
+                                          ((1, 1, -0.5), SparseError)])
+def test_from_entries_raises_what_set_raises(entry, error):
+    with pytest.raises(error) as built:
+        SparseNonnegMatrix.from_entries(2, 2, [(0, 0, 1.0), entry])
+    with pytest.raises(error) as set_one:
+        SparseNonnegMatrix(2, 2).set(*entry)
+    assert str(built.value) == str(set_one.value)
+
+
 def test_min_size_enforced():
     with pytest.raises(ValueError):
         SparseNonnegMatrix(0, 3)
@@ -126,3 +149,22 @@ def test_update_keeps_indexes_identical(mat):
     row_view = {(i, j): v for i, rm in enumerate(mat._rows) for j, v in rm.items()}
     col_view = {(i, j): v for j, cm in enumerate(mat._cols) for i, v in cm.items()}
     assert row_view == col_view
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_from_entries_matches_a_set_replay(m, n, data):
+    # repeated indexes and zeros included, so that overwrites, removals and
+    # re-insertions all happen; every row's and column's arrays agree in order
+    entries = data.draw(st.lists(
+        st.tuples(st.integers(0, m - 1), st.integers(0, n - 1),
+                  st.sampled_from([0.0, 0.5, 1.0, 2.5, float("inf"), float("nan")])),
+        max_size=20))
+    replay = SparseNonnegMatrix(m, n)
+    for i, j, v in entries:
+        replay.set(i, j, v)
+    built = SparseNonnegMatrix.from_entries(m, n, entries)
+    for i in range(m):
+        assert [a.tobytes() for a in built.row(i)] == [a.tobytes() for a in replay.row(i)]
+    for j in range(n):
+        assert [a.tobytes() for a in built.col(j)] == [a.tobytes() for a in replay.col(j)]
