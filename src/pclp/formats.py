@@ -72,108 +72,71 @@ class SetLine:
     value: float
 
 
+def _lines(text: str) -> Iterator[list[str]]:
+    """The tokens of every line, comments cut: an empty list for a line
+    that holds no record."""
+    return map(str.split, (raw.partition("#")[0] for raw in text.splitlines()))
+
+
 def _tokens(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, tokens) of every line that holds a record."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.partition("#")[0].split()
-        if parts:
-            yield lineno, parts
+    return ((lineno, parts) for lineno, parts in enumerate(_lines(text), start=1) if parts)
 
 
-def _records(text: str) -> Iterator[list[str]]:
-    """The tokens of ``_tokens``' records, without their line numbers: each
-    line is split once, when the iterator reaches it."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = (raw.partition("#")[0] for raw in lines)
-    return filter(None, map(str.split, lines))
+#: per kind: the header's fields after the kind word (name, type), and per
+#: record tag the names of its indexes and the header fields that bound them
+_KINDS = {
+    "covering": ((("m", int), ("n", int), ("lambda", float)),
+                 {"C": ("i j", ("m", "n"))}),
+    "packing": ((("m", int), ("n", int), ("lambda", float)),
+                {"P": ("i j", ("m", "n"))}),
+    "positive": ((("mp", int), ("mc", int), ("n", int)),
+                 {"P": ("i j", ("mp", "n")), "C": ("i j", ("mc", "n"))}),
+    "general": ((("m", int), ("n", int)),
+                {"C": ("i j", ("m", "n")), "a": ("j", ("n",)), "b": ("i", ("m",))}),
+}
 
 
-#: per kind: the names and types of the header's fields after the kind word
-_HEADERS = {"covering": (("m", int), ("n", int), ("lambda", float)),
-            "packing": (("m", int), ("n", int), ("lambda", float)),
-            "positive": (("mp", int), ("mc", int), ("n", int)),
-            "general": (("m", int), ("n", int))}
-
-#: per kind: the record tags it takes and the names of each one's indexes
-_RECORDS = {"covering": {"C": "i j"}, "packing": {"P": "i j"},
-            "positive": {"P": "i j", "C": "i j"},
-            "general": {"C": "i j", "a": "j", "b": "i"}}
-
-#: records converted at a time: a file's tokens are never all held at once
-_BLOCK = 64
-
-
-def _shapes(kind: str, header: list) -> dict[str, tuple[int, ...]]:
-    """Each record tag's index bounds: (rows, columns) of a matrix, (length,)
-    of a vector."""
-    if kind == "positive":
-        mp, mc, n = header
-        return {"P": (mp, n), "C": (mc, n)}
-    m, n = header[:2]
-    return {"C": (m, n), "P": (m, n), "a": (n,), "b": (m,)}
-
-
-def _convert(records: Iterator[list[str]], kind: str,
-             shapes: dict[str, tuple[int, ...]]) -> dict[str, tuple[list, ...]]:
-    """Per record tag of ``kind``, the index columns (ints) and the value
-    column (floats) of its records, in file order. The records are taken a
-    block at a time: a block whose records all carry one tag is transposed
-    and each of its columns converted in one ``map``; a block that mixes
-    tags is converted record by record. A record of an unknown tag or of
-    the wrong width, or a token that is not a number, raises LookupError or
-    ValueError."""
-    out = {tag: ([], [], []) if len(shapes[tag]) == 2 else ([], []) for tag in _RECORDS[kind]}
-    while block := list(islice(records, _BLOCK)):
-        tag = block[0][0]
-        if tag == block[-1][0]:
-            tokens = list(zip(*block))
-            if tokens[0].count(tag) == len(block):
-                columns = out[tag]
-                if len(tokens) != len(columns) + 1 \
-                        or sum(map(len, block)) != len(block) * len(tokens):
-                    raise ValueError("a record of the wrong width")
-                for column, text in zip(columns[:-1], tokens[1:-1]):
-                    column.extend(map(int, text))
-                columns[-1].extend(map(float, tokens[-1]))
-                continue
-        for parts in block:
-            columns = out[parts[0]]
-            if len(parts) == 4:
-                _, i, j, v = parts
-                rows, cols, vals = columns
-                rows.append(int(i))
-                cols.append(int(j))
-                vals.append(float(v))
-            else:
-                _, k, v = parts
-                index, vals = columns
-                index.append(int(k))
-                vals.append(float(v))
+def _convert(records: Iterator[list[str]], tags: dict) -> dict[str, list[tuple]]:
+    """Per record tag of ``tags``, the converted records, (i, j, v) or
+    (k, v), in file order. A record of an unknown tag or of the wrong
+    width, or a token that is not a number, raises LookupError or
+    ValueError here or in ``_build``."""
+    out = {tag: [] for tag in tags}
+    for parts in records:
+        entries = out[parts[0]]
+        if len(parts) == 4:
+            _, i, j, v = parts
+            entries.append((int(i), int(j), float(v)))
+        else:
+            _, k, v = parts
+            entries.append((int(k), float(v)))
     return out
 
 
-def _build(columns: tuple[list, ...], shape: tuple[int, ...]):
-    """The matrix (``shape`` (m, n)) or vector (``shape`` (n,)) that records
-    with these converted columns write in turn; an index outside ``shape``
-    or a negative entry raises ValueError or IndexError."""
+def _build(entries: list[tuple], shape: tuple[int, ...]):
+    """The matrix (``shape`` (m, n)) or vector (``shape`` (n,)) that these
+    converted records write in turn; an index outside ``shape``, a negative
+    entry or a record of the other width raises ValueError or IndexError."""
     if len(shape) == 2:
-        return SparseNonnegMatrix.from_entries(*shape, zip(*columns))
+        return SparseNonnegMatrix.from_entries(*shape, entries)
     out = np.zeros(shape[0])
-    for j, v in zip(*columns):
+    for j, v in entries:
         if j < 0:
             raise IndexError(f"negative index {j}")
         out[j] = v
     return out
 
 
-def _record_error(parts: list[str], kind: str, shapes: dict[str, tuple[int, ...]]) -> str | None:
-    """Why one record of a ``kind`` file is bad, or None."""
-    tag, names = parts[0], _RECORDS[kind].get(parts[0])
-    if names is None:
-        return f"expected {' or '.join(_RECORDS[kind])} records, got {tag!r}"
-    if len(parts) != 2 + len(names.split()):
-        return f"{tag} needs {names} v: {' '.join(parts)}"
+def _record_error(parts: list[str], tags: dict[str, tuple],
+                  shapes: dict[str, tuple[int, ...]]) -> str | None:
+    """Why one record is bad, or None; ``tags`` is the kind's record table
+    of ``_KINDS``."""
+    tag = parts[0]
+    if tag not in tags:
+        return f"expected {' or '.join(tags)} records, got {tag!r}"
+    if len(parts) != 2 + len(shapes[tag]):
+        return f"{tag} needs {tags[tag][0]} v: {' '.join(parts)}"
     try:
         index = [int(t) for t in parts[1:-1]]
         value = float(parts[-1])
@@ -194,38 +157,38 @@ def parse_instance(text: str, eps: float = 0.1):
     (``_convert``); each matrix is then built by one
     ``SparseNonnegMatrix.from_entries`` call. Only when either raises is the
     file walked again, record by record, to name the first bad line."""
-    records = _records(text)
+    records = filter(None, _lines(text))
     head = next(records, None)
     if head is None:
         raise ParseError("empty instance file")
     kind, *fields = head
-    spec = _HEADERS.get(kind)
-    if spec is None:
+    if kind not in _KINDS:
         raise ParseError(f"line {next(_tokens(text))[0]}: unknown instance kind {kind!r}")
+    spec, tags = _KINDS[kind]
     try:
         if len(fields) != len(spec):
             raise ValueError
-        header = [convert(t) for (_, convert), t in zip(spec, fields)]
+        header = {name: convert(t) for (name, convert), t in zip(spec, fields)}
     except ValueError:
         raise ParseError(f"line {next(_tokens(text))[0]}: {kind} header needs "
                          f"{' '.join(name for name, _ in spec)}: {' '.join(head)}") from None
-    shapes = _shapes(kind, header)
-    if min(map(min, shapes.values())) < 1:
-        raise ParseError(f"line {next(_tokens(text))[0]}: a matrix must be at least 1x1: "
-                         f"{' '.join(head)}")
+    shapes = {tag: tuple(map(header.get, bounds)) for tag, (_, bounds) in tags.items()}
     try:
-        columns = _convert(records, kind, shapes)
-        built = {tag: _build(cols, shapes[tag]) for tag, cols in columns.items()}
+        built = {tag: _build(entries, shapes[tag])
+                 for tag, entries in _convert(records, tags).items()}
     except (LookupError, ValueError) as exc:
+        if min(map(min, shapes.values())) < 1:  # SparseNonnegMatrix refuses it
+            raise ParseError(f"line {next(_tokens(text))[0]}: a matrix must be at least 1x1: "
+                             f"{' '.join(head)}") from None
         for lineno, parts in islice(_tokens(text), 1, None):
-            why = _record_error(parts, kind, shapes)
+            why = _record_error(parts, tags, shapes)
             if why is not None:
                 raise ParseError(f"line {lineno}: {why}") from None
         raise ParseError(f"bad entry: {exc}") from None
     if kind == "covering":
-        return NormalizedCoveringInstance(C=built["C"], lam=header[2], eps=eps)
+        return NormalizedCoveringInstance(C=built["C"], lam=header["lambda"], eps=eps)
     if kind == "packing":
-        return PackingInstanceView(P=built["P"], lam=header[2], eps=eps)
+        return PackingInstanceView(P=built["P"], lam=header["lambda"], eps=eps)
     if kind == "positive":
         P, C = built["P"], built["C"]
         vals = P.values() + C.values()

@@ -129,14 +129,12 @@ def _all_within(vals: list[float], lo: float, hi: float) -> bool:
     return True
 
 
-def _matrix_errors(mat: SparseNonnegMatrix, vals: list[float], lam: float | None,
-                   name: str) -> list[ValidationError]:
-    """``vals`` is ``mat.values()``."""
+def _matrix_errors(mat: SparseNonnegMatrix, lam: float | None, name: str) -> list[ValidationError]:
     errors = []
     if mat.m < 1 or mat.n < 1:
         errors.append(ValidationError("EmptyMatrix", f"{name} is {mat.m}x{mat.n}"))
     inf = math.inf
-    if _all_within(vals, 0.0, inf if lam is None else lam):
+    if _all_within(mat.values(), 0.0, inf if lam is None else lam):
         return errors
     for i, j, v in mat.entries():
         if not (0.0 <= v < inf):
@@ -148,9 +146,8 @@ def _matrix_errors(mat: SparseNonnegMatrix, vals: list[float], lam: float | None
     return errors
 
 
-def _range_errors(mat: SparseNonnegMatrix, vals: list[float], L: float, U: float,
-                  name: str) -> list[ValidationError]:
-    if _all_within(vals, L, U):
+def _range_errors(mat: SparseNonnegMatrix, L: float, U: float, name: str) -> list[ValidationError]:
+    if _all_within(mat.values(), L, U):
         return []
     return [ValidationError("EntryAboveLambda", f"{name}[{i},{j}]={v} outside [{L},{U}]")
             for i, j, v in mat.entries() if not (L <= v <= U)]
@@ -167,8 +164,7 @@ def validate(instance) -> list[ValidationError]:
     if isinstance(instance, (NormalizedCoveringInstance, PackingInstanceView)):
         name = "C" if isinstance(instance, NormalizedCoveringInstance) else "P"
         errors += _non_finite(lam=instance.lam)
-        mat = getattr(instance, name)
-        errors += _matrix_errors(mat, mat.values(), instance.lam, name)
+        errors += _matrix_errors(getattr(instance, name), instance.lam, name)
         if not (0 < instance.eps < 0.5):
             errors.append(ValidationError(
                 "EpsOutOfRange", f"eps={instance.eps} outside (0, 1/2)"))
@@ -176,8 +172,7 @@ def validate(instance) -> list[ValidationError]:
             errors.append(ValidationError("EntryAboveLambda", f"lambda={instance.lam} <= 0"))
     elif isinstance(instance, GeneralInstance):
         errors += _non_finite(L=instance.L, U=instance.U)
-        vals = instance.C.values()
-        errors += _matrix_errors(instance.C, vals, None, "C")
+        errors += _matrix_errors(instance.C, None, "C")
         if instance.L > instance.U:
             errors.append(ValidationError("EpsOutOfRange", f"L={instance.L} > U={instance.U}"))
         for name, vec in (("a", instance.a), ("b", instance.b)):
@@ -190,21 +185,19 @@ def validate(instance) -> list[ValidationError]:
                 elif not (instance.L <= v <= instance.U):
                     errors.append(ValidationError(
                         "EntryAboveLambda", f"{name}[{idx}]={v} outside [{instance.L},{instance.U}]"))
-        errors += _range_errors(instance.C, vals, instance.L, instance.U, "C")
+        errors += _range_errors(instance.C, instance.L, instance.U, "C")
         # a row with no entry cannot reach its positive b_i: the LP is infeasible
         errors += [ValidationError("EmptyRow", f"C row {i} has no entry")
                    for i in range(instance.m) if not instance.C.row_map(i)]
     elif isinstance(instance, PositiveInstance):
         errors += _non_finite(L=instance.L, U=instance.U)
-        P, C = instance.P, instance.C
-        p_vals, c_vals = P.values(), C.values()
-        errors += _matrix_errors(P, p_vals, None, "P")
-        errors += _matrix_errors(C, c_vals, None, "C")
+        errors += _matrix_errors(instance.P, None, "P")
+        errors += _matrix_errors(instance.C, None, "C")
         if not (0 < instance.eps <= POSITIVE_EPS_CAP):
             errors.append(ValidationError(
                 "EpsOutOfRange", f"eps={instance.eps} outside (0, 1/200]"))
-        errors += _range_errors(P, p_vals, instance.L, instance.U, "P")
-        errors += _range_errors(C, c_vals, instance.L, instance.U, "C")
+        for name, mat in (("P", instance.P), ("C", instance.C)):
+            errors += _range_errors(mat, instance.L, instance.U, name)
     else:
         raise TypeError(f"unknown instance type {type(instance)!r}")
     return errors

@@ -369,9 +369,9 @@ def test_loader_builds_what_a_set_replay_builds(drawn):
 
 
 @pytest.mark.parametrize("kind", ["covering", "positive", "general"])
-def test_loader_matches_a_set_replay_over_many_blocks(kind):
-    # 300 records, so that the loader takes several blocks: runs of one tag
-    # of every length, zeros and repeated indexes among them
+def test_loader_matches_a_set_replay_over_a_long_file(kind):
+    # 300 records in runs of one tag of every length, zeros and repeated
+    # indexes among them
     rng = np.random.default_rng(11)
     dims = {"covering": (5, 4, 2.0), "positive": (3, 4, 5), "general": (5, 4)}[kind]
     shapes = {"covering": {"C": (5, 4)}, "positive": {"P": (3, 5), "C": (4, 5)},
