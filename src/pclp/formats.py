@@ -43,6 +43,7 @@ updates that move the wrong way for its setting.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator
@@ -72,10 +73,14 @@ class SetLine:
     value: float
 
 
+#: a comment: from ``#`` up to the next line boundary ``str.splitlines`` sees
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+
+
 def _lines(text: str) -> Iterator[list[str]]:
     """The tokens of every line, comments cut: an empty list for a line
     that holds no record."""
-    return map(str.split, (raw.partition("#")[0] for raw in text.splitlines()))
+    return map(str.split, _COMMENT.sub("", text).splitlines())
 
 
 def _tokens(text: str) -> Iterator[tuple[int, list[str]]]:

@@ -311,8 +311,8 @@ def _set_replay(kind, dims, records):
 @st.composite
 def instance_texts(draw):
     """(kind, dims, records, text): a file of any kind whose records repeat
-    indexes and set zeros, written with comments, blank lines, CRLF endings,
-    tabs and repeated spaces."""
+    indexes and set zeros, written with comments, blank lines, CRLF, CR or
+    U+2028 line endings, tabs and repeated spaces."""
     kind = draw(st.sampled_from(["covering", "packing", "positive", "general"]))
     n = draw(st.integers(1, 3))
     if kind == "positive":
@@ -344,7 +344,7 @@ def instance_texts(draw):
         lines.append(line + draw(st.sampled_from(["", " ", "  # note", "\t#"])))
         lines += draw(st.lists(st.sampled_from(["", "  ", "# comment", " \t# x y z"]),
                                max_size=1))
-    return kind, dims, records, draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    return kind, dims, records, draw(st.sampled_from(["\n", "\r\n", "\r", "\u2028"])).join(lines) + "\n"
 
 
 def _assert_same_fields(got, want):
