@@ -45,7 +45,7 @@ import numpy as np
 
 from .certificates import Outcome
 from .instances import PositiveInstance
-from .sparse import NonMonotoneUpdate, SparseNonnegMatrix
+from .sparse import IndexOutOfRange, NonMonotoneUpdate, SparseNonnegMatrix
 
 _MANT_HI = 1e140
 _MANT_LO = 1e-140
@@ -829,6 +829,8 @@ class GreedyState:
     def translate_packing_rhs(self, i: int, new_rhs: float) -> Outcome:
         """Relaxing RHS increase on packing row i, replayed as entry scalings
         once the pending factor reaches (1+eps)."""
+        if not 0 <= i < self.m_p:
+            raise IndexOutOfRange(f"set a: a[{i}] outside shape ({self.m_p},)")
         if not new_rhs > 0.0:
             raise NonMonotoneUpdate(f"packing rhs {i} must be positive: {new_rhs}")
         if not new_rhs > self.rhs_true_p[i]:
@@ -846,6 +848,8 @@ class GreedyState:
         return out
 
     def translate_covering_rhs(self, j: int, new_rhs: float) -> Outcome:
+        if not 0 <= j < self.m_c:
+            raise IndexOutOfRange(f"set b: b[{j}] outside shape ({self.m_c},)")
         if not new_rhs > 0.0:
             raise NonMonotoneUpdate(f"covering rhs {j} must be positive: {new_rhs}")
         if not new_rhs < self.rhs_true_c[j]:

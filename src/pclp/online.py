@@ -7,6 +7,11 @@ is the only event that ever lowers a maintained coordinate of x_hat/W, so
 recourse is exactly n per phase transition. When a visit breaks the phase,
 ``whack_static.scan`` runs over the rows seen so far, which keeps all of
 them (1 - eps/2)-satisfied under the current anchor.
+
+``insert_row`` checks and copies each row; ``append_row`` is the same
+insert without them, for the general online reduction
+(``reductions.GeneralOnlineSolver``), which checks each constraint once
+for all its guesses and hands every guess the one column array.
 """
 from __future__ import annotations
 
@@ -49,21 +54,30 @@ class OnlineState(StoredRowsState):
         return self.n * self.stats.phases
 
     def insert_row(self, cols, vals) -> InsertResult:
+        """Check row (cols, vals) and append it: entries in [0, lambda],
+        columns in range and distinct, else ValueError, with no state changed."""
         if self.terminal is not None:
             raise RowAfterTermination("dual already returned")
         # copies: a stored row, and the rates kept for it, must not change
         # when the caller reuses its buffers
         cols = np.array(cols, dtype=np.int64)
         vals = np.array(vals, dtype=np.float64)
-        # the reductions without their Python wrappers; an empty row has no
-        # extremes and passes, and a NaN extreme fails the comparison
-        if len(vals) and not (np.minimum.reduce(vals) >= 0.0
-                              and np.maximum.reduce(vals) <= self.lam):
+        # the extremes by argmin/argmax, which cost the same at any row length;
+        # an empty row has none and passes, and a NaN is the extreme both
+        # return, which fails the comparison
+        if len(vals) and not (vals.item(vals.argmin()) >= 0.0
+                              and vals.item(vals.argmax()) <= self.lam):
             raise ValueError("row entries must lie in [0, lambda]")
-        if len(cols) and (np.minimum.reduce(cols) < 0 or np.maximum.reduce(cols) >= self.n):
+        if len(cols) and (cols.item(cols.argmin()) < 0 or cols.item(cols.argmax()) >= self.n):
             raise ValueError("column index out of range")
         if len(set(cols.tolist())) != len(cols):
             raise ValueError("repeated column index")
+        return self.append_row(cols, vals)
+
+    def append_row(self, cols: np.ndarray, vals: np.ndarray) -> InsertResult:
+        """``insert_row`` without its checks and copies, for a caller that
+        has checked the row as it does, on a state that has not returned its
+        dual, and hands over arrays that nobody changes afterwards."""
         i = len(self.rows)
         self.rows.append((i, cols, vals))
         self.whack_counts.append(0)

@@ -135,7 +135,10 @@ class PackingState(StoredRowsState):
     def _settle(self, cols, xh, delta, rate, power) -> float:
         # a weight may underflow to zero here: weights only fall, so it would
         # have kept shrinking, and the audit reads it as e^-745
-        lowest = float(np.minimum.reduce(self.x_hat))
+        x_hat = self.x_hat
+        lowest = x_hat.item(x_hat.argmin())  # the reduction answers for NaN and zeros
+        if not lowest > 0.0:
+            lowest = float(np.minimum.reduce(x_hat))
         low = math.log(lowest) + self.log_scale if lowest > 0.0 else -math.inf
         self.stats.min_weight = min(self.stats.min_weight, math.exp(max(low, -745.0)))
         if lowest < _RESCALE_BELOW:

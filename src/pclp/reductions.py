@@ -20,10 +20,12 @@ the scaled matrix rows, and a dynamic update visits the rows it touched;
 the streaming wrapper makes one physical pass over the normalized rows for
 all guesses, visiting each row, scaled by the guess, once per guess whose
 phase is still running (a guess added above the grid runs the same passes
-on its own); the online wrapper's per-guess states visit each arriving row.
+on its own); the online wrapper's per-guess states visit each arriving row,
+which it checks once for all guesses before any guess state changes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -378,15 +380,39 @@ class GeneralOnlineSolver:
         self.seen_rows: list[tuple[np.ndarray, np.ndarray]] = []  # (cols, C' entries)
 
     def insert_constraint(self, cols, vals, b_i: float) -> tuple[float, np.ndarray]:
-        cols = np.asarray(cols, dtype=np.int64)
+        """Add the constraint sum_j vals_j x_j >= b_i to every live guess.
+
+        The constraint is checked once for all guesses, before any guess
+        state changes. It raises ValueError when the row is empty, a column
+        is out of range or repeated, b_i is not positive or an entry
+        C'_ij = vals_j / (a_j b_i) is not finite and nonnegative, and when
+        some live guess mu cannot take it, mu max C' being above that
+        guess's lambda: rounding is monotone, so that is the bound
+        ``OnlineState.insert_row`` checks on the row mu C'. Each live guess
+        then appends the one shared, never changed column array with its
+        own mu C'."""
+        cols = np.array(cols, dtype=np.int64)  # a copy: every guess stores it
         vals = np.asarray(vals, dtype=np.float64)
         if not len(cols):
             raise ValueError("an empty row cannot be covered: the LP is infeasible")
+        if cols.item(cols.argmin()) < 0 or cols.item(cols.argmax()) >= self.n:
+            raise ValueError("column index out of range")
+        if len(set(cols.tolist())) != len(cols):
+            raise ValueError("repeated column index")
+        if not b_i > 0.0:
+            raise ValueError(f"the right-hand side must be positive: {b_i}")
         prime = vals / (self.a[cols] * b_i)
+        top = prime.item(prime.argmax())
+        # a NaN is the extreme both return, and fails the comparison
+        if not (prime.item(prime.argmin()) >= 0.0 and top < math.inf):
+            raise ValueError("row entries must be finite and nonnegative")
+        live = [(mu, state) for mu, state in zip(self.grid.guesses, self.states)
+                if state.terminal is None]
+        if any(mu * top > state.lam for mu, state in live):
+            raise ValueError("row entries must lie in [0, lambda]")
         self.seen_rows.append((cols, prime))
-        for mu, state in zip(self.grid.guesses, self.states):
-            if state.terminal is None:
-                state.insert_row(cols, mu * prime)
+        for mu, state in live:
+            state.append_row(cols, mu * prime)
         while all(s.terminal is not None for s in self.states):
             # every guess answered dual: one above the grid replays the rows seen
             mu = self.grid.extend_up()

@@ -217,18 +217,24 @@ class SparseNonnegMatrix:
         if not (0 <= i < self.m and 0 <= j < self.n):
             raise IndexOutOfRange(f"({i},{j}) outside {self.m}x{self.n}")
 
-    def apply_update(self, event: UpdateEvent) -> float:
-        """Apply a restricting entry update; returns the previous value."""
+    def check_update(self, event: UpdateEvent) -> float:
+        """Raise what ``apply_update`` raises on the event, changing nothing;
+        returns the stored value it would replace."""
         i, j = event.row, event.col
         if i is None or j is None:
             raise SparseError("entry update needs both row and col")
         self._check_index(i, j)
-        old = self.get(i, j)
+        old = self._rows[i].get(j, 0.0)
         new = float(event.new_value)
         if new < 0.0:
             raise SparseError(f"negative value {new}")
         if not new < old:
             raise NonMonotoneUpdate(
                 f"{event.kind.value} at ({i},{j}): {new} is not below stored {old}")
-        self.set(i, j, new)
+        return old
+
+    def apply_update(self, event: UpdateEvent) -> float:
+        """Apply a restricting entry update; returns the previous value."""
+        old = self.check_update(event)
+        self.set(event.row, event.col, float(event.new_value))
         return old

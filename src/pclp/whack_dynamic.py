@@ -11,7 +11,9 @@ that pushes the weight total past the phase cap rebuilds with the same
 matrix scan from a new anchor.
 
 Once a dual is returned it is frozen: restricting updates only shrink
-C^T y, so the certificate stands forever.
+C^T y, so the certificate stands forever. An update is still checked
+against the stored matrix, frozen or not: one outside its shape, or one
+that does not lower the stored entry, raises.
 """
 from __future__ import annotations
 
@@ -76,10 +78,14 @@ class DynamicWhackState(StoredRowsState):
     # -- public operations -----------------------------------------------------
 
     def handle_update(self, event: UpdateEvent) -> Outcome:
+        """Apply a restricting update and keep the certificate. An update the
+        matrix cannot take raises NonMonotoneUpdate / IndexOutOfRange, frozen
+        or not; a legal one on a frozen dual raises UpdateAfterTerminal."""
+        C = self.instance.C
+        C.check_update(event)
         if self.terminal is not None:
             raise UpdateAfterTerminal("dual certificate is frozen")
-        C = self.instance.C
-        C.apply_update(event)  # raises NonMonotoneUpdate / IndexOutOfRange
+        C.set(event.row, event.col, float(event.new_value))
         self.stats.updates += 1
         cols, vals = C.row(event.row)
         step = self.visit(event.row, cols, vals)

@@ -4,27 +4,34 @@
 reference oracle. ``solve_fast`` is the production path: it anchors the
 weight total W per phase, scans constraints in ascending row order, and
 enforces a violated constraint by applying the whole multiplicative power
-in closed form instead of looping over rounds. The power is found by a
-search bracketed from both sides in closed form: Jensen's inequality gives
-an upper bound on it (``jensen_guess``), the row's largest growth rate a
-lower bound below which every power is known to fall short
-(``covering_floor``), and ``first_step`` confirms the guess with the same
-float test it would bisect with, in one evaluation when the bounds meet
-and usually two otherwise. The search hands back the power exp(d rate) it
-evaluated at its answer (``powered_step``), and the enforcement applies
-that vector. A stored row's rates log1p(eps vals / lam) are computed once
-per state (``StoredRowsState``), and so is each power exp(d rate) the
-search evaluates on it: the row keeps a table d -> exp(d rate) of at most
-one read-only array per d evaluated on that row, dropped with the rates
-when the row's array changes. A streamed row's rates and powers are
-computed at each enforcement, so a streamed state stays O(m + n) words.
-The common outcomes of the search, the guess holding just above the
-floor or holding with the power below it failing, are tested in
-straight-line code (``powered_step``). Every per-row dot here is
-``ndarray.dot``: on 1-D rows ``a @ b`` adds the matmul gufunc's dispatch
-and reaches the same BLAS ``ddot``, so it costs more for the same result.
-The bits agree but for the sign of a zero from a one-entry row, which no
-caller reads: every dot is compared or tested against zero.
+in closed form instead of looping over rounds. The power is bracketed
+from both sides in closed form: Jensen's inequality gives an upper bound
+on it (``jensen_guess``), and the row's largest growth rate a lower bound
+below which every power is known to fall short (``covering_floor``). Most
+enforcements then settle the guess without a search (``covering_step``):
+(a) when the floor sits just below the guess and the Jensen bound clears
+W by a log margin, no sum is evaluated at all; (b) otherwise the sum at
+the guess is evaluated once, and when it holds, the chord of ln S (convex
+in the power) from the row's dot to it rules out the power below. The
+margin (``settle_margin``) covers the float error of both tests, so every
+settled answer is the one the search would return. What is left,
+1-5% of the enforcements on the benchmark's inputs, runs ``first_step``,
+which gallops from the guess with the same float test it would bisect
+with. The search hands back the power exp(d rate) it evaluated at its
+answer (``powered_step``), and the enforcement applies that vector. A
+stored row's rates log1p(eps vals / lam) are computed once per state
+(``StoredRowsState``), and so is each power exp(d rate) the search
+evaluates on it: the row keeps a table d -> exp(d rate) of at most one
+read-only array per d evaluated on that row, dropped with the rates when
+the row's array changes. A streamed row's rates and powers are computed
+at each enforcement, so a streamed state stays O(m + n) words, and its
+largest rate is taken by ``argmax`` and an index, which cost the same at
+any row length (the reduction answers only for NaN and zeros). Every
+per-row dot here is ``ndarray.dot``: on 1-D rows ``a @ b`` adds the
+matmul gufunc's dispatch and reaches the same BLAS ``ddot``, so it costs
+more for the same result. The bits agree but for the sign of a zero from
+a one-entry row, which no caller reads: every dot is compared or tested
+against zero.
 
 ``WhackState.visit`` is the only covering code that compares a row with
 the anchor and enforces it, and ``scan`` runs the phases of one state over
@@ -191,7 +198,8 @@ def _power(rate: np.ndarray, d: int, powers: dict[int, np.ndarray] | None) -> np
 
 def powered_step(base: np.ndarray, rate: np.ndarray, W: float, holds, budget: int,
                  guess: int, floor: int = 0,
-                 powers: dict[int, np.ndarray] | None = None) -> tuple[int, np.ndarray]:
+                 powers: dict[int, np.ndarray] | None = None,
+                 cap: float = -math.inf, overflows: bool = False) -> tuple[int, np.ndarray]:
     """``first_step`` over the test ``holds(base . exp(d rate), W)``; returns
     its answer d and exp(d rate) as the search evaluated it, so the caller
     applies the very power it tested.
@@ -203,17 +211,20 @@ def powered_step(base: np.ndarray, rate: np.ndarray, W: float, holds, budget: in
 
     The common cases are tested here in straight-line code, with the
     evaluations ``first_step`` would make first: the guess holds and sits
-    just above the floor, or it holds and the power below it fails. Past
-    them ``first_step`` takes over with the bracket they left; the test is
-    monotone in d, so the answer does not depend on the order of the
-    evaluations."""
+    just above the floor, or it holds with a sum S(guess) at or below
+    ``cap`` (a caller's proof that the power below the guess fails), or it
+    holds and the power below it fails. Past them ``first_step`` takes over
+    with the bracket they left, under ``np.errstate(over="ignore")`` when
+    the caller says its powers may ``overflow``; the test is monotone in d,
+    so the answer does not depend on the order of the evaluations."""
     if floor < guess <= budget:
         power = _power(rate, guess, powers)
-        if not holds(float(base.dot(power)), W):
+        s = float(base.dot(power))
+        if not holds(s, W):
             if guess == budget:
                 return guess, power
             floor = guess  # it fails at the guess, so at every power below it
-        elif guess - 1 == floor:
+        elif guess - 1 == floor or s <= cap:
             return guess, power
         else:
             below = _power(rate, guess - 1, powers)
@@ -224,31 +235,78 @@ def powered_step(base: np.ndarray, rate: np.ndarray, W: float, holds, budget: in
                 powers = {guess: below}
     if powers is None:
         powers = {}
-    d = first_step(lambda d: holds(float(base.dot(_power(rate, d, powers))), W),
-                   budget, guess, floor)
+    reaches = lambda d: holds(float(base.dot(_power(rate, d, powers))), W)
+    if overflows:
+        with np.errstate(over="ignore"):
+            d = first_step(reaches, budget, guess, floor)
+            return d, _power(rate, d, powers)
+    d = first_step(reaches, budget, guess, floor)
     return d, _power(rate, d, powers)  # no evaluation at all when the floor reached the budget
+
+
+def settle_margin(k: int) -> float:
+    """The log margin m of the closed-form settles in ``covering_step`` on a
+    row of k entries: max(1e-9, k 2^-40), at least twice the float error
+    the settles must cover, and ``covering_floor``'s margin up to about
+    1,100 entries.
+
+    With u = 2^-53, every exponent d growth_j below 700 and ln(W / dot)
+    below 701: the computed dot and bg = base . growth are each within
+    (k + 1) u of their exact sums, so settle (a)'s ratio guess bg / dot is
+    within (2k + 4) u of the exact one, (1402 k + 2804) u on its exponent;
+    ln dot, ln(W / dot) and the float test at the guess (the dot, exp and
+    d growth_j rounded) add (2k + 1407) u. Settle (b)'s chord reads S(guess)
+    and dot under the same bounds and its cap rounds an exponent below 700:
+    (3 k + 4216) u in all. Twice the larger, 2 (1404 k + 4216) u, is below
+    max(1e-9, k 2^-40) for every k >= 1."""
+    return k * 2.0 ** -40 if k > 1099 else 1e-9
 
 
 def covering_step(base: np.ndarray, growth: np.ndarray, g_max: float, dot: float, W: float,
                   budget: int, powers: dict[int, np.ndarray] | None = None
                   ) -> tuple[int, np.ndarray]:
-    """Smallest d in [1, budget] with sum_j base_j exp(d growth_j) >= W, else
-    ``budget``, and exp(d growth). The search is bracketed from both sides
-    in closed form: the Jensen upper bound (``jensen_guess``) seeds it, and
-    the bound from the largest growth ``g_max`` (``covering_floor``) rules
-    out every d below it unevaluated. ``powers`` is the row's power table,
-    as in ``powered_step``."""
+    """Smallest d in [1, budget] with S(d) = sum_j base_j exp(d growth_j) >= W,
+    else ``budget``, and exp(d growth). ``powers`` is the row's power table,
+    as in ``powered_step``.
+
+    The search is bracketed from both sides in closed form: the Jensen
+    upper bound (``jensen_guess``) seeds it, and the bound from the largest
+    growth ``g_max`` (``covering_floor``) rules out every d below it
+    unevaluated. In most enforcements the guess is then settled without a
+    search, with the answer the search would return:
+    (a) when the floor sits just below the guess and the guess either is
+        the budget or passes the Jensen bound with the margin m
+        (``settle_margin``): S(guess) >= dot exp(guess bg / dot) >= W e^m.
+        No sum is evaluated; exp(guess growth) is the power applied;
+    (b) when S(guess), evaluated once, holds and the chord of ln S, which
+        is convex in d (a log-sum-exp of lines), puts the power below under
+        ln W - m: ln S(guess - 1) <= (ln dot + (guess - 1) ln S(guess)) / guess.
+    Otherwise the search runs from what (b) evaluated (``powered_step``)."""
     log_ratio = anchor_log_ratio(dot, W)
-    guess = jensen_guess(float(base.dot(growth)), dot, log_ratio, budget)
+    bg = float(base.dot(growth))
+    guess = jensen_guess(bg, dot, log_ratio, budget)
     floor = covering_floor(log_ratio, g_max)
     # S(d) <= dot exp(d g_max), so neither exp nor the dot can overflow while
-    # budget g_max + ln dot < 700; past that they may, and inf compares
-    # correctly. The guard is entered only then: a no-op context in the
-    # common case would add two Python calls to every enforcement.
-    if budget * g_max + (math.log(dot) if dot > 1.0 else 0.0) < 700.0:
-        return powered_step(base, growth, W, operator.ge, budget, guess, floor, powers)
-    with np.errstate(over="ignore"):
-        return powered_step(base, growth, W, operator.ge, budget, guess, floor, powers)
+    # d g_max + ln dot < 700; past that they may, and inf compares correctly.
+    # The guard is entered only for the d that may overflow: every d when the
+    # guess may, else only the search past the settles (a no-op context would
+    # add two Python calls to every enforcement).
+    log_dot = math.log(dot) if dot > 1.0 else 0.0
+    if not guess * g_max + log_dot < 700.0:  # also NaN
+        with np.errstate(over="ignore"):
+            return powered_step(base, growth, W, operator.ge, budget, guess, floor, powers)
+    margin = settle_margin(len(base))
+    cap = -math.inf
+    if guess - 1 == floor:
+        if guess == budget or guess * bg >= (log_ratio + margin) * dot:
+            return guess, _power(growth, guess, powers)
+    elif guess - 1 > floor:
+        # S(guess) <= dot exp(e) puts the chord at ln S(guess - 1) <= ln W - m
+        e = guess * (log_ratio - margin) / (guess - 1)
+        if e < 700.0:
+            cap = dot * math.exp(e)
+    return powered_step(base, growth, W, operator.ge, budget, guess, floor, powers, cap,
+                        not budget * g_max + log_dot < 700.0)
 
 
 def row_step_size(vals: np.ndarray, xh: np.ndarray, lam: float, eps: float,
@@ -382,7 +440,12 @@ class WhackState:
         rate = self._RATE_SIGN * self.eps * vals
         rate /= self.lam
         np.log1p(rate, out=rate)
-        return rate, float(np.maximum.reduce(rate)), None
+        # argmax and an index cost the same at any row length, a third of the
+        # reduction on a short row; the reduction answers for NaN and zeros
+        g_max = rate.item(rate.argmax())
+        if not g_max > 0.0:
+            g_max = float(np.maximum.reduce(rate))
+        return rate, g_max, None
 
     # -- scale handling ------------------------------------------------------
 

@@ -348,6 +348,52 @@ def test_general_update_index_outside_exits_3(tmp_path, capsys, line, detail):
     assert err == f"error: set {line.split()[1]}: {detail}\n"
 
 
+@pytest.mark.parametrize("line, detail", [("set a 5 2.0", "a[5] outside shape (1,)"),
+                                          ("set b 3 2.0", "b[3] outside shape (1,)"),
+                                          ("set a -1 2.0", "a[-1] outside shape (1,)")])
+def test_positive_update_index_outside_exits_3(tmp_path, capsys, line, detail):
+    # an index past the end used to die in an IndexError, and a negative one
+    # reported a C entry the stream never named
+    inst = write(tmp_path, "p.txt",
+                 "positive 1 1 2\nP 0 0 1.0\nP 0 1 1.0\nC 0 0 1.0\nC 0 1 1.0\n")
+    ups = write(tmp_path, "u.txt", f"{line}\n")
+    assert main(["positive", inst, "--updates", ups]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: set {line.split()[1]}: {detail}\n"
+
+
+_FROZEN = "covering 2 2 1.0\nC 0 0 1.0\nC 1 1 1.0\n"  # the dual freezes at preprocessing
+_LIVE = "covering 2 2 1.0\nC 0 0 1.0\nC 0 1 1.0\nC 1 0 1.0\nC 1 1 1.0\n"
+
+
+@pytest.mark.parametrize("text", [_FROZEN, _LIVE], ids=["frozen", "live"])
+@pytest.mark.parametrize("line, detail", [("set C 0 5 0.5", "(0,5) outside 2x2"),
+                                          ("set C -1 0 0.5", "(-1,0) outside 2x2"),
+                                          ("set C 0 0 1.5", "1.5 is not below stored 1.0")])
+def test_dynamic_impossible_update_exits_3_frozen_or_not(tmp_path, capsys, text, line, detail):
+    # a frozen dual used to count any update as after terminal and exit 0
+    inst = write(tmp_path, "c.txt", text)
+    ups = write(tmp_path, "u.txt", f"set C 1 1 0.99\n{line}\n")
+    assert main(["dynamic", inst, "--updates", ups]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert detail in captured.err
+
+
+def test_dynamic_legal_update_after_freezing_is_counted(tmp_path, capsys):
+    inst = write(tmp_path, "c.txt", _FROZEN)
+    ups = write(tmp_path, "u.txt", "set C 0 0 0.5\nset C 1 0 0.0\n")
+    assert main(["dynamic", inst, "--updates", ups, "--verify"]) == 3  # (1,0) is 0 already
+    capsys.readouterr()
+    ups = write(tmp_path, "u.txt", "set C 0 0 0.5\nset C 1 1 0.0\n")
+    assert main(["dynamic", inst, "--updates", ups, "--verify"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stats"]["updates_after_terminal"] == 2
+    assert payload["stats"]["updates_applied"] == 0
+    assert payload["verify_result"]["ok"]
+
+
 @pytest.mark.parametrize("kind", ["covering", "general"])
 def test_bad_instance_record_exits_3_naming_its_line(tmp_path, capsys, kind):
     text = {"covering": "covering 2 2 1.0\n# entries\nC 0 0 1.0\nC 5 1 0.5\n",

@@ -311,6 +311,45 @@ def test_online_reduction_rejects_an_empty_row_before_any_state_changes():
     assert mu == before[0] and np.array_equal(x, before[1])
 
 
+def _online_snapshot(solver):
+    return ([(len(st.rows), st.t, st.x_hat.tobytes(), st.terminal) for st in solver.states],
+            list(solver.grid.guesses), len(solver.seen_rows))
+
+
+@pytest.mark.parametrize("cols, vals, b_i", [([0, 1], [1.0, math.nan], 1.0),
+                                             ([0, 1], [1.0, -0.5], 1.0),
+                                             ([0, 1], [math.inf, 1.0], 1.0),
+                                             ([0, 1], [1.0, 1.0], 0.0),
+                                             ([1, 1], [1.0, 1.0], 1.0),
+                                             ([0, 2], [1.0, 1.0], 1.0),
+                                             ([-1, 0], [1.0, 1.0], 1.0)],
+                         ids=["nan", "negative", "inf", "zero-rhs", "repeated", "past-n", "below-0"])
+def test_online_reduction_rejects_a_bad_constraint_before_any_state_changes(cols, vals, b_i):
+    gen = random_general(np.random.default_rng(3), 2, 2)
+    solver = GeneralOnlineSolver(gen.n, gen.a, gen.L, gen.U, 0.1)
+    solver.insert_constraint(*gen.C.row(0), float(gen.b[0]))
+    before = _online_snapshot(solver)
+    with pytest.raises(ValueError):
+        solver.insert_constraint(cols, vals, b_i)
+    assert _online_snapshot(solver) == before
+
+
+def test_online_reduction_checks_every_live_lambda_before_any_guess_takes_the_row():
+    # a constraint that one live guess cannot take reaches no guess at all,
+    # where guesses below that one used to store it before it raised
+    solver = GeneralOnlineSolver(2, np.ones(2), 1.0, 1.0, 0.1)
+    last = solver.states[-1]
+    last.lam = math.nextafter(solver.grid.guesses[-1] * solver.lam_unit, 0.0)
+    before = _online_snapshot(solver)
+    with pytest.raises(ValueError, match="lie in"):
+        solver.insert_constraint([0, 1], [1.0, 0.5], 1.0)  # C' tops out at the unit bound
+    assert _online_snapshot(solver) == before
+    solver.insert_constraint([0, 1], [0.5, 0.5], 1.0)
+    assert all(len(st.rows) == 1 for st in solver.states if st.terminal is None)
+    # every guess stores the one column array, read-only to them all
+    assert len({id(st.rows[0][1]) for st in solver.states if st.rows}) == 1
+
+
 def test_online_reduction_gives_up_after_the_capped_extensions():
     # an entry far below L moves the optimum past the capped ladder
     solver = GeneralOnlineSolver(1, np.ones(1), 1.0, 1.0, 0.1)

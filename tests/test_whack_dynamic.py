@@ -6,7 +6,7 @@ import pytest
 from conftest import covering
 from pclp.certificates import CertificateSlack, OutcomeTag, check_certificate
 from pclp.generate import random_covering, restricting_stream
-from pclp.sparse import NonMonotoneUpdate, UpdateEvent, UpdateKind
+from pclp.sparse import IndexOutOfRange, NonMonotoneUpdate, UpdateEvent, UpdateKind
 from pclp.whack_dynamic import (
     DynamicWhackState,
     UpdateAfterTerminal,
@@ -32,6 +32,17 @@ def test_preprocess_case_one_freezes_dual():
     assert state.terminal is not None
     with pytest.raises(UpdateAfterTerminal):
         state.handle_update(restrict(0, 0, 0.1))
+
+
+def test_frozen_state_still_rejects_updates_the_matrix_cannot_take():
+    state, _ = preprocess(covering([[0.4]], eps=0.1))
+    with pytest.raises(IndexOutOfRange):
+        state.handle_update(restrict(0, 3, 0.1))
+    with pytest.raises(NonMonotoneUpdate):
+        state.handle_update(restrict(0, 0, 0.5))
+    with pytest.raises(UpdateAfterTerminal):
+        state.handle_update(restrict(0, 0, 0.1))
+    assert state.instance.C.get(0, 0) == 0.4 and state.stats.updates == 0
 
 
 def test_identity_preprocess_goes_terminal():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import covering
+from pclp import whack_static
 from pclp.certificates import CertificateSlack, OutcomeTag, check_certificate
 from pclp.generate import random_covering, random_general, random_packing, restricting_stream
 from pclp.online import OnlineState
@@ -286,6 +287,76 @@ def test_covering_step_with_a_power_table_answers_the_same(row):
     assert not any(p.flags.writeable for p in powers.values())
 
 
+def count_evaluations(monkeypatch) -> list:
+    """A list that gains an item at each step test ``powered_step`` evaluates."""
+    seen = []
+    powered = whack_static.powered_step
+
+    def counting(base, rate, W, holds, *args):
+        return powered(base, rate, W, lambda s, w: seen.append(1) or holds(s, w), *args)
+
+    monkeypatch.setattr(whack_static, "powered_step", counting)
+    return seen
+
+
+@pytest.mark.parametrize("rate, log_ratio, d, evaluations",
+                         [([0.1, 0.1], 3.05, 31, 0),   # (a): the floor is 30, Jensen is exact
+                          ([0.1, 0.09], 3.0, 32, 1)],  # (b): the floor is 29, the chord rules out 31
+                         ids=["jensen", "chord"])
+def test_a_settled_step_evaluates_at_most_the_guess(monkeypatch, rate, log_ratio, d, evaluations):
+    seen = count_evaluations(monkeypatch)
+    base, rate = np.ones(2), np.array(rate)
+    dot = 2.0
+    W = dot * math.exp(log_ratio)
+    assert covering_step(base, rate, 0.1, dot, W, 1000)[0] == d
+    assert len(seen) == evaluations
+    assert not covers(base, rate, W, d - 1) and covers(base, rate, W, d)
+
+
+@st.composite
+def wide_covering_rows(draw):
+    """A covering row of up to 2,000 entries whose rates run from identical
+    to 12 decades apart; in near ties W sits a few ulps from the float sum
+    S(d) at some power d, so a settle without its margin would answer d
+    where the float test fails (or d + 1 where it holds)."""
+    k = draw(st.one_of(st.integers(1, 8), st.integers(9, 2000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lam = draw(st.floats(1.0, 150.0))
+    eps = draw(st.floats(0.003, 0.3))
+    spread = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-12), st.floats(0.0, 12.0)))
+    vals = lam * 10.0 ** (-spread * rng.random(k))
+    xh = 10.0 ** rng.uniform(-3.0, 3.0, k)
+    xh *= 10.0 ** draw(st.floats(-10.0, 200.0)) / float(vals @ xh)
+    rate = np.log1p(eps * vals / lam)
+    base, dot, g_max = vals * xh, float(vals @ xh), float(rate.max())
+    budget = draw(st.one_of(st.integers(1, 3000), st.integers(3000, 10 ** 12)))
+    if draw(st.booleans()):
+        # a near tie at a power d whose weights stay finite
+        room = (700.0 - max(math.log(dot), 0.0)) / g_max
+        d = draw(st.integers(1, max(1, min(3000, int(room)))))
+        W = float(base @ np.exp(d * rate))
+        for _ in range(abs(ulps := draw(st.integers(-3, 3)))):
+            W = math.nextafter(W, math.copysign(math.inf, ulps))
+    else:
+        W = dot * math.exp(draw(st.floats(1e-9, 690.0)))
+    return base, rate, g_max, dot, W, budget
+
+
+@given(wide_covering_rows())
+@settings(max_examples=150, deadline=None)
+def test_settled_steps_on_wide_rows_match_unguided_and_brute_force_searches(row):
+    base, rate, g_max, dot, W, budget = row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d, power = covering_step(base, rate, g_max, dot, W, budget)
+    assert d == unguided_first_step(lambda k: covers(base, rate, W, k), budget)
+    if budget <= 3000:
+        brute = next((k for k in range(1, budget + 1) if covers(base, rate, W, k)), budget)
+        assert d == brute
+    with np.errstate(over="ignore"):
+        assert power.tobytes() == np.exp(d * rate).tobytes()
+
+
 def test_overflowing_search_emits_no_warning():
     # the Jensen guess (about 1.4e8) powers the 1.0 entry past e^709; the
     # answer is near 4832, where that weight reaches W = 1
@@ -425,6 +496,37 @@ def test_stored_rows_reuse_their_powers(monkeypatch, run):
     calls, enforcements = exp_calls_per_run(monkeypatch, run)
     assert enforcements >= 40
     assert calls * 4 <= enforcements
+
+
+def stream_run():
+    inst = random_covering(np.random.default_rng(7), 12, 12, eps=0.1, density=0.4)
+    solve_stream(StreamCursor.from_instance(inst, StreamMode.FULL_DUAL), inst.eps)
+
+
+@pytest.mark.parametrize("run, most", [(static_run, 0.6), (stream_run, 0.6), (online_run, 0.6),
+                                       (dynamic_run, 1.0)],
+                         ids=["static", "stream", "online", "dynamic"])
+def test_most_covering_steps_settle_without_a_search(monkeypatch, run, most):
+    # before the closed-form settles every enforcement evaluated S at its
+    # guess: 1.13, 1.13, 1.13 and 1.07 evaluations per enforcement here
+    enforcements, searches = [], []
+    step, search = WhackState._step, whack_static.first_step
+
+    def counting_step(*args):
+        enforcements.append(1)
+        return step(*args)
+
+    def counting_search(*args):
+        searches.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(WhackState, "_step", staticmethod(counting_step))
+    monkeypatch.setattr(whack_static, "first_step", counting_search)
+    evaluations = count_evaluations(monkeypatch)
+    run()
+    assert len(enforcements) >= 40
+    assert len(evaluations) <= most * len(enforcements)
+    assert len(searches) <= 0.1 * len(enforcements)
 
 
 # -- solvers -------------------------------------------------------------------
