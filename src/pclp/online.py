@@ -34,6 +34,14 @@ class InsertResult:
     terminal: Outcome | None = None
 
 
+def check_columns(cols: np.ndarray, n: int) -> None:
+    """Raise ValueError unless every index in ``cols`` is in [0, n) and none repeats."""
+    if len(cols) and (cols.item(cols.argmin()) < 0 or cols.item(cols.argmax()) >= n):
+        raise ValueError("column index out of range")
+    if len(set(cols.tolist())) != len(cols):
+        raise ValueError("repeated column index")
+
+
 class OnlineState(StoredRowsState):
     """Covering scan state over the rows seen so far; the first anchor is
     W = n, and every phase after it is a transition."""
@@ -68,10 +76,7 @@ class OnlineState(StoredRowsState):
         if len(vals) and not (vals.item(vals.argmin()) >= 0.0
                               and vals.item(vals.argmax()) <= self.lam):
             raise ValueError("row entries must lie in [0, lambda]")
-        if len(cols) and (cols.item(cols.argmin()) < 0 or cols.item(cols.argmax()) >= self.n):
-            raise ValueError("column index out of range")
-        if len(set(cols.tolist())) != len(cols):
-            raise ValueError("repeated column index")
+        check_columns(cols, self.n)
         return self.append_row(cols, vals)
 
     def append_row(self, cols: np.ndarray, vals: np.ndarray) -> InsertResult:

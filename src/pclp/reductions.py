@@ -34,7 +34,7 @@ import numpy as np
 from .certificates import Outcome, OutcomeTag
 from .formats import SetLine
 from .instances import GeneralInstance, NormalizedCoveringInstance
-from .online import OnlineState
+from .online import OnlineState, check_columns
 from .sparse import (IndexOutOfRange, NonMonotoneUpdate, SparseError, SparseNonnegMatrix,
                      UpdateEvent, UpdateKind)
 from .whack_dynamic import DynamicWhackState, preprocess
@@ -395,10 +395,7 @@ class GeneralOnlineSolver:
         vals = np.asarray(vals, dtype=np.float64)
         if not len(cols):
             raise ValueError("an empty row cannot be covered: the LP is infeasible")
-        if cols.item(cols.argmin()) < 0 or cols.item(cols.argmax()) >= self.n:
-            raise ValueError("column index out of range")
-        if len(set(cols.tolist())) != len(cols):
-            raise ValueError("repeated column index")
+        check_columns(cols, self.n)
         if not b_i > 0.0:
             raise ValueError(f"the right-hand side must be positive: {b_i}")
         prime = vals / (self.a[cols] * b_i)

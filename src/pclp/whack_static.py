@@ -215,8 +215,9 @@ def powered_step(base: np.ndarray, rate: np.ndarray, W: float, holds, budget: in
     ``cap`` (a caller's proof that the power below the guess fails), or it
     holds and the power below it fails. Past them ``first_step`` takes over
     with the bracket they left, under ``np.errstate(over="ignore")`` when
-    the caller says its powers may ``overflow``; the test is monotone in d,
-    so the answer does not depend on the order of the evaluations."""
+    the caller passes ``overflows`` (its powers past the guess may
+    overflow); the test is monotone in d, so the answer does not depend on
+    the order of the evaluations."""
     if floor < guess <= budget:
         power = _power(rate, guess, powers)
         s = float(base.dot(power))
