@@ -1,12 +1,13 @@
 """Online row-arrival covering solver with recourse counted per phase.
 
 The number of rows is unknown upfront: the round budget T depends only on
-n, lambda and eps. Each arriving row is visited against the phase anchor
+n, lambda and eps. Each arriving row is tested against the phase anchor
 W (``whack_static.WhackState.visit``); opening a new phase raises W, which
 is the only event that ever lowers a maintained coordinate of x_hat/W, so
-recourse is exactly n per phase transition. When a visit breaks the phase,
-``whack_static.scan`` runs over the rows seen so far, which keeps all of
-them (1 - eps/2)-satisfied under the current anchor.
+recourse is exactly n per phase transition. When the row's enforcement
+breaks the phase, the phase kernel (``WhackState.scan``) runs over the
+rows seen so far, which keeps all of them (1 - eps/2)-satisfied under the
+current anchor.
 
 ``insert_row`` checks and copies each row; ``append_row`` is the same
 insert without them, for the general online reduction
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import Outcome
-from .whack_static import Step, StoredRowsState, scan, weight_cap
+from .whack_static import Step, StoredRowsState, weight_cap
 
 
 class RowAfterTermination(RuntimeError):
@@ -89,7 +90,7 @@ class OnlineState(StoredRowsState):
         step = self.visit(i, cols, vals)
         if step is Step.BROKE:
             # a new anchor: every row seen so far is scanned against it
-            step = Step.BUDGET if scan(self, self.rows.__iter__) else None
+            step = Step.BUDGET if self.scan(self.rows.__iter__) else None
         if step is Step.BUDGET:
             self.terminal = self.budget_outcome()
             return InsertResult(None, self.terminal)

@@ -1,12 +1,15 @@
 """Packing-side template: decreasing weights against violated rows.
 
 ``solve_packing_basic`` is the plain T-round template, kept as the
-reference. ``solve_packing_fast`` runs the one phase scan
+reference. ``solve_packing_fast`` runs the one phase kernel
 (``whack_static.run_phases``) on a ``PackingState``, the covering state with
-every inequality flipped: a row is enforced while its dot exceeds
-(1 + eps/2) W, weights fall by powers of log1p(-eps vals / lam) found by the
-shared step search seeded at the Jensen bound (from this side a lower
-bound), and a phase breaks once the total falls below (1 - eps/2) W.
+every inequality flipped: its rate sign -1 turns the kernel's row test
+sign dot < sign threshold into dot > (1 + eps/2) W, weights fall by powers
+of log1p(-eps vals / lam) found by the shared step search seeded at the
+Jensen bound (from this side a lower bound), and a phase breaks once the
+total falls below (1 - eps/2) W. The kernel settles every packing
+enforcement (``_SETTLE_PAST`` is -inf), so the smallest weight is audited
+after each one.
 
 The Jensen bound also gives the search its floor (``packing_floor``):
 S(d) = sum_j base_j exp(d rate_j) >= dot exp(d bg / dot), with
@@ -31,7 +34,7 @@ import numpy as np
 
 from .certificates import Outcome
 from .instances import PackingInstanceView
-from .whack_static import (PreconditionViolated, Step, StoredRowsState, WhackStats,
+from .whack_static import (PreconditionViolated, StoredRowsState, WhackStats,
                            anchor_log_ratio, jensen_guess, powered_step, run_phases,
                            total_rounds)
 
@@ -102,6 +105,7 @@ class PackingState(StoredRowsState):
     __slots__ = ()
 
     _RATE_SIGN = -1.0
+    _SETTLE_PAST = -math.inf  # every enforcement: the audit reads the smallest weight
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -113,15 +117,6 @@ class PackingState(StoredRowsState):
         self.floor = (1.0 - self.eps / 2.0) * W
         self.cap = math.inf
 
-    def visit(self, i: int, cols: np.ndarray, vals: np.ndarray) -> Step | None:
-        """Enforce row i if its dot with x_hat exceeds (1 + eps/2) W; a NaN
-        dot fails the comparison, so the row is skipped."""
-        xh = self.x_hat[cols]
-        dot = float(vals.dot(xh))
-        if not dot > self.threshold:
-            return None
-        return self._enforce(i, cols, vals, xh, dot)
-
     @staticmethod
     def _step(base, rate, g_max, dot, W, budget, powers=None):
         # smallest d with sum_j base_j exp(d rate_j) <= W; Jensen bounds it
@@ -132,7 +127,7 @@ class PackingState(StoredRowsState):
                             jensen_guess(bg, dot, log_ratio, budget),
                             packing_floor(bg, dot, log_ratio, budget), powers)
 
-    def _settle(self, cols, xh, delta, rate, power) -> float:
+    def _settle(self, total, cols, xh, delta, rate, power) -> float:
         # a weight may underflow to zero here: weights only fall, so it would
         # have kept shrinking, and the audit reads it as e^-745
         x_hat = self.x_hat
@@ -143,17 +138,17 @@ class PackingState(StoredRowsState):
         self.stats.min_weight = min(self.stats.min_weight, math.exp(max(low, -745.0)))
         if lowest < _RESCALE_BELOW:
             self._rescale_by(float(self.x_hat.max()))
-        return float(np.add.reduce(self.x_hat))
+            total = float(np.add.reduce(self.x_hat))
+        return total
 
     def budget_outcome(self) -> Outcome:
-        return Outcome.covering_dual(self.whack_counts / float(self.T))
+        return Outcome.covering_dual(np.asarray(self.whack_counts, dtype=float) / float(self.T))
 
     def primal_outcome(self) -> Outcome:
         return Outcome.packing_primal(self.x_hat / self.W)
 
 
 def solve_packing_fast(instance: PackingInstanceView) -> tuple[Outcome, PackingStats]:
-    """Phase-anchored packing run on the one phase scan (``whack_static.scan``)."""
-    state = PackingState(instance.n, instance.lam, instance.eps,
-                         np.zeros(instance.m, dtype=np.int64))
+    """Phase-anchored packing run on the one phase kernel (``WhackState.scan``)."""
+    state = PackingState(instance.n, instance.lam, instance.eps, [0] * instance.m)
     return run_phases(state, instance.P), state.stats

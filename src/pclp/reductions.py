@@ -370,7 +370,19 @@ class GeneralOnlineSolver:
     """Rows of the general covering LP arrive with their RHS entries."""
 
     def __init__(self, gen_n: int, a: np.ndarray, L: float, U: float, eps: float):
-        self.a = np.asarray(a, dtype=float)
+        """Raises ValueError, before any guess state is built, unless ``a``
+        holds gen_n finite positive entries and 0 < L <= U < inf."""
+        a = np.asarray(a, dtype=float)
+        if a.shape != (gen_n,):
+            raise ValueError(f"a must hold one entry per column: shape {a.shape}, n = {gen_n}")
+        # a NaN is the extreme both return, and fails the comparison
+        if len(a) and not (a.item(a.argmin()) > 0.0 and a.item(a.argmax()) < math.inf):
+            raise ValueError("a must be finite and positive")
+        if not 0.0 < L < math.inf:
+            raise ValueError(f"L must be finite and positive: {L}")
+        if not L <= U < math.inf:
+            raise ValueError(f"U must be finite and at least L = {L}: {U}")
+        self.a = a
         self.eps = eps
         self.n = gen_n
         self.lam_unit = U / (L * L)

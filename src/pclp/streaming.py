@@ -1,11 +1,12 @@
 """Multi-pass streaming covering solver over row-arrival streams.
 
-``whack_static.scan`` runs over the cursor's ``source()`` as it is, one
-pass per phase, so the passes a run reports are its state's phases. W is
-anchored at pass start, each arriving row is visited against the anchor
-and enforced in place, and a phase break aborts the pass, as the static
-scan rescans from row zero after a phase break. An item that is not a
-well-formed (row_index, cols, vals) triple raises ``StreamExhaustedMidRow``.
+The phase kernel (``whack_static.WhackState.scan``) runs over the
+cursor's ``source()`` as it is, one pass per phase, so the passes a run
+reports are its state's phases. W is anchored at pass start, each arriving
+row is tested against the anchor and enforced in place, and a phase break
+aborts the pass, as the static scan rescans from row zero after a phase
+break. An item that is not a well-formed (row_index, cols, vals) triple
+raises ``StreamExhaustedMidRow``.
 
 State between rows is only {x_hat, W, t} plus the whack tallies in
 FULL_DUAL mode; the matrix is never materialized, and no per-row rates or
@@ -22,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .certificates import Outcome
-from .whack_static import WhackState, scan
+from .whack_static import WhackState
 
 
 class StreamMode(Enum):
@@ -94,11 +95,11 @@ def _words(value, seen: set[int]) -> int:
 
 
 def solve_stream(cursor: StreamCursor, eps: float) -> tuple[Outcome, StreamStats]:
-    counts = np.zeros(cursor.m, dtype=np.int64) if cursor.mode is StreamMode.FULL_DUAL else None
+    counts = [0] * cursor.m if cursor.mode is StreamMode.FULL_DUAL else None
     state = WhackState(cursor.n, cursor.lam, eps, counts)
 
     try:
-        budget_spent = scan(state, cursor.source)
+        budget_spent = state.scan(cursor.source)
     except (TypeError, ValueError) as exc:
         # a well-formed row raises neither: the visit's logs and ceilings are guarded
         raise StreamExhaustedMidRow(f"malformed streamed row: {exc}") from exc

@@ -3,12 +3,14 @@
 Preprocessing scans the matrix rows in ascending order, as the static
 solver does (``whack_static.run_phases``). Afterwards each update lowers
 one entry C_ij, so only constraint i can newly fail: the update is
-applied, and row i alone is visited (``WhackState.visit``), its dot
-computed fresh from x_hat and compared against (1 - eps/2) W. A violated
-row is enforced in place, which keeps the maintained vector x_hat/W inside
-the full (1-eps) covering guarantee after every update; an enforcement
-that pushes the weight total past the phase cap rebuilds with the same
-matrix scan from a new anchor.
+applied, and row i alone is tested (``WhackState.visit``), its dot
+computed fresh from x_hat and compared against (1 - eps/2) W; only a
+violated row enters the phase kernel, which enforces it in place. That
+keeps the maintained vector x_hat/W inside the full (1-eps) covering
+guarantee after every update; an enforcement that pushes the weight total
+past the phase cap rebuilds with the same matrix scan from a new anchor.
+The kernel also counts each row's enforcements and the coordinates they
+touch, as plain ints.
 
 Once a dual is returned it is frozen: restricting updates only shrink
 C^T y, so the certificate stands forever. An update is still checked
@@ -43,30 +45,32 @@ class DynamicStats(WhackStats):
 
 
 class DynamicWhackState(StoredRowsState):
-    """Whack state kept certified under updates, with per-row enforcement tallies."""
+    """Whack state kept certified under updates, with per-row enforcement tallies.
 
-    __slots__ = ("instance", "terminal", "enforce_log")
+    The kernel counts each row's enforcements in ``_enforced``, a list of
+    ints, and adds the enforced rows' support sizes to the stats'
+    ``column_touches``; ``enforce_log`` reads the tallies as an array."""
+
+    __slots__ = ("instance", "terminal", "_enforced")
 
     def __init__(self, instance: NormalizedCoveringInstance):
-        super().__init__(instance.n, instance.lam, instance.eps,
-                         np.zeros(instance.m, dtype=np.int64))
+        super().__init__(instance.n, instance.lam, instance.eps, [0] * instance.m)
         self.instance = instance
         self.stats = DynamicStats()
         self.terminal: Outcome | None = None
-        self.enforce_log = np.zeros(instance.m, dtype=np.int64)
+        self._enforced = [0] * instance.m
+
+    @property
+    def enforce_log(self) -> np.ndarray:
+        """Enforcements per row, as an int64 array built on each read."""
+        return np.array(self._enforced, dtype=np.int64)
 
     def current_outcome(self) -> Outcome:
         if self.terminal is not None:
             return self.terminal
         return Outcome.covering_primal(self.maintained_vector())
 
-    # -- enforcement and phases ----------------------------------------------
-
-    def _enforce(self, i: int, cols: np.ndarray, vals: np.ndarray,
-                 xh: np.ndarray, dot: float) -> Step | None:
-        self.enforce_log[i] += 1
-        self.stats.column_touches += len(cols)
-        return super()._enforce(i, cols, vals, xh, dot)
+    # -- phases ----------------------------------------------------------------
 
     def _run_to_certificate(self) -> None:
         """Phase scans until a certificate holds; the preprocessing loop and the
@@ -89,10 +93,11 @@ class DynamicWhackState(StoredRowsState):
         self.stats.updates += 1
         cols, vals = C.row(event.row)
         step = self.visit(event.row, cols, vals)
-        if step is Step.BUDGET:
-            self.terminal = self.budget_outcome()
-        elif step is Step.BROKE:
-            self._run_to_certificate()
+        if step is not None:
+            if step is Step.BUDGET:
+                self.terminal = self.budget_outcome()
+            else:  # the phase broke
+                self._run_to_certificate()
         return self.current_outcome()
 
 

@@ -33,12 +33,17 @@ more for the same result. The bits agree but for the sign of a zero from
 a one-entry row, which no caller reads: every dot is compared or tested
 against zero.
 
-``WhackState.visit`` is the only covering code that compares a row with
-the anchor and enforces it, and ``scan`` runs the phases of one state over
-a row source. A row's dot with x_hat is computed when the row is visited,
-so no row's dot is kept between visits and an enforcement touches only the
-enforced row's support. The settings differ only in the rows they feed,
-in what an outcome means and, for packing, in the sign:
+One phase kernel (``WhackState._phases``) tests rows against the anchor,
+enforces the violated ones and re-anchors each new phase, for covering and
+packing alike, in one method frame: the anchor, band, budget, t and counts
+live in its locals, each enforcement is one ``_step`` call, and the
+tallies are lists of ints. ``WhackState.scan`` runs the phases of one state
+over a row source through it, and ``WhackState.visit`` tests one row on its
+own and enters the kernel only when that row is violated. A row's dot with
+x_hat is computed when the row is tested, so no row's dot is kept between
+tests and an enforcement touches only the enforced row's support. The
+settings differ only in the rows they feed, in what an outcome means and,
+for packing, in the sign:
 
 - static (``solve_fast``) and the dynamic preprocessing and phase rebuilds
   (``whack_dynamic``) scan the matrix rows in ascending order, and a
@@ -71,6 +76,8 @@ from .sparse import SparseNonnegMatrix
 
 #: rescale the shared exponent once any weight grows past this
 _RESCALE_AT = 1e120
+#: what ndarray.sum calls, without its Python wrapper
+_add_reduce = np.add.reduce
 
 
 class PreconditionViolated(ValueError):
@@ -323,7 +330,7 @@ def row_step_size(vals: np.ndarray, xh: np.ndarray, lam: float, eps: float,
 
 
 class Step(Enum):
-    """What an enforcement in ``WhackState.visit`` ended in, besides going on."""
+    """What an enforcement ended in, besides going on."""
     BUDGET = "budget"  # t reached T: the tallies form the dual
     BROKE = "broke"    # the weight total left the phase band (floor, cap)
 
@@ -348,10 +355,10 @@ class WhackState:
     Holds x_hat (true weights are ``x_hat * exp(log_scale)``), its total
     as of the last enforcement, the phase anchor W with the row threshold
     and the phase band, t of the T rounds, the whack tallies and the stats.
-    The tallies are indexed by row: an array for a matrix, a growing list
-    online, and None when no dual is kept. What depends on the sign of the
-    template is in ``_anchor``, ``visit``, ``_step``, ``_RATE_SIGN``,
-    ``_settle`` and the two outcomes; ``_enforce`` keeps the bookkeeping.
+    The tallies are a list of ints indexed by row, grown row by row online,
+    and None when no dual is kept. What depends on the sign of the template
+    is in ``_anchor``, ``_step``, ``_RATE_SIGN`` (which also flips the row
+    test), ``_settle`` with ``_SETTLE_PAST``, and the two outcomes.
     """
 
     __slots__ = ("n", "lam", "eps", "x_hat", "log_scale", "total", "W", "threshold", "cap",
@@ -359,11 +366,21 @@ class WhackState:
 
     #: the step search: (base, rate, g_max, dot, W, budget, powers) -> (d, exp(d rate))
     _step = staticmethod(covering_step)
-    #: the rates are log1p(sign eps vals / lam): covering weights grow
+    #: the rates are log1p(sign eps vals / lam): covering weights grow; a row
+    #: is violated while sign dot < sign threshold
     _RATE_SIGN = 1.0
+    #: the kernel calls ``_settle`` on an enforcement whose total is not at
+    #: or below this: below it no covering weight can have passed _RESCALE_AT
+    _SETTLE_PAST = _RESCALE_AT
+    # Per-setting fields the kernel reads, None here and slots where a
+    # subclass keeps them, so that a streamed state holds no word for them:
+    #: row -> (the vals array rated, (rate, g_max, power table)), ``StoredRowsState``
+    _rates: dict | None = None
+    #: per-row enforcement tallies, ``whack_dynamic.DynamicWhackState``
+    _enforced: list[int] | None = None
 
     def __init__(self, n: int, lam: float, eps: float,
-                 whack_counts: np.ndarray | list[int] | None = None,
+                 whack_counts: list[int] | None = None,
                  record_trace: bool = False):
         self.n = n
         self.lam = lam
@@ -381,10 +398,11 @@ class WhackState:
     def _anchor(self, W: float) -> None:
         """Set the phase anchor W, the row threshold and the phase band
         (floor, cap): an enforcement whose total leaves it breaks the phase."""
+        below = 1.0 - self.eps / 2.0
         self.W = W
-        self.threshold = (1.0 - self.eps / 2.0) * W
+        self.threshold = below * W
         self.floor = -math.inf
-        self.cap = W / (1.0 - self.eps / 2.0)
+        self.cap = W / below
 
     def start_phase(self) -> None:
         """Anchor W at the total in hand: only an enforcement changes x_hat,
@@ -392,55 +410,132 @@ class WhackState:
         self.stats.phases += 1
         self._anchor(self.total)
 
-    # -- the one row visit -----------------------------------------------------
+    # -- the phase kernel ------------------------------------------------------
+
+    def scan(self, rows: Callable[[], Iterable[tuple[int, np.ndarray, np.ndarray]]]) -> bool:
+        """The phase loop of every setting, packing included, over a
+        re-iterable row source.
+
+        Each phase anchors W and tests the rows of one ``rows()`` pass in
+        order; an enforcement that breaks the phase starts the next one.
+        Returns True once the round budget is spent, False after a pass with
+        no break."""
+        self.start_phase()
+        return self._phases(rows, 0, None, None, None, 0.0) is Step.BUDGET
 
     def visit(self, i: int, cols: np.ndarray, vals: np.ndarray) -> Step | None:
-        """Enforce row i (support ``cols``, entries ``vals``) if its dot with
-        x_hat, computed now, is below (1 - eps/2) W: apply the row's whack
-        ``row_step_size`` times in one closed-form power and tally it. A NaN
-        dot fails the comparison, so the row is skipped.
-
-        Returns None unless an enforcement ran out the round budget or broke
-        the phase."""
+        """Test row i (support ``cols``, entries ``vals``) alone against the
+        phase anchor, and enforce it if it is violated. Returns None unless
+        the enforcement ran out the round budget or broke the phase, which
+        the caller handles."""
         xh = self.x_hat[cols]
         dot = float(vals.dot(xh))
-        if not dot < self.threshold:
+        sign = self._RATE_SIGN
+        if not sign * dot < sign * self.threshold:  # also NaN
             return None
-        return self._enforce(i, cols, vals, xh, dot)
+        return self._phases(None, i, cols, vals, xh, dot)
 
-    def _enforce(self, i: int, cols: np.ndarray, vals: np.ndarray, xh: np.ndarray,
-                 dot: float) -> Step | None:
-        budget = self.T - self.t
-        rate = power = None
-        if len(cols):
-            rate, g_max, powers = self._row_rates(i, vals)
-            delta, power = self._step(vals * xh, rate, g_max, dot, self.W, budget, powers)
-            self.x_hat[cols] = xh * power
-        else:
-            delta = budget
-        self.total = total = self._settle(cols, xh, delta, rate, power)
-        self.t += delta
-        if self.whack_counts is not None:
-            self.whack_counts[i] += delta
-        self.stats.enforcements += 1
-        self.stats.whacks = self.t
-        if self.record_trace:
-            self.stats.trace.append((i, delta))
-        if self.t >= self.T:
-            return Step.BUDGET
-        # written so that a NaN total breaks nothing
-        return Step.BROKE if total > self.cap or total < self.floor else None
+    def _phases(self, rows: Callable[[], Iterable[tuple[int, np.ndarray, np.ndarray]]] | None,
+                i: int, cols: np.ndarray | None, vals: np.ndarray | None,
+                xh: np.ndarray | None, dot: float) -> Step | None:
+        """Run phases in one frame. With ``cols`` given, row i is violated
+        (``xh`` its weights, ``dot`` its dot) and is enforced first; then
+        the rows of the current ``rows()`` pass are tested in order, and an
+        enforcement that breaks the phase re-anchors W at the total and
+        starts a new pass. With ``rows`` None there is no pass: the one
+        enforcement's Step is returned.
+
+        A row is violated when sign dot < sign threshold, sign = +-1, which
+        reads dot < threshold for covering and dot > threshold for packing;
+        a NaN dot fails it, so the row is skipped. An enforcement applies
+        the row's whack d times in one closed-form power: d and exp(d rate)
+        come from one ``_step`` call, with the rates computed by
+        ``_row_rates``, or kept per stored row in ``_rates``. The anchor,
+        band, budget, t and counts live in locals while the kernel runs and
+        are written back when it returns. Returns Step.BUDGET once t reaches
+        T, else None after a pass (or the one enforcement) with no break."""
+        # three to an assignment, which compiles to no tuple
+        x_hat = self.x_hat  # a rescale divides it in place
+        step, rated, enforced = self._step, self._rates, self._enforced
+        counts, stats, settle_past = self.whack_counts, self.stats, self._SETTLE_PAST
+        W, cap, floor = self.W, self.cap, self.floor
+        t, T, total = self.t, self.T, self.total
+        done = 0
+        if rows is not None:  # a visit tests no row
+            sign = self._RATE_SIGN
+            bar = sign * self.threshold
+            source = iter(rows())
+        try:
+            while True:
+                if cols is not None:
+                    k = len(cols)
+                    if k:
+                        if rated is None:
+                            rate, g_max, powers = self._row_rates(i, vals)
+                        else:
+                            hit = rated.get(i)
+                            if hit is not None and hit[0] is vals:
+                                rate, g_max, powers = hit[1]
+                            else:
+                                rate, g_max, _ = self._row_rates(i, vals)
+                                powers = {}
+                                rated[i] = (vals, (rate, g_max, powers))
+                        delta, power = step(vals * xh, rate, g_max, dot, W, T - t, powers)
+                        x_hat[cols] = xh * power
+                    else:
+                        delta = T - t
+                        rate = power = None
+                    total = float(_add_reduce(x_hat))
+                    if not total <= settle_past:  # also NaN
+                        total = self._settle(total, cols, xh, delta, rate, power)
+                        # a rescale re-anchors the phase
+                        W, cap, floor = self.W, self.cap, self.floor
+                        if rows is not None:
+                            bar = sign * self.threshold
+                    t += delta
+                    if counts is not None:
+                        counts[i] += delta
+                    done += 1
+                    if enforced is not None:
+                        enforced[i] += 1
+                        stats.column_touches += k
+                    if self.record_trace:
+                        stats.trace.append((i, delta))
+                    if t >= T:
+                        return Step.BUDGET
+                    # written so that a NaN total breaks nothing
+                    if total > cap or total < floor:
+                        if rows is None:
+                            return Step.BROKE
+                        stats.phases += 1
+                        self._anchor(total)
+                        W, cap, floor = self.W, self.cap, self.floor
+                        bar = sign * self.threshold
+                        source = iter(rows())
+                    elif rows is None:
+                        return None
+                for i, cols, vals in source:
+                    xh = x_hat[cols]
+                    dot = float(vals.dot(xh))
+                    if sign * dot < bar:
+                        break
+                else:
+                    return None
+        finally:
+            self.t, self.total = t, total
+            if done:
+                stats.enforcements += done
+                stats.whacks = t
 
     def _row_rates(self, i: int, vals: np.ndarray
                    ) -> tuple[np.ndarray, float, dict[int, np.ndarray] | None]:
-        """Row i's rates log1p(sign eps vals / lam), their largest, and its
-        power table: here the rates are computed afresh and there is no
-        table, since a streamed row is the source's to change, so no per-row
-        state is kept for it."""
+        """Row i's rates log1p(sign eps vals / lam), their largest, and no
+        power table: the rates are computed afresh, and the kernel keeps
+        them, with a table, only for a state that stores its rows."""
         # in place, the same bits as np.log1p(sign * eps * vals / lam)
         rate = self._RATE_SIGN * self.eps * vals
         rate /= self.lam
-        np.log1p(rate, out=rate)
+        np.log1p(rate, rate)  # out by position: NumPy parses no keyword
         # argmax and an index cost the same at any row length, a third of the
         # reduction on a short row; the reduction answers for NaN and zeros
         g_max = rate.item(rate.argmax())
@@ -450,13 +545,13 @@ class WhackState:
 
     # -- scale handling ------------------------------------------------------
 
-    def _settle(self, cols: np.ndarray, xh: np.ndarray, delta: int,
+    def _settle(self, total: float, cols: np.ndarray, xh: np.ndarray, delta: int,
                 rate: np.ndarray | None, power: np.ndarray | None) -> float:
         """The weight total after the enforcement just applied (the power
-        exp(delta rate) on the pre-power weights ``xh``), once the shared
-        exponent is rescaled, in their log space, if a weight grew too large."""
-        # add.reduce is what ndarray.sum calls, without its Python wrapper
-        total = float(np.add.reduce(self.x_hat))
+        exp(delta rate) on the pre-power weights ``xh``; ``total`` is the
+        sum it left), once the shared exponent is rescaled, in their log
+        space, if a weight grew too large. The kernel calls it only once the
+        total is not at or below ``_SETTLE_PAST``."""
         if total > _RESCALE_AT:  # no weight exceeds the total, so below it no rescale is due
             if rate is not None:
                 peak_log = float((np.log(xh) + delta * rate).max())
@@ -497,8 +592,9 @@ class StoredRowsState(WhackState):
     """The scan state over rows that their owner stores: a matrix's rows
     (static and dynamic) or the rows an online state has seen. The owner
     hands row i out as one array until its entries change (a matrix ``set``
-    builds a new one; an online row never changes), so row i's rates are
-    computed once per array and kept while the state lives.
+    builds a new one; an online row never changes), so the kernel computes
+    row i's rates once per array and keeps them in ``_rates`` while the
+    state lives, matched by identity on the row's ``vals``.
 
     Next to the rates, each row keeps its power table d -> exp(d rate), the
     read-only powers the step search evaluated on that row: a stored row is
@@ -511,44 +607,13 @@ class StoredRowsState(WhackState):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # row -> (the vals array rated, (rate, g_max, power table))
-        self._rates: dict[int, tuple[np.ndarray, tuple[np.ndarray, float, dict]]] = {}
-
-    def _row_rates(self, i: int, vals: np.ndarray
-                   ) -> tuple[np.ndarray, float, dict[int, np.ndarray]]:
-        hit = self._rates.get(i)
-        if hit is not None and hit[0] is vals:
-            return hit[1]
-        rate, g_max, _ = super()._row_rates(i, vals)
-        rated = rate, g_max, {}
-        self._rates[i] = (vals, rated)
-        return rated
-
-
-def scan(state: WhackState, rows: Callable[[], Iterable[tuple[int, np.ndarray, np.ndarray]]]) -> bool:
-    """The phase loop of every setting, packing included, over a re-iterable
-    row source.
-
-    Each phase anchors W and visits the rows of one ``rows()`` pass in
-    order; a visit that breaks the phase starts the next one. Returns True
-    once the round budget is spent, False after a pass with no break."""
-    visit = state.visit
-    while True:
-        state.start_phase()
-        for i, cols, vals in rows():
-            step = visit(i, cols, vals)
-            if step is not None:
-                if step is Step.BUDGET:
-                    return True
-                break
-        else:
-            return False
+        self._rates = {}
 
 
 def run_phases(state: WhackState, C: SparseNonnegMatrix) -> Outcome:
     """Scan the rows of C in ascending order to a certificate; shared with
     the dynamic preprocessing and phase rebuilds and with packing."""
-    budget_spent = scan(state, C.rows)
+    budget_spent = state.scan(C.rows)
     # covering weights only grow, so the last total is the largest the run reached
     state.stats.max_weight_ratio = ((math.log(state.total) + state.log_scale)
                                     / weight_cap(state.n, state.eps))
@@ -559,8 +624,8 @@ def run_phases(state: WhackState, C: SparseNonnegMatrix) -> Outcome:
 
 def solve_fast(instance: NormalizedCoveringInstance,
                record_trace: bool = False) -> tuple[Outcome, WhackStats]:
-    state = StoredRowsState(instance.n, instance.lam, instance.eps,
-                            np.zeros(instance.m, dtype=np.int64), record_trace)
+    state = StoredRowsState(instance.n, instance.lam, instance.eps, [0] * instance.m,
+                            record_trace)
     outcome = run_phases(state, instance.C)
     return outcome, state.stats
 

@@ -124,15 +124,21 @@ def test_rescan_visits_the_stored_arrays():
     # rates kept for a row's vals array are found again by identity
     visited = []
 
-    class Recording(OnlineState):
-        def visit(self, i, cols, vals):
-            visited.append((i, cols, vals))
-            return super().visit(i, cols, vals)
+    class Recording(list):
+        # the row source a rescan iterates: every row it hands the kernel
+        def __iter__(self):
+            for row in super().__iter__():
+                visited.append(row)
+                yield row
 
-    state = Recording(3, 1.0, 0.1)
+    state = OnlineState(3, 1.0, 0.1)
+    state.rows = Recording()
     for cols, vals in [([0, 1, 2], [1.0, 1.0, 1.0]), ([0, 1], [1.0, 0.5])]:
         assert state.insert_row(cols, vals).terminal is None
     assert state.phase_transitions > 1 and len(visited) > len(state.rows)
     for i, cols, vals in visited:
         assert state.rows[i][0] == i
         assert cols is state.rows[i][1] and vals is state.rows[i][2]
+    # and the rates the kernel keeps are keyed to those arrays
+    assert state._rates and all(rated is state.rows[i][2]
+                                for i, (rated, _) in state._rates.items())

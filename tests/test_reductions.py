@@ -350,6 +350,25 @@ def test_online_reduction_checks_every_live_lambda_before_any_guess_takes_the_ro
     assert len({id(st.rows[0][1]) for st in solver.states if st.rows}) == 1
 
 
+@pytest.mark.parametrize("a, L, U, names", [([0.0, 1.0], 1.0, 1.0, "a must"),
+                                             ([1.0, -1.0], 1.0, 1.0, "a must"),
+                                             ([math.nan, 1.0], 1.0, 1.0, "a must"),
+                                             ([math.inf, 1.0], 1.0, 1.0, "a must"),
+                                             ([1.0], 1.0, 1.0, "a must"),
+                                             ([1.0, 1.0], 0.0, 1.0, "L must"),
+                                             ([1.0, 1.0], math.nan, 1.0, "L must"),
+                                             ([1.0, 1.0], 2.0, 1.0, "U must"),
+                                             ([1.0, 1.0], 1.0, math.inf, "U must")],
+                         ids=["zero-a", "negative-a", "nan-a", "inf-a", "short-a", "zero-L",
+                              "nan-L", "L-above-U", "inf-U"])
+def test_online_reduction_rejects_bad_a_L_and_U_up_front(a, L, U, names):
+    # each used to pass the constructor and fail later, if at all: a zero a_j
+    # divided by zero on the first insert, L = 0 divided by zero here, and a
+    # NaN, L > U or a short a raised the wrong error on the first insert
+    with pytest.raises(ValueError, match=names):
+        GeneralOnlineSolver(2, np.array(a), L, U, 0.1)
+
+
 def test_online_reduction_gives_up_after_the_capped_extensions():
     # an entry far below L moves the optimum past the capped ladder
     solver = GeneralOnlineSolver(1, np.ones(1), 1.0, 1.0, 0.1)

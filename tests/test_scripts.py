@@ -31,3 +31,16 @@ def test_script_prints_json_lines(script):
     lines = proc.stdout.splitlines()
     assert lines
     assert all(isinstance(json.loads(line), dict) for line in lines)
+
+
+def test_side_by_side_runs_one_checkout_against_itself():
+    # both sides import this checkout's package and benchmark, each its own copy
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "side_by_side.py"),
+                           str(ROOT), str(ROOT), "--workload", "general_lp", "--seed", "3",
+                           "--seconds", "1", "--pairs", "2"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(" ")[1] for line in lines[:2]] == ["1/2", "2/2"]
+    assert lines[2].startswith("general_lp: 2 pairs")
+    assert [line.split()[0] for line in lines[3:]] == ["op_ms.tail", "setup_s"]
