@@ -13,6 +13,11 @@ prints each side's median and quartiles of ``op_ms.tail`` and ``setup_s``
 and the pairs' ratios (change over parent); ``peak_rss_mb`` is left out,
 since both sides share one process. It exits 1 if either side's checks
 report a problem, with the problems on stderr.
+
+Read a paired ratio within about 1% of 1 as no difference: two copies of
+one checkout, imported this way and timed on 200 alternated calls of the
+``general_lp`` streaming reduction, read 1.3% apart with one copy imported
+first and 0.1% apart with the other.
 """
 from __future__ import annotations
 
