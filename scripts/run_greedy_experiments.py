@@ -15,7 +15,9 @@ Each trial also says why its single boosts were not jumps:
 
 The script counts all of these, and the calls of the ``parts`` function
 that ``GreedyState._segment_profile`` returns (endpoint evaluations), by
-wrapping solver methods, so the solver carries no counter for them.
+wrapping solver methods, so the solver carries no counter for them: a
+run's singles are read from ``boosts_total - jump_boosts`` around
+``_boost_run`` and ``_try_jump``.
 
     PYTHONPATH=src python scripts/run_greedy_experiments.py --trials 5 --seed 1
 """
@@ -30,14 +32,14 @@ from pclp.generate import random_positive, relaxing_stream_positive
 from pclp.greedy import GreedyState, solve_static_positive
 
 COUNTS = dict.fromkeys(["endpoints", "pre_attempt_singles", "cap_refusals", "backoff_skipped"], 0)
-# the boost run the wrappers last saw, whether it has tried a jump yet, and
-# whether its last step was an attempt
-RUN = {"serial": None, "tried": False, "after_try": False}
+# the boost run in progress: the singles made before it began, before its
+# first jump attempt (None until it makes one), and its refused attempts
+RUN = {"began": 0, "first_try": None, "refused": 0}
 
 
-def _enter_run(state):
-    if RUN["serial"] != state._run:
-        RUN.update(serial=state._run, tried=False, after_try=False)
+def _singles(state) -> int:
+    """Boosts made outside jumps so far."""
+    return state.stats.boosts_total - state.stats.jump_boosts
 
 
 def _counting_profile(profile):
@@ -64,22 +66,27 @@ def _counting_cap(cap):
 
 def _counting_try(try_jump):
     def wrapped(self, k, delta):
-        _enter_run(self)
-        RUN.update(tried=True, after_try=True)
-        return try_jump(self, k, delta)
+        if RUN["first_try"] is None:
+            RUN["first_try"] = _singles(self)
+        out = try_jump(self, k, delta)
+        RUN["refused"] += not out[0]
+        return out
 
     return wrapped
 
 
-def _counting_boost(boost_once):
-    def wrapped(self, k, delta):
-        _enter_run(self)
-        if not RUN["tried"]:
-            COUNTS["pre_attempt_singles"] += 1
-        elif not RUN["after_try"]:
-            COUNTS["backoff_skipped"] += 1
-        RUN["after_try"] = False
-        return boost_once(self, k, delta)
+def _counting_run(boost_run):
+    # every refused attempt is followed by one single boost, and no single
+    # follows an accepted jump directly, so a run's singles split into those
+    # before its first attempt, those after a refusal, and the back-off's
+    def wrapped(self, k, stale=None):
+        RUN.update(began=_singles(self), first_try=None, refused=0)
+        out = boost_run(self, k, stale)
+        made = _singles(self) - RUN["began"]
+        pre = made if RUN["first_try"] is None else RUN["first_try"] - RUN["began"]
+        COUNTS["pre_attempt_singles"] += pre
+        COUNTS["backoff_skipped"] += made - pre - RUN["refused"]
+        return out
 
     return wrapped
 
@@ -99,11 +106,10 @@ def main() -> int:
     GreedyState._segment_profile = _counting_profile(GreedyState._segment_profile)
     GreedyState._segment_cap = _counting_cap(GreedyState._segment_cap)
     GreedyState._try_jump = _counting_try(GreedyState._try_jump)
-    GreedyState._boost_once = _counting_boost(GreedyState._boost_once)
+    GreedyState._boost_run = _counting_run(GreedyState._boost_run)
     rng = np.random.default_rng(args.seed)
     for trial in range(args.trials):
         COUNTS.update(dict.fromkeys(COUNTS, 0))
-        RUN.update(serial=None)  # a new state numbers its runs from 1 again
         inst = random_positive(rng, args.mp, args.mc, args.n, density=args.density)
         outcome, state = solve_static_positive(inst)
         if args.relax_tau and not state.solved:

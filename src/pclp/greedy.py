@@ -10,7 +10,9 @@ Everything expensive is approximated within the sandwich the maintenance
 invariant allows:
 
 * hat weights lag the exact constraint weights by at most a (1 +/- eps)
-  factor and are refreshed per touched row when they drift out;
+  factor; a row whose hat drifts out of that band is refreshed by the
+  boost run that moved it, when the run settles that boost before its next
+  cheapness test (see GreedyState._boost_run);
 * hat costs are the exact ratio of the hat weights; the numerator and
   denominator of each column are maintained incrementally as a refresh
   touches a row, so the cheapness test is three multiplications (weights
@@ -22,10 +24,11 @@ invariant allows:
 
 Relaxing updates to the packing matrix are absorbed by a padding column
 (the extended variable is pinned at one) so packing weights never fall;
-covering relaxations refresh one row. RHS translations are ignored until
-they accumulate a (1+eps) factor and are then replayed as row scalings;
-a later entry update on a scaled row names the instance's value and is
-divided by the right-hand side applied to that row.
+a covering relaxation can push one row's hat out of its band and hands
+that row to the first boost run after it to refresh. RHS translations are
+ignored until they accumulate a (1+eps) factor and are then replayed as
+row scalings; a later entry update on a scaled row names the instance's
+value and is divided by the right-hand side applied to that row.
 
 The state keeps no copy of the entries: it reads and writes its instance's
 P and C in place (``pcol``/``prow`` and ``ccol``/``crow`` are the matrices'
@@ -185,8 +188,6 @@ class GreedyState:
         self.tops = [0.0] * n
         self.top_dirty = [True] * n
         self.colver = [0] * n
-        self._fcache_key: tuple[int, float, int] | None = None
-        self._fcache: tuple[list, list] | None = None
         # certified jumps: the serial of the current boost run, the run's
         # segment profile under its (run, delta, colver) key, and per
         # coordinate the (delta, B) that its last jump attempt certified
@@ -257,28 +258,6 @@ class GreedyState:
     def _sthr_c(self, j: int) -> float:
         # hat_wc(j) exceeds w_c(j)(1+eps) once S_c passes this point
         return (math.log1p(self.eps) - self.hat_lw_c[j]) / self.eta
-
-    def _refresh_hat_p(self, i: int) -> None:
-        self.hat_lw_p[i] = self.eta * self.S_p[i]
-        new = math.exp(self.hat_lw_p[i] - self.off_p)
-        d = new - self.hm_p[i]
-        self.hm_p[i] = new
-        self.sthr_p[i] = self._sthr_p(i)
-        for k, v in self.prow[i].items():
-            self.hatN[k] += d * v
-        self.stats.weight_refreshes += 1
-
-    def _refresh_hat_c(self, j: int) -> None:
-        self.hat_lw_c[j] = -self.eta * self.S_c[j]
-        new = math.exp(self.hat_lw_c[j] - self.off_c)
-        d = new - self.hm_c[j]
-        self.hm_c[j] = new
-        self.sthr_c[j] = self._sthr_c(j)
-        for k, v in self.crow[j].items():
-            self.hatD[k] += d * v
-            if self.hatD[k] < 1e-9 * self.peakD[k]:
-                self.hatD[k] = self.peakD[k] = self._column_hatD(k)
-        self.stats.weight_refreshes += 1
 
     def _rebuild_hatN(self) -> None:
         for k in range(self.n):
@@ -355,79 +334,26 @@ class GreedyState:
 
     # -- boosting ----------------------------------------------------------------
 
-    def _factors(self, k: int, delta: float) -> tuple[list, list]:
-        key = (k, delta, self.colver[k])
-        if self._fcache_key != key:
-            eta = self.eta
-            fp = [(i, v, math.exp(eta * v * delta)) for i, v in self.pcol[k].items()]
-            fc = [(j, v, math.exp(-eta * v * delta)) for j, v in self.ccol[k].items()]
-            self._fcache_key = key
-            self._fcache = (fp, fc)
-        return self._fcache
-
-    def _boost_once(self, k: int, delta: float) -> bool:
-        """One increment along k; True when the covering side got satisfied."""
-        self.stats.boosts_total += 1
-        self.boosts[k] += 1
-        if self.audit_hook is not None:
-            self.audit_hook(self, k, delta)
-        self.x[k] += delta
-        fp, fc = self._factors(k, delta)
-        S_c = self.S_c
-        crossed_two = None
-        for j, v, _ in fc:
-            old = S_c[j]
-            new = old + v * delta
-            S_c[j] = new
-            if old < 1.0 <= new:
-                self.unsat -= 1
-            if old < 2.0 <= new and self.active[j]:
-                if crossed_two is None:
-                    crossed_two = [j]
-                else:
-                    crossed_two.append(j)
-        if self.unsat == 0:
-            self.solved = True
-            return True
-        S_p = self.S_p
-        mant_p = self.mant_p
-        pending_p = None
-        for i, v, f in fp:
-            S_p[i] += v * delta
-            m = mant_p[i]
-            mant_p[i] = m * f
-            self.tot_p += mant_p[i] - m
-            if S_p[i] > self.sthr_p[i]:
-                if pending_p is None:
-                    pending_p = [i]
-                else:
-                    pending_p.append(i)
-        mant_c = self.mant_c
-        pending_c = None
-        for j, v, f in fc:
-            m = mant_c[j]
-            mant_c[j] = m * f
-            self.tot_c += mant_c[j] - m
-            if S_c[j] > self.sthr_c[j]:
-                if pending_c is None:
-                    pending_c = [j]
-                else:
-                    pending_c.append(j)
-        if pending_p is not None:
-            for i in pending_p:
-                self._refresh_hat_p(i)
-        if pending_c is not None:
-            for j in pending_c:
-                self._refresh_hat_c(j)
-        if crossed_two is not None:
-            for j in crossed_two:
-                self._deactivate(j)
-        if self.tot_p > _MANT_HI or self.tot_c < 1e-9 * self.anchor_c:
-            self._maybe_rescale()
-        return False
-
-    def _boost_run(self, k: int) -> bool:
+    def _boost_run(self, k: int, stale: int | None = None) -> bool:
         """Boost k while its hat cost stays cheap; True when solved.
+
+        The whole run is one loop in this frame. A single boost updates x,
+        S_c, S_p, the mantissas and the totals from column k's factor table
+        (i, v, exp(+-eta v delta)), rebuilt only when delta changes; the
+        totals and lists live in locals, and the totals are written back
+        before every call that reads or rewrites them (_maybe_rescale,
+        _try_jump, the audit hook) and on every return. When a boost
+        satisfies the last covering row it returns before any weight moves.
+        Otherwise the boost is settled at the top of the next iteration,
+        before the cheapness test, in this order: the packing hats that
+        left their band are refreshed (in factor-table order), then the
+        covering ones, then the rows that crossed 2 are deactivated, then
+        the rescale is checked. ``stale`` is a covering row whose hat a
+        relaxed entry pushed out of its band; it is refreshed by the same
+        settle, before the first test (the caller clears exhausted[k]).
+        The lists are bound once, since every method the loop calls writes
+        them in place; the offsets, which a rescale or _resync rebinds, are
+        read at each settle.
 
         Long runs are batch-advanced: a segment of B same-size boosts moves
         every weight along an exponential of the boost count, so a whole
@@ -444,7 +370,8 @@ class GreedyState:
         the next boost tries again at once. Between two resets, r
         refusals therefore take at least 2^(r-1) singles; since every jump
         is still certified, the back-off only decides when attempts are
-        made, never what a jump may do. Audit mode single-steps everything.
+        made, never what a jump may do. Audit mode runs the same loop,
+        calls the hook before each single boost moves x, and never jumps.
 
         Each run has its own serial: only the rows of column k move while
         k boosts, so the slopes, log-entries and off-column constants of
@@ -453,34 +380,135 @@ class GreedyState:
         if self.exhausted[k]:
             return False
         self._run += 1
-        scale = self.eps / (2.0 * self.eta)
+        eta = self.eta
+        scale = self.eps / (2.0 * eta)
+        log_lo_p = math.log1p(-self.eps)
+        log_hi_c = math.log1p(self.eps)
+        cheap_factor = self.cheap_factor
+        hook = self.audit_hook
+        stats = self.stats
+        x, boosts, active = self.x, self.boosts, self.active
+        prow, crow = self.prow, self.crow
+        S_p, mant_p, hm_p, hat_lw_p, sthr_p = (self.S_p, self.mant_p, self.hm_p,
+                                              self.hat_lw_p, self.sthr_p)
+        S_c, mant_c, hm_c, hat_lw_c, sthr_c = (self.S_c, self.mant_c, self.hm_c,
+                                              self.hat_lw_c, self.sthr_c)
+        hatN, hatD, peakD = self.hatN, self.hatD, self.peakD
+        pcol, ccol = self.pcol[k], self.ccol[k]
+        tot_p, tot_c = self.tot_p, self.tot_c
+        fdelta = fp = fc = None
+        pend_p, pend_c, crossed = [], [] if stale is None else [stale], []
+        boosted = False
         singles = 0
         next_try, gap = 24, 1
-        while self._cheap(k):
+        while True:
+            # settle the last single boost (or the handed-over stale row)
+            if pend_p:
+                off_p = self.off_p
+                for i in pend_p:
+                    lw = eta * S_p[i]
+                    hat_lw_p[i] = lw
+                    new = math.exp(lw - off_p)
+                    d = new - hm_p[i]
+                    hm_p[i] = new
+                    sthr_p[i] = (lw - log_lo_p) / eta  # mirrors _sthr_p
+                    for c, v in prow[i].items():
+                        hatN[c] += d * v
+                    stats.weight_refreshes += 1
+                pend_p.clear()
+            if pend_c:
+                off_c = self.off_c
+                for j in pend_c:
+                    lw = -eta * S_c[j]
+                    hat_lw_c[j] = lw
+                    new = math.exp(lw - off_c)
+                    d = new - hm_c[j]
+                    hm_c[j] = new
+                    sthr_c[j] = (log_hi_c - lw) / eta  # mirrors _sthr_c
+                    for c, v in crow[j].items():
+                        hatD[c] += d * v
+                        if hatD[c] < 1e-9 * peakD[c]:
+                            hatD[c] = peakD[c] = self._column_hatD(c)
+                    stats.weight_refreshes += 1
+                pend_c.clear()
+            if crossed:
+                for j in crossed:
+                    self._deactivate(j)
+                crossed.clear()
+            if boosted:
+                boosted = False
+                if tot_p > _MANT_HI or tot_c < 1e-9 * self.anchor_c:
+                    self.tot_p, self.tot_c = tot_p, tot_c
+                    self._maybe_rescale()
+                    tot_p, tot_c = self.tot_p, self.tot_c
+            if not hatN[k] * tot_c <= cheap_factor * hatD[k] * tot_p:  # mirrors _cheap
+                break
             top = self._top(k)
             if top == 0.0:
                 # nothing binds: no packing entries and every covering row
                 # with this column already sits at >= 2, so boosting is free
                 # but useless; drop the coordinate from future scans
                 self.exhausted[k] = True
+                self.tot_p, self.tot_c = tot_p, tot_c
                 return False
             delta = scale / top
-            if singles >= next_try and self.audit_hook is None:
+            if singles >= next_try and hook is None:
+                self.tot_p, self.tot_c = tot_p, tot_c
                 jumped, solved = self._try_jump(k, delta)
                 if solved:
                     return True
+                tot_p, tot_c = self.tot_p, self.tot_c
                 if jumped:
                     gap = 1
                     continue
                 next_try, gap = singles + gap, 2 * gap
-            if self._boost_once(k, delta):
+            # one single boost of size delta
+            if delta != fdelta:
+                fdelta = delta
+                fp = [(i, v, math.exp(eta * v * delta)) for i, v in pcol.items()]
+                fc = [(j, v, math.exp(-eta * v * delta)) for j, v in ccol.items()]
+            stats.boosts_total += 1
+            boosts[k] += 1
+            if hook is not None:
+                self.tot_p, self.tot_c = tot_p, tot_c
+                hook(self, k, delta)
+            x[k] += delta
+            for j, v, _ in fc:
+                old = S_c[j]
+                new = old + v * delta
+                S_c[j] = new
+                if old < 1.0 <= new:
+                    self.unsat -= 1
+                if old < 2.0 <= new and active[j]:
+                    crossed.append(j)
+                if new > sthr_c[j]:
+                    pend_c.append(j)
+            if self.unsat == 0:
+                self.solved = True
+                self.tot_p, self.tot_c = tot_p, tot_c
                 return True
+            for i, v, f in fp:
+                s = S_p[i] + v * delta
+                S_p[i] = s
+                m = mant_p[i]
+                m2 = m * f
+                mant_p[i] = m2
+                tot_p += m2 - m
+                if s > sthr_p[i]:
+                    pend_p.append(i)
+            for j, v, f in fc:
+                m = mant_c[j]
+                m2 = m * f
+                mant_c[j] = m2
+                tot_c += m2 - m
+            boosted = True
             singles += 1
+        self.tot_p, self.tot_c = tot_p, tot_c
         # keep the phase-snapshot estimate of the covering total inside its band
-        lwc = math.log(self.tot_c) + self.off_c
-        if self.log_wstar_c > lwc + math.log1p(self.eps):
+        lwc = math.log(tot_c) + self.off_c
+        if self.log_wstar_c > lwc + log_hi_c:
             self.log_wstar_c = lwc
-            self.stats.wstar_refreshes += 1
+            stats.wstar_refreshes += 1
         return False
 
     # -- certified batch advance ---------------------------------------------
@@ -766,6 +794,8 @@ class GreedyState:
         instance's row divided by the right-hand side applied so far."""
         scale = self.rhs_applied_c[j]
         old = self.C.get(j, k)
+        if not math.isfinite(new):
+            raise NonMonotoneUpdate(f"C[{j},{k}] must stay finite: {new}")
         if not new / scale > old:
             raise NonMonotoneUpdate(f"C[{j},{k}] must increase: {new} <= {old * scale}")
         return self._relax_covering_entry(j, k, new / scale)
@@ -802,14 +832,16 @@ class GreedyState:
         exact = math.exp(-self.eta * self.S_c[j] - self.off_c)
         self.tot_c += exact - self.mant_c[j]
         self.mant_c[j] = exact
-        # the hat may now exceed its (1+eps) band above the shrunken weight
+        # the hat may now exceed its (1+eps) band above the shrunken weight;
+        # the first run on the row's columns refreshes it before its first test
         if self.hat_lw_c[j] > -self.eta * self.S_c[j] + math.log1p(self.eps):
-            self._refresh_hat_c(j)
+            stale = j
             for k2 in self.crow[j]:
                 self.exhausted[k2] = False
-                if self._boost_run(k2):
+                if self._boost_run(k2, stale):
                     self.solved = True
                     return self.current_outcome()
+                stale = None
         return self._resume(k)
 
     def _resume(self, k: int) -> Outcome:

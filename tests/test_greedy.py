@@ -11,6 +11,7 @@ from conftest import positive
 from pclp.certificates import CertificateSlack, OutcomeTag, check_certificate
 from pclp.generate import random_positive, relaxing_stream_positive
 from pclp.greedy import (
+    _MANT_HI,
     GreedyState,
     NotInfeasibleYet,
     UnboundedCost,
@@ -164,7 +165,7 @@ def test_boost_early_return_on_satisfied():
     st = GreedyState(positive([[1.0]], [[1.0]]))
     st.S_c[0] = 0.999999999
     weights_before = st.mant_c[0]
-    solved = st._boost_once(0, st.exact_delta(0))
+    solved = st._boost_run(0)
     assert solved and st.solved
     assert st.mant_c[0] == weights_before  # returned before weight updates
 
@@ -236,6 +237,23 @@ def test_relax_covering_revives_infeasible_instance():
     assert feasible
 
 
+@pytest.mark.parametrize("new", [math.inf, math.nan])
+def test_relax_covering_rejects_a_non_finite_entry(new):
+    inst = positive([[1.0]], [[0.4]])
+    st = GreedyState(inst)
+    assert st.run_static().tag is OutcomeTag.INFEASIBLE
+    before = copy.deepcopy(st)
+    with pytest.raises(NonMonotoneUpdate):
+        st.relax_covering_entry(0, 0, new)
+    for name in ("P", "C"):
+        assert sorted(getattr(inst, name).entries()) == sorted(getattr(before, name).entries())
+    skip = ("instance", "P", "C")
+    assert ({k: v for k, v in vars(st).items() if k not in skip}
+            == {k: v for k, v in vars(before).items() if k not in skip})
+    # the largest finite entry is an ordinary relax
+    assert st.relax_covering_entry(0, 0, 1e308).tag is OutcomeTag.POSITIVE_SOLUTION
+
+
 def test_relax_packing_with_zero_coordinate_is_pure_bookkeeping():
     inst = positive([[1.0, 1.0]], [[0.2, 0.0]])
     st = GreedyState(inst)
@@ -249,10 +267,11 @@ def test_relax_packing_with_zero_coordinate_is_pure_bookkeeping():
 
 
 def test_pseudo_update_keeps_packing_dot_fixed():
-    inst = positive([[1.0]], [[1.0]])
+    # one column: boosting it shifts the packing weight onto row 0, so its
+    # cost rises past the bar well short of C x = 1
+    inst = positive([[1.0], [0.1]], [[0.9]])
     st = GreedyState(inst)
-    for _ in range(500):  # march x up without reaching the covering target
-        st._boost_once(0, st.exact_delta(0))
+    assert st.run_static().tag is OutcomeTag.INFEASIBLE
     assert st.x[0] > 0 and not st.solved
     x_at_update = st.x[0]
     st.relax_packing_entry(0, 0, 0.5)
@@ -560,38 +579,49 @@ def gate_runs():
     """Each gate seed solved twice, by the back-off and by the every-boost
     reference (EveryBoostAttempts below). Per seed: the instance, the
     back-off's verdicts with the Farkas ratio of each infeasible one and
-    the check_certificate verdict of each solution, its state, its per-run
-    log of _try_jump calls, and the reference's verdicts and state.
+    the check_certificate verdict of each solution, its state, the bits of
+    its state at each verdict, its per-run log of _try_jump calls, and the
+    reference's verdicts and state.
 
     The per-run log keys on the run serial and holds [singles made so far,
     [(singles, accepted) at each _try_jump call]]; a refusal by the b_hi
-    cap is a call too."""
-    try_jump, boost_once = GreedyState._try_jump, GreedyState._boost_once
+    cap is a call too. A run's singles so far are the boosts it made
+    outside jumps: the growth of boosts_total - jump_boosts since the run
+    began."""
+    boost_run, try_jump = GreedyState._boost_run, GreedyState._try_jump
+    began = {}
+
+    def singles(st):
+        return st.stats.boosts_total - st.stats.jump_boosts
+
+    def logged_run(self, k, stale=None):
+        began[self] = singles(self)
+        out = boost_run(self, k, stale)
+        made = singles(self) - began.pop(self)
+        if made and type(self) is GreedyState:
+            runs.setdefault(self._run, [0, []])[0] = made
+        return out
 
     def logged_jump(self, k, delta):
         out = try_jump(self, k, delta)
         if type(self) is GreedyState:
             run = runs.setdefault(self._run, [0, []])
-            run[1].append((run[0], out[0]))
+            run[1].append((singles(self) - began[self], out[0]))
         return out
-
-    def logged_boost(self, k, delta):
-        if type(self) is GreedyState:
-            runs.setdefault(self._run, [0, []])[0] += 1
-        return boost_once(self, k, delta)
 
     out = {}
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GreedyState, "_boost_run", logged_run)
         mp.setattr(GreedyState, "_try_jump", logged_jump)
-        mp.setattr(GreedyState, "_boost_once", logged_boost)
         for seed in GATE_SEEDS:
             runs = {}
             inst, stream = gate_input(seed)
             slack = CertificateSlack.greedy_positive(inst.eps)
             st = GreedyState(inst)
-            tags, ratios, certified = [], [], []
+            tags, ratios, certified, snaps = [], [], [], []
             for got in verdicts(st, inst, stream):
                 tags.append(got.tag)
+                snaps.append(state_bits(st))
                 if got.tag is OutcomeTag.POSITIVE_SOLUTION:
                     certified.append(check_certificate(inst, got, slack).ok)
                 else:
@@ -600,7 +630,7 @@ def gate_runs():
             ref = EveryBoostAttempts(ref_inst)
             ref_tags = [got.tag for got in verdicts(ref, ref_inst, ref_stream)]
             out[seed] = dict(inst=inst, tags=tags, ratios=ratios, certified=certified,
-                             state=st, runs=runs, ref_tags=ref_tags, ref=ref)
+                             state=st, snaps=snaps, runs=runs, ref_tags=ref_tags, ref=ref)
     return out
 
 
@@ -860,14 +890,176 @@ def test_chord_tangent_bound_is_sound_and_keeps_every_old_segment(seed):
     assert len(certified) >= sum(got > 0 for _, got in seen[:1000])
 
 
+# -- the per-boost chain ----------------------------------------------------------------
+
+class ReferenceBoosts(GreedyState):
+    """The boost run as a chain of calls, one frame per layer: _boost_run
+    calls _boost_once per single boost, which reads the factor table
+    through _factors (cached on the state across runs) and refreshes each
+    stale hat through _refresh_hat_p / _refresh_hat_c before it returns.
+    A stale row handed to a run is refreshed first, as the covering relax
+    once did before its runs. The production loop must leave every bit
+    and count where this chain does.
+
+    ``rescales`` counts the rescale checks that fired inside a run and
+    ``handoffs`` the stale rows handed to a run, so a test can show that
+    its inputs reach both."""
+
+    _fcache_key = _fcache = None
+    rescales = handoffs = 0
+
+    def _boost_run(self, k, stale=None):
+        if stale is not None:
+            self.handoffs += 1
+            self._refresh_hat_c(stale)
+        if self.exhausted[k]:
+            return False
+        self._run += 1
+        scale = self.eps / (2.0 * self.eta)
+        singles = 0
+        next_try, gap = 24, 1
+        while self._cheap(k):
+            top = self._top(k)
+            if top == 0.0:
+                self.exhausted[k] = True
+                return False
+            delta = scale / top
+            if singles >= next_try and self.audit_hook is None:
+                jumped, solved = self._try_jump(k, delta)
+                if solved:
+                    return True
+                if jumped:
+                    gap = 1
+                    continue
+                next_try, gap = singles + gap, 2 * gap
+            if self._boost_once(k, delta):
+                return True
+            singles += 1
+        lwc = math.log(self.tot_c) + self.off_c
+        if self.log_wstar_c > lwc + math.log1p(self.eps):
+            self.log_wstar_c = lwc
+            self.stats.wstar_refreshes += 1
+        return False
+
+    def _factors(self, k, delta):
+        key = (k, delta, self.colver[k])
+        if self._fcache_key != key:
+            eta = self.eta
+            fp = [(i, v, math.exp(eta * v * delta)) for i, v in self.pcol[k].items()]
+            fc = [(j, v, math.exp(-eta * v * delta)) for j, v in self.ccol[k].items()]
+            self._fcache_key = key
+            self._fcache = (fp, fc)
+        return self._fcache
+
+    def _boost_once(self, k, delta):
+        self.stats.boosts_total += 1
+        self.boosts[k] += 1
+        if self.audit_hook is not None:
+            self.audit_hook(self, k, delta)
+        self.x[k] += delta
+        fp, fc = self._factors(k, delta)
+        S_c = self.S_c
+        crossed_two = None
+        for j, v, _ in fc:
+            old = S_c[j]
+            new = old + v * delta
+            S_c[j] = new
+            if old < 1.0 <= new:
+                self.unsat -= 1
+            if old < 2.0 <= new and self.active[j]:
+                if crossed_two is None:
+                    crossed_two = [j]
+                else:
+                    crossed_two.append(j)
+        if self.unsat == 0:
+            self.solved = True
+            return True
+        S_p = self.S_p
+        mant_p = self.mant_p
+        pending_p = None
+        for i, v, f in fp:
+            S_p[i] += v * delta
+            m = mant_p[i]
+            mant_p[i] = m * f
+            self.tot_p += mant_p[i] - m
+            if S_p[i] > self.sthr_p[i]:
+                if pending_p is None:
+                    pending_p = [i]
+                else:
+                    pending_p.append(i)
+        mant_c = self.mant_c
+        pending_c = None
+        for j, v, f in fc:
+            m = mant_c[j]
+            mant_c[j] = m * f
+            self.tot_c += mant_c[j] - m
+            if S_c[j] > self.sthr_c[j]:
+                if pending_c is None:
+                    pending_c = [j]
+                else:
+                    pending_c.append(j)
+        if pending_p is not None:
+            for i in pending_p:
+                self._refresh_hat_p(i)
+        if pending_c is not None:
+            for j in pending_c:
+                self._refresh_hat_c(j)
+        if crossed_two is not None:
+            for j in crossed_two:
+                self._deactivate(j)
+        if self.tot_p > _MANT_HI or self.tot_c < 1e-9 * self.anchor_c:
+            self.rescales += 1
+            self._maybe_rescale()
+        return False
+
+    def _refresh_hat_p(self, i):
+        self.hat_lw_p[i] = self.eta * self.S_p[i]
+        new = math.exp(self.hat_lw_p[i] - self.off_p)
+        d = new - self.hm_p[i]
+        self.hm_p[i] = new
+        self.sthr_p[i] = self._sthr_p(i)
+        for k, v in self.prow[i].items():
+            self.hatN[k] += d * v
+        self.stats.weight_refreshes += 1
+
+    def _refresh_hat_c(self, j):
+        self.hat_lw_c[j] = -self.eta * self.S_c[j]
+        new = math.exp(self.hat_lw_c[j] - self.off_c)
+        d = new - self.hm_c[j]
+        self.hm_c[j] = new
+        self.sthr_c[j] = self._sthr_c(j)
+        for k, v in self.crow[j].items():
+            self.hatD[k] += d * v
+            if self.hatD[k] < 1e-9 * self.peakD[k]:
+                self.hatD[k] = self.peakD[k] = self._column_hatD(k)
+        self.stats.weight_refreshes += 1
+
+
+FLOAT_LISTS = ("x", "S_p", "S_c", "mant_p", "mant_c", "hm_p", "hm_c", "hat_lw_p", "hat_lw_c",
+               "sthr_p", "sthr_c", "hatN", "hatD", "peakD")
+FLOATS = ("tot_p", "tot_c", "off_p", "off_c", "log_wstar_c")
+
+
+def state_bits(st) -> dict:
+    """Every float the boost run writes, as raw bytes, plus its counts."""
+    out = {name: np.asarray(getattr(st, name), dtype=np.float64).tobytes()
+           for name in FLOAT_LISTS}
+    out.update((name, float.hex(getattr(st, name))) for name in FLOATS)
+    out["boosts"] = list(st.boosts)
+    out["stats"] = st.stats.as_dict()
+    return out
+
+
 # -- jump back-off ----------------------------------------------------------------------
 
-class EveryBoostAttempts(GreedyState):
+class EveryBoostAttempts(ReferenceBoosts):
     """The attempt rule the back-off replaced: once a run has made 24 single
     boosts, every further boost first tries a jump. Kept as the reference
     the back-off must match in verdicts and never exceed in attempts."""
 
-    def _boost_run(self, k):
+    def _boost_run(self, k, stale=None):
+        if stale is not None:
+            self._refresh_hat_c(stale)
         if self.exhausted[k]:
             return False
         self._run += 1
@@ -925,6 +1117,47 @@ def test_audit_mode_never_jumps():
     inst = random_positive(np.random.default_rng(15), 3, 3, 3)
     _, st = solve_static_positive(inst, audit_hook=lambda *_: None)
     assert st.stats.jump_attempts == 0 and st.stats.jump_boosts == 0
+
+
+# -- the one-frame boost run against the per-boost chain ------------------------------------
+
+def test_boost_run_matches_the_per_boost_chain(gate_runs):
+    # every gate input, compared at every verdict; between them the inputs
+    # rescale inside a run and hand a covering relax's stale row to a run
+    rescales = handoffs = 0
+    for seed in GATE_SEEDS:
+        inst, stream = gate_input(seed)
+        ref = ReferenceBoosts(inst)
+        snaps = [state_bits(ref) for _ in verdicts(ref, inst, stream)]
+        assert snaps == gate_runs[seed]["snaps"], seed
+        rescales += ref.rescales
+        handoffs += ref.handoffs
+    assert rescales >= 40 and handoffs >= 100, (rescales, handoffs)
+
+
+def test_audit_mode_matches_the_per_boost_chain():
+    # relaxing gate input 1009 single-steps 192,707 boosts in audit mode,
+    # with 23 rescales inside runs and 3 stale rows handed over; the hook
+    # sees the same state in both, with the hat sandwiches intact
+    def audited(cls):
+        inst, stream = gate_input(1009)
+        seen = []
+
+        def hook(st, k, delta):
+            if st.stats.boosts_total % 997 == 0:
+                rep = st.invariant_report()
+                assert min(rep[key] for key in ("c_lo", "c_hi", "p_hi", "p_lo")) >= -1e-9, rep
+                seen.append((k, float.hex(delta), state_bits(st)))
+
+        st = cls(inst, audit_hook=hook)
+        return st, [state_bits(st) for _ in verdicts(st, inst, stream)], seen
+
+    st, snaps, seen = audited(GreedyState)
+    ref, ref_snaps, ref_seen = audited(ReferenceBoosts)
+    assert snaps == ref_snaps
+    assert seen == ref_seen and len(seen) > 100
+    assert st.stats.jump_attempts == 0
+    assert ref.rescales > 0 and ref.handoffs > 0
 
 
 # -- golden outputs --------------------------------------------------------------------------
