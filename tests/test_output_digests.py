@@ -3,6 +3,8 @@
 Each digest covers the tag, the raw bytes of every vector, the stats'
 ``as_dict()`` and the setting's audit figure (``min_weight`` for packing,
 ``max_weight_ratio`` for the static covering scan) of a fixed set of runs.
+The T-round template is pinned on its tags, vectors and whack sequences,
+for covering and packing, with the default pick and a custom one.
 The general-LP reductions are pinned on their static, streaming, dynamic
 and online wrappers. The certificate check is pinned on the reports it gives
 for the static covering and packing runs, and on every tag: greedy positive
@@ -25,13 +27,13 @@ from pclp.generate import (general_restricting_stream, random_covering, random_g
                            random_packing, random_positive, restricting_stream)
 from pclp.greedy import solve_static_positive
 from pclp.online import OnlineState
-from pclp.packing import _RESCALE_BELOW, solve_packing_fast
+from pclp.packing import _RESCALE_BELOW, solve_packing_basic, solve_packing_fast
 from pclp.reductions import (GeneralDynamicSolver, GeneralOnlineSolver, solve_general_static,
                              solve_general_stream)
 from pclp.sparse import UpdateEvent, UpdateKind
 from pclp.streaming import StreamCursor, StreamMode, solve_stream
 from pclp.whack_dynamic import preprocess
-from pclp.whack_static import solve_fast
+from pclp.whack_static import solve_basic, solve_fast
 
 
 def _feed(h, *parts) -> None:
@@ -89,6 +91,35 @@ def digest_packing() -> tuple[str, set[str]]:
             cases.add("rescale")
         if stats.min_weight == math.exp(-745.0):
             cases.add("flush")
+    return h.hexdigest(), cases
+
+
+def _basic_runs():
+    """(T-round template, instance, pick) for both signs, each with the default
+    pick and with one that takes the most violated row of C x or P x."""
+    rng = np.random.default_rng(2034)
+    for k in range(16):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        eps = float(rng.choice([0.1, 0.2]))
+        lam = float(rng.choice([1.0, 2.0]))
+        lo = float(rng.choice([0.1, 0.5]))
+        cover = random_covering(rng, m, n, eps=eps, lam=lam, density=0.6, lo_frac=lo,
+                                nonempty_rows=False, hot_column=0 if k % 2 else False)
+        pack = random_packing(rng, m, n, eps=eps, lam=lam, density=0.6, lo_frac=lo)
+        for pick in (None, lambda product, t: int(np.argmin(product))):
+            yield solve_basic, cover, pick
+        for pick in (None, lambda product, t: int(np.argmax(product))):
+            yield solve_packing_basic, pack, pick
+
+
+def digest_basic() -> tuple[str, set[str]]:
+    h = hashlib.sha256()
+    cases = set()
+    for template, inst, pick in _basic_runs():
+        outcome, sequence = template(inst, pick)
+        _outcome(h, outcome)
+        _feed(h, sequence)
+        cases.add(outcome.tag.value)
     return h.hexdigest(), cases
 
 
@@ -311,6 +342,9 @@ def digest_certificate_tags() -> tuple[str, set[str]]:
 # per setting: the runs, their digest captured before any refactor of the
 # code they run, and the cases the runs must reach for the digest to pin them
 DIGESTS = {
+    "basic": (digest_basic,
+              "b2ce0d4eda4264d1b0549a4b56daed24aae349c3253199d30db98551dcebe028",
+              {"covering_primal", "packing_dual", "packing_primal", "covering_dual"}),
     "packing": (digest_packing,
                 "61f6d7d1951b9f51f13d5edb527dd02692607ce4286529a04458fa8e0b807498",
                 {"packing_primal", "covering_dual", "rescale", "flush"}),
