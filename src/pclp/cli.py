@@ -2,8 +2,9 @@
 
 Exit codes: 0 on a clean run, 2 when --verify finds a certificate
 violation or an optimality gap above its bound, 3 on parse errors,
-invalid (non-monotone) update streams and flags the chosen command or
-setting does not support.
+paths that cannot be read or written, files that are not UTF-8, invalid
+(non-monotone) update streams and flags the chosen command or setting
+does not support.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .instances import (
 )
 from .online import OnlineState
 from .oracle import TooLarge, positive_feasible_exact, solve_covering_exact
-from .packing import solve_packing_basic, solve_packing_fast
+from .packing import solve_packing_fast
 from .reductions import (
     GeneralOnlineSolver,
     GuessLadderExhausted,
@@ -99,20 +100,21 @@ def _verify_and_report(args, instance, outcome, payload: dict, slack) -> int:
     return code
 
 
-#: command -> (instance class, kind, T-round template, fast solver, slack)
+#: command -> (instance class, kind, fast solver, slack); ``--basic`` runs
+#: the T-round template, which takes either instance
 _STATIC = {
-    "solve": (NormalizedCoveringInstance, "covering", solve_basic, solve_fast,
+    "solve": (NormalizedCoveringInstance, "covering", solve_fast,
               CertificateSlack.whack_static),
-    "packing": (PackingInstanceView, "packing", solve_packing_basic, solve_packing_fast,
+    "packing": (PackingInstanceView, "packing", solve_packing_fast,
                 CertificateSlack.packing_template),
 }
 
 
 def cmd_static(args) -> int:
-    cls, kind, basic, fast, slack = _STATIC[args.command]
+    cls, kind, fast, slack = _STATIC[args.command]
     instance = _load_as(args, cls, kind)
     if args.basic:
-        outcome, seq = basic(instance)
+        outcome, seq = solve_basic(instance)
         stats = {"whacks": len(seq), "outcome": outcome.tag.value}
     else:
         outcome, st = fast(instance)
@@ -357,7 +359,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, UsageError, NonMonotoneUpdate, SparseError, GuessLadderExhausted,
-            FileNotFoundError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

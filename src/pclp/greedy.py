@@ -34,7 +34,9 @@ The state keeps no copy of the entries: it reads and writes its instance's
 P and C in place (``pcol``/``prow`` and ``ccol``/``crow`` are the matrices'
 own row and column dicts), so after updates the instance holds the applied,
 rescaled rows. Its only per-column maps are the factor-two representatives
-``prep``/``crep`` behind the max structure.
+``prep``/``crep`` behind the max structure. It carries no audit of its
+own: the tests recompute the exact costs, the boost increment and the hat
+sandwiches from its fields (``tests/reference.py``).
 
 Weights span exp(+-3 eta); mantissas are rescaled against a shared log
 offset per side long before products of two of them can overflow.
@@ -52,10 +54,6 @@ from .sparse import IndexOutOfRange, NonMonotoneUpdate, SparseNonnegMatrix
 
 _MANT_HI = 1e140
 _MANT_LO = 1e-140
-
-
-class UnboundedCost(ValueError):
-    """Column absent from the covering matrix; never cheap."""
 
 
 class NotInfeasibleYet(RuntimeError):
@@ -216,39 +214,6 @@ class GreedyState:
     def _llam0(self) -> float:
         return (math.log(self.tot_p) + self.off_p) - (math.log(self.tot_c) + self.off_c)
 
-    def lam0(self) -> float:
-        return math.exp(self._llam0())
-
-    def hat_cost_log(self, k: int) -> float:
-        """log of hat-lambda(k) from the maintained column fractions."""
-        if self.hatD[k] <= 0.0:
-            return math.inf
-        if self.hatN[k] <= 0.0:
-            return -math.inf
-        return (math.log(self.hatN[k]) + self.off_p
-                - math.log(self.hatD[k]) - self.off_c)
-
-    def hat_cost_log_direct(self, k: int) -> float:
-        """Same quantity recomputed from scratch; audit cross-check."""
-        num = _logsumexp([self.hat_lw_p[i] + math.log(v) for i, v in self.pcol[k].items()])
-        den = _logsumexp([self.hat_lw_c[j] + math.log(v) for j, v in self.ccol[k].items()])
-        if den == -math.inf:
-            return math.inf
-        return num - den
-
-    def exact_cost_log(self, k: int) -> float:
-        eta = self.eta
-        num = _logsumexp([eta * self.S_p[i] + math.log(v) for i, v in self.pcol[k].items()])
-        den = _logsumexp([-eta * self.S_c[j] + math.log(v) for j, v in self.ccol[k].items()])
-        if den == -math.inf:
-            raise UnboundedCost(f"column {k} has no covering entries")
-        return num - den
-
-    def _cheap(self, k: int) -> bool:
-        # hatN/tot_p and hatD/tot_c share their offsets, so the (1+5eps)
-        # comparison against lambda_0 reduces to mantissa products
-        return self.hatN[k] * self.tot_c <= self.cheap_factor * self.hatD[k] * self.tot_p
-
     # -- hat maintenance --------------------------------------------------------
 
     def _sthr_p(self, i: int) -> float:
@@ -311,19 +276,6 @@ class GreedyState:
             self.tops[k] = best
             self.top_dirty[k] = False
         return self.tops[k]
-
-    def exact_delta(self, k: int) -> float:
-        """Ground-truth boost increment from live values; inf when nothing binds."""
-        top = 0.0
-        for v in self.pcol[k].values():
-            if v > top:
-                top = v
-        for j, v in self.ccol[k].items():
-            if self.S_c[j] < 2.0 and v > top:
-                top = v
-        if top == 0.0:
-            return math.inf
-        return (self.eps / self.eta) / top
 
     def _deactivate(self, j: int) -> None:
         self.active[j] = False
@@ -441,7 +393,9 @@ class GreedyState:
                     self.tot_p, self.tot_c = tot_p, tot_c
                     self._maybe_rescale()
                     tot_p, tot_c = self.tot_p, self.tot_c
-            if not hatN[k] * tot_c <= cheap_factor * hatD[k] * tot_p:  # mirrors _cheap
+            # cheap: hatN/tot_p and hatD/tot_c share their offsets, so the
+            # (1+5eps) comparison against lambda_0 is one of mantissa products
+            if not hatN[k] * tot_c <= cheap_factor * hatD[k] * tot_p:
                 break
             top = self._top(k)
             if top == 0.0:
@@ -794,11 +748,12 @@ class GreedyState:
         instance's row divided by the right-hand side applied so far."""
         scale = self.rhs_applied_c[j]
         old = self.C.get(j, k)
-        if not math.isfinite(new):
-            raise NonMonotoneUpdate(f"C[{j},{k}] must stay finite: {new}")
-        if not new / scale > old:
+        stored = new / scale  # a finite new can overflow on a row scaled by a tiny rhs
+        if not math.isfinite(stored):
+            raise NonMonotoneUpdate(f"C[{j},{k}] must stay finite in stored units: {new} / {scale}")
+        if not stored > old:
             raise NonMonotoneUpdate(f"C[{j},{k}] must increase: {new} <= {old * scale}")
-        return self._relax_covering_entry(j, k, new / scale)
+        return self._relax_covering_entry(j, k, stored)
 
     def _relax_covering_entry(self, j: int, k: int, new: float) -> Outcome:
         """Relaxing entry update in stored units."""
@@ -886,10 +841,15 @@ class GreedyState:
             raise NonMonotoneUpdate(f"covering rhs {j} must be positive: {new_rhs}")
         if not new_rhs < self.rhs_true_c[j]:
             raise NonMonotoneUpdate(f"covering rhs {j} must decrease")
-        self.rhs_true_c[j] = new_rhs
-        if self.rhs_applied_c[j] / new_rhs < 1.0 + self.eps:
-            return self.current_outcome()
         factor = self.rhs_applied_c[j] / new_rhs
+        if factor < 1.0 + self.eps:
+            self.rhs_true_c[j] = new_rhs
+            return self.current_outcome()
+        for k, v in self.crow[j].items():  # every entry the rescale stores, before it runs
+            if not math.isfinite(v * factor):
+                raise NonMonotoneUpdate(f"C[{j},{k}] must stay finite: set b {j} {new_rhs} "
+                                        f"scales {v} by {factor}")
+        self.rhs_true_c[j] = new_rhs
         self.rhs_applied_c[j] = new_rhs
         self.translation_counts[self.m_p + j] += 1
         self.stats.translations_applied += 1
@@ -911,53 +871,6 @@ class GreedyState:
         log_scale = math.log1p(self.eps) - self.log_wstar_c
         return np.array([math.exp(-self.eta * self.S_c[j] + log_scale)
                          for j in range(self.m_c)])
-
-    def wstar_sandwich_ok(self, tol: float = 1e-9) -> bool:
-        lwc = math.log(self.tot_c) + self.off_c
-        return lwc - tol <= self.log_wstar_c <= lwc + math.log1p(self.eps) + tol
-
-    # -- invariant audits (test support) ------------------------------------------------------
-
-    def invariant_report(self) -> dict[str, float]:
-        """Worst slacks of the hat sandwiches (>= ~0 when the invariant holds)
-        and the drift of the maintained hat-cost fractions.
-
-        Only meaningful on live states: the solved exit returns before the
-        final weight restoration, exactly like the boost subroutine's early
-        return, so a solved state's hats are one step stale.
-        """
-        worst_c_lo = math.inf   # hat_wc >= wc
-        worst_c_hi = math.inf   # hat_wc <= wc (1+eps)
-        worst_p_hi = math.inf   # hat_wp <= wp
-        worst_p_lo = math.inf   # hat_wp >= wp (1-eps)
-        for j in range(self.m_c):
-            lw = -self.eta * self.S_c[j]
-            worst_c_lo = min(worst_c_lo, self.hat_lw_c[j] - lw)
-            worst_c_hi = min(worst_c_hi, lw + math.log1p(self.eps) - self.hat_lw_c[j])
-        for i in range(self.m_p):
-            lw = self.eta * self.S_p[i]
-            worst_p_hi = min(worst_p_hi, lw - self.hat_lw_p[i])
-            worst_p_lo = min(worst_p_lo, self.hat_lw_p[i] - lw - math.log1p(-self.eps))
-        lam_dev = 0.0
-        bar = self._llam0() + math.log1p(5.0 * self.eps)
-        for k in range(self.n):
-            expect = self.hat_cost_log_direct(k)
-            got = self.hat_cost_log(k)
-            # mantissas flush terms ~e^-745 below the working scale, so the
-            # two representations can disagree in raw logs when a column's
-            # whole mass is negligible; they always agree as decisions, and
-            # the audit compares exactly where the cheapness test can hear it
-            if expect > bar + 30.0 and got > bar + 30.0:
-                continue
-            if expect < bar - 30.0 and got < bar - 30.0:
-                continue
-            if expect == got:
-                continue
-            lam_dev = max(lam_dev, abs(expect - got))
-        return {"c_lo": worst_c_lo, "c_hi": worst_c_hi,
-                "p_hi": worst_p_hi, "p_lo": worst_p_lo,
-                "hat_lam_consistency": lam_dev,
-                "lam0_floor": self.hat_llam0 - (self._llam0() + math.log1p(-self.eps))}
 
 
 def solve_static_positive(instance: PositiveInstance,

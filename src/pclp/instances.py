@@ -131,8 +131,6 @@ def _all_within(vals: list[float], lo: float, hi: float) -> bool:
 
 def _matrix_errors(mat: SparseNonnegMatrix, lam: float | None, name: str) -> list[ValidationError]:
     errors = []
-    if mat.m < 1 or mat.n < 1:
-        errors.append(ValidationError("EmptyMatrix", f"{name} is {mat.m}x{mat.n}"))
     inf = math.inf
     if _all_within(mat.values(), 0.0, inf if lam is None else lam):
         return errors

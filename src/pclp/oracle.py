@@ -1,24 +1,19 @@
 """Desk-scale exact ground truth in rational arithmetic.
 
-The oracle answers three kinds of questions, all with Fraction arithmetic
+The oracle answers two kinds of questions, both with Fraction arithmetic
 so results are reproducible bit-for-bit:
 
 * exact optima of small covering/packing LPs (two-phase simplex with
-  Bland's rule, plus an independent vertex-enumeration path used to
-  cross-check the simplex on tiny instances);
-* exact feasibility of a mixed positive system P x <= (1+s) 1, C x >= 1;
-* brute-force scans for the discrete step sizes used by the approximate
-  solvers (whack step size, boost increment).
+  Bland's rule; the tests cross-check it on tiny instances against an
+  independent vertex enumeration in ``tests/reference.py``);
+* exact feasibility of a mixed positive system P x <= (1+s) 1, C x >= 1.
 
 Float inputs are rationalized exactly from their binary representation.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -202,63 +197,6 @@ def solve_packing_exact(C, a=None, b=None) -> ExactLPResult:
     return ExactLPResult("optimal", -res.value, res.x[:m])
 
 
-def solve_covering_exact_vertex(C, a=None, b=None) -> ExactLPResult:
-    """Vertex enumeration over tight-constraint subsets; independent of simplex.
-
-    Only for tiny instances: C(m+n, n) subsets are solved exactly.
-    """
-    Cf = _frac_matrix(C)
-    m, n = len(Cf), len(Cf[0])
-    if math.comb(m + n, n) > 4000:
-        raise TooLarge(f"vertex enumeration over {m + n} choose {n} subsets")
-    af = [_frac(v) for v in (a if a is not None else [1] * n)]
-    bf = [_frac(v) for v in (b if b is not None else [1] * m)]
-    # constraint rows: first m are C_i x = b_i, last n are x_j = 0
-    best: Fraction | None = None
-    best_x: tuple[Fraction, ...] | None = None
-    for subset in itertools.combinations(range(m + n), n):
-        rows = []
-        rhs = []
-        for s in subset:
-            if s < m:
-                rows.append(list(Cf[s]))
-                rhs.append(bf[s])
-            else:
-                rows.append([Fraction(1) if k == s - m else Fraction(0) for k in range(n)])
-                rhs.append(Fraction(0))
-        x = _gauss_solve(rows, rhs)
-        if x is None:
-            continue
-        if any(v < 0 for v in x):
-            continue
-        if any(sum(Cf[i][j] * x[j] for j in range(n)) < bf[i] for i in range(m)):
-            continue
-        val = sum(af[j] * x[j] for j in range(n))
-        if best is None or val < best:
-            best = val
-            best_x = tuple(x)
-    if best is None:
-        return ExactLPResult("infeasible")
-    return ExactLPResult("optimal", best, best_x)
-
-
-def _gauss_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    n = len(rows)
-    aug = [list(rows[r]) + [rhs[r]] for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), -1)
-        if piv < 0:
-            return None  # singular
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * p for v, p in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # positive feasibility
 # ---------------------------------------------------------------------------
@@ -291,45 +229,3 @@ def positive_feasible_exact(P, C, slack=0) -> tuple[bool, tuple[Fraction, ...] |
         return (False, None)
     return (True, res.x[:n])
 
-
-# ---------------------------------------------------------------------------
-# brute-force scan oracles
-# ---------------------------------------------------------------------------
-
-def brute_force_step_size(row_vals: Sequence[float], x_hat: Sequence[float],
-                          lam: float, eps: float, W: float, budget: int) -> int:
-    """Smallest integer d in [1, budget] with sum_j v_j (1+eps v_j/lam)^d xh_j >= W.
-
-    Linear scan with iterated multiplication, capped at ``budget`` when even
-    the full power falls short (the all-zero-row case ends up here too).
-    """
-    vals = np.asarray(row_vals, dtype=float)
-    z = np.asarray(x_hat, dtype=float).copy()
-    factors = 1.0 + eps * vals / lam
-    for d in range(1, budget + 1):
-        z = z * factors
-        if float(vals @ z) >= W:
-            return d
-    return budget
-
-
-def brute_force_delta(P: SparseNonnegMatrix, C: SparseNonnegMatrix,
-                      x: Sequence[float], k: int, eps: float, eta: float,
-                      ext_col: Sequence[float] | None = None) -> float:
-    """Exact boost increment: largest d with every binding entry's move <= eps/eta.
-
-    Binding entries are the packing column and the covering column restricted
-    to rows with C_j x < 2. Returns inf when nothing binds.
-    """
-    xv = np.asarray(x, dtype=float)
-    top = 0.0
-    _, pvals = P.col(k)
-    if len(pvals):
-        top = float(pvals.max())
-    crows, cvals = C.col(k)
-    for j, v in zip(crows, cvals):
-        if C.dot_row(int(j), xv) < 2.0 and v > top:
-            top = float(v)
-    if top == 0.0:
-        return math.inf
-    return (eps / eta) / top

@@ -1,7 +1,7 @@
-"""Packing-side template: decreasing weights against violated rows.
+"""Packing-side solver: decreasing weights against violated rows.
 
-``solve_packing_basic`` is the plain T-round template, kept as the
-reference. ``solve_packing_fast`` runs the one phase kernel
+The plain T-round template is ``whack_static.solve_basic`` at sign -1,
+kept as the reference. ``solve_packing_fast`` runs the one phase kernel
 (``whack_static.run_phases``) on a ``PackingState``, the covering state with
 every inequality flipped: its rate sign -1 turns the kernel's row test
 sign dot < sign threshold into dot > (1 + eps/2) W, weights fall by powers
@@ -34,52 +34,15 @@ import numpy as np
 
 from .certificates import Outcome
 from .instances import PackingInstanceView
-from .whack_static import (PreconditionViolated, StoredRowsState, WhackStats,
-                           anchor_log_ratio, jensen_guess, powered_step, run_phases,
-                           total_rounds)
+from .whack_static import (StoredRowsState, WhackStats, anchor_log_ratio, jensen_guess,
+                           powered_step, run_phases)
 
 _RESCALE_BELOW = 1e-120
-
-
-def whack_packing(instance: PackingInstanceView, i: int, x_hat: np.ndarray) -> np.ndarray:
-    """One multiplicative down-weighting of x_hat against packing row i."""
-    out = x_hat.copy()
-    cols, vals = instance.P.row(i)
-    if len(cols):
-        out[cols] *= 1.0 - instance.eps * vals / instance.lam
-    return out
 
 
 @dataclass
 class PackingStats(WhackStats):
     min_weight: float = math.inf  # smallest true coordinate seen, for underflow audit
-
-
-def solve_packing_basic(instance: PackingInstanceView,
-                        pick=None) -> tuple[Outcome, list[int]]:
-    """T-round packing template; whacks rows with (P x)_i > 1."""
-    P, lam, eps = instance.P, instance.lam, instance.eps
-    n, m = instance.n, instance.m
-    T = total_rounds(lam, n, eps)
-    x_hat = np.ones(n)
-    counts = np.zeros(m, dtype=np.int64)
-    sequence: list[int] = []
-    for t in range(T):
-        x = x_hat / x_hat.sum()
-        load = P.matvec(x)
-        if np.all(load <= 1.0 + eps):
-            return Outcome.packing_primal(x), sequence
-        if pick is not None:
-            i = pick(load, t)
-        else:
-            i = int(np.argmax(load > 1.0))
-        if not load[i] > 1.0:
-            raise PreconditionViolated(f"round {t}: row {i} is not violated")
-        cols, vals = P.row(i)
-        x_hat[cols] *= 1.0 - eps * vals / lam
-        counts[i] += 1
-        sequence.append(i)
-    return Outcome.covering_dual(counts / float(T)), sequence
 
 
 def packing_floor(bg: float, dot: float, log_ratio: float, budget: int) -> int:

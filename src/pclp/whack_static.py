@@ -1,6 +1,7 @@
 """Static covering solvers, and the one phase scan every setting runs.
 
-``solve_basic`` follows the plain T-round template and is kept as a slow
+``solve_basic`` follows the plain T-round template for both signs,
+covering and packing, and ``--basic`` runs it; it is kept as a slow
 reference oracle. ``solve_fast`` is the production path: it anchors the
 weight total W per phase, scans constraints in ascending row order, and
 enforces a violated constraint by applying the whole multiplicative power
@@ -71,7 +72,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .certificates import Outcome
-from .instances import NormalizedCoveringInstance
+from .instances import NormalizedCoveringInstance, PackingInstanceView
 from .sparse import SparseNonnegMatrix
 
 #: rescale the shared exponent once any weight grows past this
@@ -92,15 +93,6 @@ def total_rounds(lam: float, n: int, eps: float) -> int:
 def weight_cap(n: int, eps: float) -> float:
     """log of the guaranteed weight bound max(n,2)^(1/eps)."""
     return math.log(max(n, 2)) / eps
-
-
-def whack(instance: NormalizedCoveringInstance, i: int, x_hat: np.ndarray) -> np.ndarray:
-    """One multiplicative reweighting of x_hat against covering row i."""
-    out = x_hat.copy()
-    cols, vals = instance.C.row(i)
-    if len(cols):
-        out[cols] *= 1.0 + instance.eps * vals / instance.lam
-    return out
 
 
 def anchor_log_ratio(dot: float, W: float) -> float:
@@ -315,18 +307,6 @@ def covering_step(base: np.ndarray, growth: np.ndarray, g_max: float, dot: float
             cap = dot * math.exp(e)
     return powered_step(base, growth, W, operator.ge, budget, guess, floor, powers, cap,
                         not budget * g_max + log_dot < 700.0)
-
-
-def row_step_size(vals: np.ndarray, xh: np.ndarray, lam: float, eps: float,
-                  W: float, budget: int) -> int:
-    """Support-level step size: smallest d in [1, budget] with
-    sum_j vals_j (1 + eps vals_j/lam)^d xh_j >= W, capped at ``budget``
-    when even the full power falls short (all-zero rows included). The
-    search is bracketed by ``covering_floor`` and ``jensen_guess``."""
-    if len(vals) == 0:
-        return budget
-    rate = np.log1p(eps * vals / lam)
-    return covering_step(vals * xh, rate, float(rate.max()), float(vals.dot(xh)), W, budget)[0]
 
 
 class Step(Enum):
@@ -630,34 +610,38 @@ def solve_fast(instance: NormalizedCoveringInstance,
     return outcome, state.stats
 
 
-def solve_basic(instance: NormalizedCoveringInstance,
+def solve_basic(instance: NormalizedCoveringInstance | PackingInstanceView,
                 pick=None) -> tuple[Outcome, list[int]]:
-    """Reference T-round template; one whack per round.
+    """Reference T-round template, one whack per round, for both signs.
 
-    ``pick(residuals, t)`` overrides the violated-constraint choice (used by
-    the synchronized-equivalence tests); the default takes the lowest index
-    with residual below one. Returns the outcome and the whack sequence.
-    """
-    C, lam, eps = instance.C, instance.lam, instance.eps
-    n, m = instance.n, instance.m
+    Covering (sign +1) whacks a row with (C x)_i < 1 by 1 + eps v / lam
+    until C x >= 1 - eps; packing (sign -1) whacks a row with (P x)_i > 1
+    by 1 - eps v / lam until P x <= 1 + eps. Each test compares both sides
+    times the sign, and negation is exact, so both read bit for bit as
+    their one-sign forms. ``pick(product, t)`` picks the violated row from
+    the raw C x or P x; the default takes the lowest. Returns the outcome
+    and the whack sequence."""
+    if isinstance(instance, PackingInstanceView):
+        M, sign, primal, dual = instance.P, -1.0, Outcome.packing_primal, Outcome.covering_dual
+    else:
+        M, sign, primal, dual = instance.C, 1.0, Outcome.covering_primal, Outcome.packing_dual
+    lam, eps, n = instance.lam, instance.eps, instance.n
     T = total_rounds(lam, n, eps)
     x_hat = np.ones(n)
-    counts = np.zeros(m, dtype=np.int64)
+    counts = np.zeros(instance.m, dtype=np.int64)
     sequence: list[int] = []
+    stop = sign * (1.0 - sign * eps)
     for t in range(T):
         x = x_hat / x_hat.sum()
-        resid = C.matvec(x)
-        if np.all(resid >= 1.0 - eps):
-            return Outcome.covering_primal(x), sequence
-        if pick is not None:
-            i = pick(resid, t)
-        else:
-            i = int(np.argmax(resid < 1.0))
-        if not resid[i] < 1.0:
+        product = M.matvec(x)
+        signed = sign * product
+        if np.all(signed >= stop):
+            return primal(x), sequence
+        i = int(np.argmax(signed < sign)) if pick is None else pick(product, t)
+        if not signed[i] < sign:
             raise PreconditionViolated(f"round {t}: row {i} is not violated")
-        cols, vals = C.row(i)
-        if len(cols):
-            x_hat[cols] *= 1.0 + eps * vals / lam
+        cols, vals = M.row(i)
+        x_hat[cols] *= 1.0 + sign * eps * vals / lam
         counts[i] += 1
         sequence.append(i)
-    return Outcome.packing_dual(counts / float(T)), sequence
+    return dual(counts / float(T)), sequence

@@ -27,7 +27,9 @@ from pclp.reductions import solve_general_static
 from pclp.sparse import SparseNonnegMatrix, UpdateEvent, UpdateKind
 from pclp.streaming import StreamCursor, StreamMode, solve_stream
 from pclp.whack_dynamic import enforcement_budget, preprocess
-from pclp.whack_static import solve_basic, solve_fast, total_rounds, weight_cap
+from pclp.whack_static import solve_fast, weight_cap
+from reference import (apply_relaxing, cost_gradient_logs, exact_delta, invariant_report,
+                       replay_fast_as_basic)
 
 
 def phase_cap(n: int, eps: float) -> int:
@@ -63,30 +65,6 @@ def test_criterion_1_static_certificates():
 
 # -- criterion 2: template equivalence ------------------------------------------
 
-def _replay_fast_as_basic(inst, outcome, stats):
-    C, lam, eps = inst.C, inst.lam, inst.eps
-    x_hat = np.ones(inst.n)
-    rounds = 0
-    for i, delta in stats.trace:
-        cols, vals = C.row(i)
-        for _ in range(delta):
-            x = x_hat / x_hat.sum()
-            assert C.dot_row(i, x) < 1.0 + 1e-12
-            if len(cols):
-                x_hat[cols] *= 1.0 + eps * vals / lam
-            rounds += 1
-    if outcome.tag is OutcomeTag.PACKING_DUAL:
-        assert rounds == total_rounds(lam, inst.n, eps)
-        counts = np.zeros(inst.m)
-        for i, delta in stats.trace:
-            counts[i] += delta
-        assert np.allclose(counts / rounds, outcome.vector)
-    else:
-        x = x_hat / x_hat.sum()
-        assert np.all(C.matvec(x) >= 1.0 - eps - 1e-9)
-        assert np.allclose(x, outcome.vector, atol=1e-9)
-
-
 def test_criterion_2_template_equivalence():
     rng = np.random.default_rng(202)
     eps = 0.2
@@ -99,14 +77,14 @@ def test_criterion_2_template_equivalence():
                           for j in range(n)] for i in range(m)]
                 inst = covering(dense, lam=1.0, eps=eps)
                 outcome, stats = solve_fast(inst, record_trace=True)
-                _replay_fast_as_basic(inst, outcome, stats)
+                replay_fast_as_basic(inst, outcome, stats)
                 count += 1
     # 200 random small instances
     for _ in range(200):
         m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         inst = random_covering(rng, m, n, eps=eps, density=0.5, nonempty_rows=False)
         outcome, stats = solve_fast(inst, record_trace=True)
-        _replay_fast_as_basic(inst, outcome, stats)
+        replay_fast_as_basic(inst, outcome, stats)
         count += 1
     _report("criterion 2", f"{count} synchronized replays round-for-round consistent")
 
@@ -284,7 +262,7 @@ def test_criterion_9_greedy_dynamic():
         audits = [0]
 
         def hook(st, k, delta):
-            dk = st.exact_delta(k)
+            dk = exact_delta(st, k)
             assert dk / 4 - 1e-12 <= delta <= dk * (1 + 1e-12), (k, delta, dk)
             audits[0] += 1
 
@@ -295,20 +273,12 @@ def test_criterion_9_greedy_dynamic():
         for ev in relaxing_stream_positive(rng, inst, 40):
             if state.solved:
                 break
-            if ev.target == "P" and inst.P.get(ev.row, ev.col) > ev.value:
-                state.relax_packing_entry(ev.row, ev.col, ev.value)
-            elif ev.target == "C" and inst.C.get(ev.row, ev.col) < ev.value:
-                state.relax_covering_entry(ev.row, ev.col, ev.value)
-            elif ev.target == "a":
-                state.translate_packing_rhs(ev.col, ev.value)
-            elif ev.target == "b":
-                state.translate_covering_rhs(ev.row, ev.value)
-            else:
+            if not apply_relaxing(state, inst, ev):
                 continue
             events_total += 1
             assert max(state.boosts) <= boost_budget
             if not state.solved:
-                rep = state.invariant_report()
+                rep = invariant_report(state)
                 for key in ("c_lo", "c_hi", "p_hi", "p_lo"):
                     assert rep[key] >= -1e-9, (stream_no, key, rep)
                 assert rep["hat_lam_consistency"] <= 1e-6
@@ -355,41 +325,15 @@ def test_criterion_10_dual_extraction():
 def test_criterion_11_gradient_check():
     rng = np.random.default_rng(1111)
     eps = 1 / 200
-    h = 1e-6
     states = 0
     while states < 100:
         m_p, m_c, n = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
         inst = random_positive(rng, m_p, m_c, n, eps=eps, density=1.0)
         st = GreedyState(inst)
         x = rng.uniform(0.0, 0.3, size=n)
-        Pd, Cd = inst.P.to_dense(), inst.C.to_dense()
-        for i in range(m_p):
-            st.S_p[i] = float(Pd[i] @ x)
-        for j in range(m_c):
-            st.S_c[j] = float(Cd[j] @ x)
-        st._resync()
-        eta = st.eta
-
-        def f_p(xv):
-            z = eta * (Pd @ xv)
-            hi = z.max()
-            return (hi + math.log(np.exp(z - hi).sum())) / eta
-
-        def f_c(xv):
-            z = -eta * (Cd @ xv)
-            hi = z.max()
-            return -(hi + math.log(np.exp(z - hi).sum())) / eta
-
         used = False
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            gp = (f_p(x + e) - f_p(x - e)) / (2 * h)
-            gc = (f_c(x + e) - f_c(x - e)) / (2 * h)
-            if gp < 1e-12 or gc < 1e-12:
-                continue
-            log_expected = math.log(gp) - math.log(gc) + st._llam0()
-            assert abs(st.exact_cost_log(k) - log_expected) <= 1e-5
+        for got, want in cost_gradient_logs(st, inst, x):
+            assert abs(got - want) <= 1e-5
             used = True
         if used:
             states += 1

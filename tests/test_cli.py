@@ -412,6 +412,28 @@ def test_positive_non_positive_rhs_exits_3(tmp_path, capsys, line):
     assert "rhs 0 must be positive" in err
 
 
+def test_positive_rhs_that_overflows_a_covering_entry_exits_3(tmp_path, capsys):
+    # 0.4 scaled by 1 / 5e-324 is inf: the replay used to store it and exit 0
+    err = _exits_3(tmp_path, capsys, "positive", "set b 0 5e-324\n")
+    assert err.startswith("error: C[0,0] must stay finite")
+
+
+@pytest.mark.parametrize("case", ["instance is a directory", "report is a directory",
+                                  "instance is not UTF-8"])
+def test_unreadable_path_exits_3(tmp_path, capsys, case):
+    # each used to end in a traceback and exit 1
+    inst = tmp_path / "inst.txt"
+    inst.write_bytes(b"covering 1 1 1.0\nC 0 0 \xff\n" if case == "instance is not UTF-8"
+                     else b"covering 1 1 1.0\nC 0 0 1.0\n")
+    argv = {"instance is a directory": ["solve", str(tmp_path)],
+            "report is a directory": ["solve", str(inst), "--report", str(tmp_path)],
+            "instance is not UTF-8": ["solve", str(inst)]}[case]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_gen_same_seed_byte_identical(tmp_path):
     a1 = tmp_path / "a1.txt"
     a2 = tmp_path / "a2.txt"

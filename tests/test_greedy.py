@@ -14,13 +14,15 @@ from pclp.greedy import (
     _MANT_HI,
     GreedyState,
     NotInfeasibleYet,
-    UnboundedCost,
     _logsumexp,
     problem1_relaxing_state,
     solve_static_positive,
 )
-from pclp.oracle import brute_force_delta, positive_feasible_exact
+from pclp.oracle import positive_feasible_exact
 from pclp.sparse import NonMonotoneUpdate, SparseNonnegMatrix
+from reference import (UnboundedCost, apply_relaxing, brute_force_delta, cheap,
+                       cost_gradient_logs, exact_cost_log, exact_delta, invariant_report,
+                       wstar_sandwich_ok)
 
 
 # -- potentials -----------------------------------------------------------------
@@ -94,9 +96,9 @@ def test_potential_chain_with_initial_offsets(rng):
 
 def test_cost_is_one_at_origin_unit_instance():
     st = GreedyState(positive([[1.0]], [[1.0]]))
-    assert np.isclose(math.exp(st.exact_cost_log(0)), 1.0)
-    assert np.isclose(st.lam0(), 1.0)
-    assert st._cheap(0)
+    assert np.isclose(math.exp(exact_cost_log(st, 0)), 1.0)
+    assert np.isclose(math.exp(st._llam0()), 1.0)
+    assert cheap(st, 0)
 
 
 def test_cost_unbounded_off_covering_support():
@@ -105,54 +107,28 @@ def test_cost_unbounded_off_covering_support():
     from pclp.instances import PositiveInstance
     st = GreedyState(PositiveInstance(P=P, C=C, L=1.0, U=1.0, eps=1 / 200))
     with pytest.raises(UnboundedCost):
-        st.exact_cost_log(1)
-    assert not st._cheap(1)
+        exact_cost_log(st, 1)
+    assert not cheap(st, 1)
 
 
 def test_cost_matches_gradient_ratio(rng):
     # lambda(x, k) = (grad f_p . e_k / grad f_c . e_k) * lambda_0(x), with the
     # gradients taken by central differences
-    h = 1e-6
     for _ in range(20):
         m_p, m_c, n = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
         inst = random_positive(rng, m_p, m_c, n, density=1.0)
         st = GreedyState(inst)
         x = rng.uniform(0.0, 0.4, size=n)
-        Pd, Cd = inst.P.to_dense(), inst.C.to_dense()
-        for i in range(m_p):
-            st.S_p[i] = float(Pd[i] @ x)
-        for j in range(m_c):
-            st.S_c[j] = float(Cd[j] @ x)
-        st._resync()
-        eta = st.eta
-
-        def f_p(xv):
-            z = eta * (Pd @ xv)
-            hi = z.max()
-            return (hi + math.log(np.exp(z - hi).sum())) / eta
-
-        def f_c(xv):
-            z = -eta * (Cd @ xv)
-            hi = z.max()
-            return -(hi + math.log(np.exp(z - hi).sum())) / eta
-
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            gp = (f_p(x + e) - f_p(x - e)) / (2 * h)
-            gc = (f_c(x + e) - f_c(x - e)) / (2 * h)
-            if gc < 1e-12 or gp < 1e-12:
-                continue
+        for got, want in cost_gradient_logs(st, inst, x):
             # relative agreement checked in log space so huge costs stay exact
-            log_expected = math.log(gp) - math.log(gc) + st._llam0()
-            assert abs(st.exact_cost_log(k) - log_expected) <= 1e-5
+            assert abs(got - want) <= 1e-5
 
 
 # -- boost ------------------------------------------------------------------------
 
 def test_exact_delta_closed_form_and_heap_range():
     st = GreedyState(positive([[2.0]], [[1.0]]))
-    dk = st.exact_delta(0)
+    dk = exact_delta(st, 0)
     assert np.isclose(dk, st.eps / (2 * st.eta))  # binding magnitude is 2
     top = st._top(0)
     delta = st.eps / (2 * st.eta * top)
@@ -237,6 +213,16 @@ def test_relax_covering_revives_infeasible_instance():
     assert feasible
 
 
+def assert_unchanged(st, before):
+    """``st`` and its instance read as ``before``, a deep copy taken earlier."""
+    for name in ("P", "C"):
+        assert (sorted(getattr(st.instance, name).entries())
+                == sorted(getattr(before, name).entries()))
+    skip = ("instance", "P", "C")
+    assert ({k: v for k, v in vars(st).items() if k not in skip}
+            == {k: v for k, v in vars(before).items() if k not in skip})
+
+
 @pytest.mark.parametrize("new", [math.inf, math.nan])
 def test_relax_covering_rejects_a_non_finite_entry(new):
     inst = positive([[1.0]], [[0.4]])
@@ -245,13 +231,31 @@ def test_relax_covering_rejects_a_non_finite_entry(new):
     before = copy.deepcopy(st)
     with pytest.raises(NonMonotoneUpdate):
         st.relax_covering_entry(0, 0, new)
-    for name in ("P", "C"):
-        assert sorted(getattr(inst, name).entries()) == sorted(getattr(before, name).entries())
-    skip = ("instance", "P", "C")
-    assert ({k: v for k, v in vars(st).items() if k not in skip}
-            == {k: v for k, v in vars(before).items() if k not in skip})
+    assert_unchanged(st, before)
     # the largest finite entry is an ordinary relax
     assert st.relax_covering_entry(0, 0, 1e308).tag is OutcomeTag.POSITIVE_SOLUTION
+
+
+def test_covering_translation_that_overflows_an_entry_is_rejected():
+    # 0.4 scaled by 1 / 5e-324 is inf: the translation used to store it,
+    # leaving S_c = [nan] and still reporting infeasible
+    st = GreedyState(positive([[1.0]], [[0.4]]))
+    assert st.run_static().tag is OutcomeTag.INFEASIBLE
+    before = copy.deepcopy(st)
+    with pytest.raises(NonMonotoneUpdate, match=r"C\[0,0\] must stay finite"):
+        st.translate_covering_rhs(0, 5e-324)
+    assert_unchanged(st, before)
+
+
+def test_relax_covering_that_overflows_in_stored_units_is_rejected():
+    # after b falls to 1e-300 the stored row is the instance's times 1e300
+    # (C[0,0] = 1e290), so a finite 1e10 would be stored as inf
+    st = GreedyState(positive([[1.0, 1.0]], [[1e-10, 0.0]]))
+    st.translate_covering_rhs(0, 1e-300)
+    before = copy.deepcopy(st)
+    with pytest.raises(NonMonotoneUpdate, match=r"C\[0,1\] must stay finite"):
+        st.relax_covering_entry(0, 1, 1e10)
+    assert_unchanged(st, before)
 
 
 def test_relax_packing_with_zero_coordinate_is_pure_bookkeeping():
@@ -286,14 +290,7 @@ def _replay(st, inst, stream):
     for ev in stream:
         if st.solved:
             break
-        if ev.target == "P" and inst.P.get(ev.row, ev.col) > ev.value:
-            st.relax_packing_entry(ev.row, ev.col, ev.value)
-        elif ev.target == "C" and inst.C.get(ev.row, ev.col) < ev.value:
-            st.relax_covering_entry(ev.row, ev.col, ev.value)
-        elif ev.target == "a":
-            st.translate_packing_rhs(ev.col, ev.value)
-        elif ev.target == "b":
-            st.translate_covering_rhs(ev.row, ev.value)
+        apply_relaxing(st, inst, ev)
         yield ev
 
 
@@ -304,11 +301,11 @@ def test_invariants_hold_after_every_relaxing_event(rng):
         st.run_static()
         for _ in _replay(st, inst, relaxing_stream_positive(rng, inst, 30)):
             if not st.solved:
-                rep = st.invariant_report()
+                rep = invariant_report(st)
                 for key in ("c_lo", "c_hi", "p_hi", "p_lo"):
                     assert rep[key] >= -1e-9, (key, rep)
                 assert rep["hat_lam_consistency"] <= 1e-6
-                assert st.wstar_sandwich_ok()
+                assert wstar_sandwich_ok(st)
 
 
 def test_a_hat_that_falls_far_resums_its_columns():
@@ -463,7 +460,7 @@ def test_problem1_encoding_dual_certificate():
     y = st.extract_packing_dual()
     assert y.sum() >= 1.0 - 1e-12
     assert np.all(C.rmatvec(y) <= 1 + 5 * st.eps + 1e-9)
-    assert st.wstar_sandwich_ok()
+    assert wstar_sandwich_ok(st)
 
 
 def test_problem1_relaxing_flip_to_primal():
@@ -677,7 +674,7 @@ def test_every_accepted_jump_stays_cheap(monkeypatch):
             trial = copy.deepcopy(self)
             if jump(trial, k, delta, b):
                 trial._resync()  # a solving jump returns before the rebuild
-            gap = trial.exact_cost_log(k) - trial._llam0()
+            gap = exact_cost_log(trial, k) - trial._llam0()
             assert gap <= math.log1p(5.0 * self.eps) + 1e-9, (k, B, b, gap)
         checked.append(B)
         return jump(self, k, delta, B)
@@ -918,7 +915,7 @@ class ReferenceBoosts(GreedyState):
         scale = self.eps / (2.0 * self.eta)
         singles = 0
         next_try, gap = 24, 1
-        while self._cheap(k):
+        while cheap(self, k):
             top = self._top(k)
             if top == 0.0:
                 self.exhausted[k] = True
@@ -1065,7 +1062,7 @@ class EveryBoostAttempts(ReferenceBoosts):
         self._run += 1
         scale = self.eps / (2.0 * self.eta)
         singles = 0
-        while self._cheap(k):
+        while cheap(self, k):
             top = self._top(k)
             if top == 0.0:
                 self.exhausted[k] = True
@@ -1145,7 +1142,7 @@ def test_audit_mode_matches_the_per_boost_chain():
 
         def hook(st, k, delta):
             if st.stats.boosts_total % 997 == 0:
-                rep = st.invariant_report()
+                rep = invariant_report(st)
                 assert min(rep[key] for key in ("c_lo", "c_hi", "p_hi", "p_lo")) >= -1e-9, rep
                 seen.append((k, float.hex(delta), state_bits(st)))
 

@@ -4,16 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pclp.oracle import (
-    TooLarge,
-    brute_force_delta,
-    brute_force_step_size,
-    positive_feasible_exact,
-    solve_covering_exact,
-    solve_covering_exact_vertex,
-    solve_packing_exact,
-)
+from pclp.oracle import TooLarge, positive_feasible_exact, solve_covering_exact, solve_packing_exact
 from pclp.sparse import SparseNonnegMatrix
+from reference import brute_force_delta, brute_force_step_size, solve_covering_exact_vertex
 
 
 def test_cross_diagonal_optimum():

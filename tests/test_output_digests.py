@@ -27,7 +27,7 @@ from pclp.generate import (general_restricting_stream, random_covering, random_g
                            random_packing, random_positive, restricting_stream)
 from pclp.greedy import solve_static_positive
 from pclp.online import OnlineState
-from pclp.packing import _RESCALE_BELOW, solve_packing_basic, solve_packing_fast
+from pclp.packing import _RESCALE_BELOW, solve_packing_fast
 from pclp.reductions import (GeneralDynamicSolver, GeneralOnlineSolver, solve_general_static,
                              solve_general_stream)
 from pclp.sparse import UpdateEvent, UpdateKind
@@ -95,8 +95,8 @@ def digest_packing() -> tuple[str, set[str]]:
 
 
 def _basic_runs():
-    """(T-round template, instance, pick) for both signs, each with the default
-    pick and with one that takes the most violated row of C x or P x."""
+    """(instance, pick) for the T-round template at both signs, each with the
+    default pick and with one that takes the most violated row of C x or P x."""
     rng = np.random.default_rng(2034)
     for k in range(16):
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
@@ -107,16 +107,16 @@ def _basic_runs():
                                 nonempty_rows=False, hot_column=0 if k % 2 else False)
         pack = random_packing(rng, m, n, eps=eps, lam=lam, density=0.6, lo_frac=lo)
         for pick in (None, lambda product, t: int(np.argmin(product))):
-            yield solve_basic, cover, pick
+            yield cover, pick
         for pick in (None, lambda product, t: int(np.argmax(product))):
-            yield solve_packing_basic, pack, pick
+            yield pack, pick
 
 
 def digest_basic() -> tuple[str, set[str]]:
     h = hashlib.sha256()
     cases = set()
-    for template, inst, pick in _basic_runs():
-        outcome, sequence = template(inst, pick)
+    for inst, pick in _basic_runs():
+        outcome, sequence = solve_basic(inst, pick)
         _outcome(h, outcome)
         _feed(h, sequence)
         cases.add(outcome.tag.value)

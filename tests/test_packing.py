@@ -11,31 +11,15 @@ from pclp.cli import main
 from pclp.formats import emit_instance
 from pclp.generate import random_packing
 from pclp.oracle import solve_packing_exact
-from pclp.packing import (PackingState, packing_floor, solve_packing_basic, solve_packing_fast,
-                          whack_packing)
-from pclp.whack_static import WhackState, anchor_log_ratio, jensen_guess, run_phases
-
-
-def test_whack_packing_scales_down():
-    inst = packing([[1.0, 0.0]], lam=1.0, eps=0.1)
-    assert np.allclose(whack_packing(inst, 0, np.array([1.0, 1.0])), [0.9, 1.0])
-
-
-def test_whack_packing_zero_row_is_identity():
-    inst = packing([[1.0]], lam=1.0, eps=0.1)
-    inst.P.set(0, 0, 0.0)
-    assert np.allclose(whack_packing(inst, 0, np.array([0.7])), [0.7])
-
-
-def test_whack_packing_half_lambda():
-    inst = packing([[0.5]], lam=1.0, eps=0.2)
-    assert np.allclose(whack_packing(inst, 0, np.array([0.5])), [0.45])
+from pclp.packing import PackingState, packing_floor, solve_packing_fast
+from pclp.whack_static import (WhackState, anchor_log_ratio, jensen_guess, run_phases,
+                               solve_basic)
 
 
 def test_unit_and_stacked_instances_primal():
     for dense in ([[1.0]], [[1.0, 1.0]], [[1.0], [1.0]]):
         inst = packing(dense, eps=0.1)
-        basic, _ = solve_packing_basic(inst)
+        basic, _ = solve_basic(inst)
         fast, _ = solve_packing_fast(inst)
         assert basic.tag is OutcomeTag.PACKING_PRIMAL
         assert fast.tag is OutcomeTag.PACKING_PRIMAL
@@ -53,7 +37,9 @@ def test_weights_nonincreasing_and_positive(rng):
         if np.all(load <= 1 + eps):
             break
         i = int(np.argmax(load > 1.0))
-        new = whack_packing(inst, i, x_hat)
+        cols, vals = P.row(i)
+        new = x_hat.copy()
+        new[cols] *= 1.0 - eps * vals / lam
         assert np.all(new <= x_hat + 1e-15)
         assert np.all(new > 0)
         x_hat = new
@@ -72,7 +58,7 @@ def test_random_instances_certified_and_oracle_sound(rng):
         exact = solve_covering_exact(inst.P.to_dense().T)
         assert exact.status == "optimal"
         opt = exact.value_float()
-        for outcome in (solve_packing_basic(inst)[0], solve_packing_fast(inst)[0]):
+        for outcome in (solve_basic(inst)[0], solve_packing_fast(inst)[0]):
             assert check_certificate(inst, outcome, slack).ok
             if outcome.tag is OutcomeTag.PACKING_PRIMAL:
                 # x/(1+eps) is strictly feasible for the packing max

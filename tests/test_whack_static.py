@@ -12,7 +12,7 @@ from pclp import whack_static
 from pclp.certificates import CertificateSlack, OutcomeTag, check_certificate
 from pclp.generate import random_covering, random_general, random_packing, restricting_stream
 from pclp.online import OnlineState
-from pclp.oracle import brute_force_step_size, solve_covering_exact
+from pclp.oracle import solve_covering_exact
 from pclp.packing import solve_packing_fast
 from pclp.reductions import solve_general_stream
 from pclp.sparse import UpdateEvent, UpdateKind
@@ -28,14 +28,13 @@ from pclp.whack_static import (
     covering_step,
     first_step,
     jensen_guess,
-    row_step_size,
     run_phases,
     solve_basic,
     solve_fast,
     total_rounds,
     weight_cap,
-    whack,
 )
+from reference import brute_force_step_size, replay_fast_as_basic, row_step_size
 
 
 def state_for(inst):
@@ -55,25 +54,6 @@ def start_phase_at_written_weights(state):
 
 def residual(state, inst, i):
     return inst.C.dot_row(i, state.x_hat) / state.W
-
-
-# -- whack -------------------------------------------------------------------
-
-def test_whack_scales_by_entry_share():
-    inst = covering([[1.0, 0.0]], lam=1.0, eps=0.1)
-    out = whack(inst, 0, np.array([1.0, 1.0]))
-    assert np.allclose(out, [1.1, 1.0])
-
-
-def test_whack_zero_row_is_identity():
-    inst = covering([[1.0], [1.0]], lam=1.0, eps=0.1)
-    inst.C.set(1, 0, 0.0)
-    assert np.allclose(whack(inst, 1, np.array([2.0])), [2.0])
-
-
-def test_whack_half_lambda():
-    inst = covering([[0.5]], lam=1.0, eps=0.2)
-    assert np.allclose(whack(inst, 0, np.array([1.0])), [1.1])
 
 
 # -- step size ----------------------------------------------------------------
@@ -568,28 +548,7 @@ def test_fast_whack_sequence_is_a_legal_basic_run(rng):
         inst = random_covering(rng, m, n, eps=0.2, density=0.6,
                                nonempty_rows=False)
         outcome, stats = solve_fast(inst, record_trace=True)
-        replay_trace_as_basic(inst, outcome, stats)
-
-
-def replay_trace_as_basic(inst, outcome, stats):
-    """Expand the fast trace round-for-round and check it obeys the
-    one-whack-per-round template rules."""
-    C, lam, eps = inst.C, inst.lam, inst.eps
-    x_hat = np.ones(inst.n)
-    rounds = 0
-    for i, delta in stats.trace:
-        cols, vals = C.row(i)
-        for _ in range(delta):
-            x = x_hat / x_hat.sum()
-            assert C.dot_row(i, x) < 1.0 + 1e-12  # whacked rows are violated
-            if len(cols):
-                x_hat[cols] *= 1.0 + eps * vals / lam
-            rounds += 1
-    if outcome.tag is OutcomeTag.PACKING_DUAL:
-        assert rounds == total_rounds(lam, inst.n, eps)
-    else:
-        x = x_hat / x_hat.sum()
-        assert np.all(C.matvec(x) >= 1.0 - eps - 1e-9)  # conclude-primal rule
+        replay_fast_as_basic(inst, outcome, stats)
 
 
 def test_certificates_and_oracle_soundness(rng):
