@@ -116,14 +116,10 @@ def main() -> int:
             for ev in relaxing_stream_positive(rng, inst, args.relax_tau):
                 if state.solved:
                     break
-                if ev.target == "P" and inst.P.get(ev.row, ev.col) > ev.value:
-                    state.relax_packing_entry(ev.row, ev.col, ev.value)
-                elif ev.target == "C" and inst.C.get(ev.row, ev.col) < ev.value:
-                    state.relax_covering_entry(ev.row, ev.col, ev.value)
-                elif ev.target == "a":
-                    state.translate_packing_rhs(ev.col, ev.value)
-                elif ev.target == "b":
-                    state.translate_covering_rhs(ev.row, ev.value)
+                if (ev.target == "P" and not inst.P.get(ev.row, ev.col) > ev.value
+                        or ev.target == "C" and not inst.C.get(ev.row, ev.col) < ev.value):
+                    continue  # an entry event that does not relax its entry
+                state.apply(ev)
             outcome = state.current_outcome()
         logn = math.log(args.mp + args.mc + inst.U / inst.L)
         print(json.dumps({

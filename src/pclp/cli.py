@@ -189,14 +189,7 @@ def cmd_positive(args) -> int:
     outcome, state = solve_static_positive(instance)
     if args.updates:
         for line in parse_updates(Path(args.updates).read_text()):
-            if line.target == "P":
-                outcome = state.relax_packing_entry(line.row, line.col, line.value)
-            elif line.target == "C":
-                outcome = state.relax_covering_entry(line.row, line.col, line.value)
-            elif line.target == "a":
-                outcome = state.translate_packing_rhs(line.col, line.value)
-            else:
-                outcome = state.translate_covering_rhs(line.row, line.value)
+            outcome = state.apply(line)
     payload = {"outcome_tag": outcome.tag.value, "vector": _digest(outcome.vector),
                "stats": state.stats.as_dict(), "eps": instance.eps}
     code = 0

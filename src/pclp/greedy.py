@@ -49,6 +49,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .certificates import Outcome
+from .formats import SetLine
 from .instances import PositiveInstance
 from .sparse import IndexOutOfRange, NonMonotoneUpdate, SparseNonnegMatrix
 
@@ -706,6 +707,17 @@ class GreedyState:
         return Outcome.infeasible()
 
     # -- relaxing updates ------------------------------------------------------------
+
+    def apply(self, line: SetLine) -> Outcome:
+        """Apply one ``set`` line: ``P`` and ``C`` lines relax the entry they
+        name, ``a`` and ``b`` lines translate a right-hand side."""
+        if line.target == "P":
+            return self.relax_packing_entry(line.row, line.col, line.value)
+        if line.target == "C":
+            return self.relax_covering_entry(line.row, line.col, line.value)
+        if line.target == "a":
+            return self.translate_packing_rhs(line.col, line.value)
+        return self.translate_covering_rhs(line.row, line.value)
 
     def relax_packing_entry(self, i: int, k: int, new: float) -> Outcome:
         """Lower P[i,k] to ``new``, given in the instance's units: once a

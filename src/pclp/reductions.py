@@ -20,8 +20,12 @@ the scaled matrix rows, and a dynamic update visits the rows it touched;
 the streaming wrapper makes one physical pass over the normalized rows for
 all guesses, visiting each row, scaled by the guess, once per guess whose
 phase is still running (a guess added above the grid runs the same passes
-on its own); the online wrapper's per-guess states visit each arriving row,
-which it checks once for all guesses before any guess state changes.
+on its own). Its visits take no row source, so a guess whose phase breaks
+gets ``Step.BROKE`` back and is rescanned on the next physical pass; it is
+the only caller that reads the break. The online wrapper's per-guess
+states visit each arriving row, which it checks once for all guesses
+before any guess state changes, and rescan their own stored rows on a
+break within the visit.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ import numpy as np
 from .certificates import Outcome, OutcomeTag
 from .formats import SetLine
 from .instances import GeneralInstance, NormalizedCoveringInstance
-from .online import OnlineState, check_columns
+from .online import OnlineState, checked_row
 from .sparse import (IndexOutOfRange, NonMonotoneUpdate, SparseError, SparseNonnegMatrix,
                      UpdateEvent, UpdateKind)
 from .whack_dynamic import DynamicWhackState, preprocess
@@ -395,19 +399,17 @@ class GeneralOnlineSolver:
         """Add the constraint sum_j vals_j x_j >= b_i to every live guess.
 
         The constraint is checked once for all guesses, before any guess
-        state changes. It raises ValueError when the row is empty, a column
-        is out of range or repeated, b_i is not positive or an entry
+        state changes. It raises ValueError when the row is not one
+        ``online.checked_row`` takes or is empty, b_i is not positive or an entry
         C'_ij = vals_j / (a_j b_i) is not finite and nonnegative, and when
         some live guess mu cannot take it, mu max C' being above that
         guess's lambda: rounding is monotone, so that is the bound
         ``OnlineState.insert_row`` checks on the row mu C'. Each live guess
         then appends the one shared, never changed column array with its
         own mu C'."""
-        cols = np.array(cols, dtype=np.int64)  # a copy: every guess stores it
-        vals = np.asarray(vals, dtype=np.float64)
+        cols, vals = checked_row(cols, vals, self.n)  # copies: every guess stores cols
         if not len(cols):
             raise ValueError("an empty row cannot be covered: the LP is infeasible")
-        check_columns(cols, self.n)
         if not b_i > 0.0:
             raise ValueError(f"the right-hand side must be positive: {b_i}")
         prime = vals / (self.a[cols] * b_i)

@@ -7,10 +7,11 @@ applied, and row i alone is tested (``WhackState.visit``), its dot
 computed fresh from x_hat and compared against (1 - eps/2) W; only a
 violated row enters the phase kernel, which enforces it in place. That
 keeps the maintained vector x_hat/W inside the full (1-eps) covering
-guarantee after every update; an enforcement that pushes the weight total
-past the phase cap rebuilds with the same matrix scan from a new anchor.
-The kernel also counts each row's enforcements and the coordinates they
-touch, as plain ints.
+guarantee after every update. The visit takes the matrix rows as its row
+source: an enforcement that pushes the weight total past the phase cap
+makes the kernel anchor the next phase and rebuild with the same matrix
+scan, in the same call. The kernel also counts each row's enforcements
+and the coordinates they touch, as plain ints.
 
 Once a dual is returned it is frozen: restricting updates only shrink
 C^T y, so the certificate stands forever. An update is still checked
@@ -36,6 +37,10 @@ class UpdateAfterTerminal(RuntimeError):
 
 @dataclass
 class DynamicStats(WhackStats):
+    """The kernel's counts over preprocessing and every update since. The
+    inherited ``outcome`` and ``max_weight_ratio`` describe preprocessing
+    only: a rebuild after an update leaves them, and ``as_dict`` omits them."""
+
     updates: int = 0
     column_touches: int = 0  # coordinates of x_hat changed by enforcements
 
@@ -70,15 +75,6 @@ class DynamicWhackState(StoredRowsState):
             return self.terminal
         return Outcome.covering_primal(self.maintained_vector())
 
-    # -- phases ----------------------------------------------------------------
-
-    def _run_to_certificate(self) -> None:
-        """Phase scans until a certificate holds; the preprocessing loop and the
-        post-update phase rebuild are the same code path."""
-        outcome = run_phases(self, self.instance.C)
-        if outcome.tag is OutcomeTag.PACKING_DUAL:
-            self.terminal = outcome
-
     # -- public operations -----------------------------------------------------
 
     def handle_update(self, event: UpdateEvent) -> Outcome:
@@ -92,19 +88,17 @@ class DynamicWhackState(StoredRowsState):
         C.set(event.row, event.col, float(event.new_value))
         self.stats.updates += 1
         cols, vals = C.row(event.row)
-        step = self.visit(event.row, cols, vals)
-        if step is not None:
-            if step is Step.BUDGET:
-                self.terminal = self.budget_outcome()
-            else:  # the phase broke
-                self._run_to_certificate()
+        if self.visit(event.row, cols, vals, C.rows) is Step.BUDGET:
+            self.terminal = self.budget_outcome()
         return self.current_outcome()
 
 
 def preprocess(instance: NormalizedCoveringInstance) -> tuple[DynamicWhackState, Outcome]:
     """Static solve; Case I freezes the dual, Case II starts maintenance."""
     state = DynamicWhackState(instance)
-    state._run_to_certificate()
+    outcome = run_phases(state, instance.C)
+    if outcome.tag is OutcomeTag.PACKING_DUAL:
+        state.terminal = outcome
     return state, state.current_outcome()
 
 

@@ -42,19 +42,23 @@ tallies are lists of ints. ``WhackState.scan`` runs the phases of one state
 over a row source through it, and ``WhackState.visit`` tests one row on its
 own and enters the kernel only when that row is violated. A row's dot with
 x_hat is computed when the row is tested, so no row's dot is kept between
-tests and an enforcement touches only the enforced row's support. The
+tests and an enforcement touches only the enforced row's support. A visit
+may take a row source: when the visited row's enforcement breaks the
+phase, the kernel anchors the next phase and scans that source as ``scan``
+does, in the same frame; a visit without one returns ``Step.BROKE``. The
 settings differ only in the rows they feed, in what an outcome means and,
 for packing, in the sign:
 
-- static (``solve_fast``) and the dynamic preprocessing and phase rebuilds
-  (``whack_dynamic``) scan the matrix rows in ascending order, and a
-  dynamic update visits the row it touched;
+- static (``solve_fast``) and the dynamic preprocessing (``whack_dynamic``)
+  scan the matrix rows in ascending order, and a dynamic update visits the
+  row it touched with the matrix rows as its source;
 - streaming (``streaming.solve_stream``) scans the cursor's row source,
   one pass per phase;
-- online (``online.OnlineState``) visits each arriving row and, when that
-  breaks the phase, scans the rows seen so far;
+- online (``online.OnlineState``) visits each arriving row with the rows
+  seen so far as its source;
 - the streaming reduction (``reductions.solve_general_stream``) visits each
-  row of one physical pass once per guess whose phase is still running;
+  row of one physical pass once per guess whose phase is still running,
+  with no source: a guess whose phase breaks waits for the next pass;
 - packing (``packing.solve_packing_fast``) scans the matrix rows in
   ascending order on a state with the signs flipped (``PackingState``).
 
@@ -403,27 +407,32 @@ class WhackState:
         self.start_phase()
         return self._phases(rows, 0, None, None, None, 0.0) is Step.BUDGET
 
-    def visit(self, i: int, cols: np.ndarray, vals: np.ndarray) -> Step | None:
+    def visit(self, i: int, cols: np.ndarray, vals: np.ndarray,
+              rows: Callable[[], Iterable[tuple[int, np.ndarray, np.ndarray]]] | None = None
+              ) -> Step | None:
         """Test row i (support ``cols``, entries ``vals``) alone against the
-        phase anchor, and enforce it if it is violated. Returns None unless
-        the enforcement ran out the round budget or broke the phase, which
-        the caller handles."""
+        phase anchor, and enforce it if it is violated. When that breaks the
+        phase, the next phase is anchored and ``rows()`` scanned to the next
+        certificate, as ``scan`` does, in the same kernel frame; without
+        ``rows`` the visit returns Step.BROKE and the caller decides when to
+        rescan. Otherwise returns Step.BUDGET once the round budget is
+        spent, else None."""
         xh = self.x_hat[cols]
         dot = float(vals.dot(xh))
         sign = self._RATE_SIGN
         if not sign * dot < sign * self.threshold:  # also NaN
             return None
-        return self._phases(None, i, cols, vals, xh, dot)
+        return self._phases(rows, i, cols, vals, xh, dot)
 
     def _phases(self, rows: Callable[[], Iterable[tuple[int, np.ndarray, np.ndarray]]] | None,
                 i: int, cols: np.ndarray | None, vals: np.ndarray | None,
                 xh: np.ndarray | None, dot: float) -> Step | None:
         """Run phases in one frame. With ``cols`` given, row i is violated
-        (``xh`` its weights, ``dot`` its dot) and is enforced first; then
-        the rows of the current ``rows()`` pass are tested in order, and an
-        enforcement that breaks the phase re-anchors W at the total and
-        starts a new pass. With ``rows`` None there is no pass: the one
-        enforcement's Step is returned.
+        (``xh`` its weights, ``dot`` its dot) and is enforced first, with an
+        empty pass after it; else the rows of one ``rows()`` pass are tested
+        in order. An enforcement that breaks the phase re-anchors W at the
+        total and starts a new ``rows()`` pass, or, with ``rows`` None,
+        returns Step.BROKE.
 
         A row is violated when sign dot < sign threshold, sign = +-1, which
         reads dot < threshold for covering and dot > threshold for packing;
@@ -433,7 +442,7 @@ class WhackState:
         ``_row_rates``, or kept per stored row in ``_rates``. The anchor,
         band, budget, t and counts live in locals while the kernel runs and
         are written back when it returns. Returns Step.BUDGET once t reaches
-        T, else None after a pass (or the one enforcement) with no break."""
+        T, else None after a pass with no break."""
         # three to an assignment, which compiles to no tuple
         x_hat = self.x_hat  # a rescale divides it in place
         step, rated, enforced = self._step, self._rates, self._enforced
@@ -441,10 +450,9 @@ class WhackState:
         W, cap, floor = self.W, self.cap, self.floor
         t, T, total = self.t, self.T, self.total
         done = 0
-        if rows is not None:  # a visit tests no row
-            sign = self._RATE_SIGN
-            bar = sign * self.threshold
-            source = iter(rows())
+        sign = self._RATE_SIGN
+        bar = sign * self.threshold
+        source = iter(rows()) if cols is None else ()  # a visit's pass is empty
         try:
             while True:
                 if cols is not None:
@@ -470,8 +478,7 @@ class WhackState:
                         total = self._settle(total, cols, xh, delta, rate, power)
                         # a rescale re-anchors the phase
                         W, cap, floor = self.W, self.cap, self.floor
-                        if rows is not None:
-                            bar = sign * self.threshold
+                        bar = sign * self.threshold
                     t += delta
                     if counts is not None:
                         counts[i] += delta
@@ -492,8 +499,6 @@ class WhackState:
                         W, cap, floor = self.W, self.cap, self.floor
                         bar = sign * self.threshold
                         source = iter(rows())
-                    elif rows is None:
-                        return None
                 for i, cols, vals in source:
                     xh = x_hat[cols]
                     dot = float(vals.dot(xh))

@@ -28,16 +28,10 @@ class UnboundedCost(ValueError):
 def apply_relaxing(st, inst, ev) -> bool:
     """Apply one event of a relaxing stream to ``st``; False for an entry
     event that does not relax the entry it names."""
-    if ev.target == "P" and inst.P.get(ev.row, ev.col) > ev.value:
-        st.relax_packing_entry(ev.row, ev.col, ev.value)
-    elif ev.target == "C" and inst.C.get(ev.row, ev.col) < ev.value:
-        st.relax_covering_entry(ev.row, ev.col, ev.value)
-    elif ev.target == "a":
-        st.translate_packing_rhs(ev.col, ev.value)
-    elif ev.target == "b":
-        st.translate_covering_rhs(ev.row, ev.value)
-    else:
+    if (ev.target == "P" and not inst.P.get(ev.row, ev.col) > ev.value
+            or ev.target == "C" and not inst.C.get(ev.row, ev.col) < ev.value):
         return False
+    st.apply(ev)
     return True
 
 

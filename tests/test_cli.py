@@ -412,6 +412,13 @@ def test_positive_non_positive_rhs_exits_3(tmp_path, capsys, line):
     assert "rhs 0 must be positive" in err
 
 
+@pytest.mark.parametrize("line, detail", [("set P 0 0 1.5", "P[0,0] must decrease"),
+                                          ("set C 0 1 0.5", "C[0,1] must increase")])
+def test_positive_line_that_does_not_relax_exits_3(tmp_path, capsys, line, detail):
+    err = _exits_3(tmp_path, capsys, "positive", f"{line}\n")
+    assert err.startswith(f"error: {detail}")
+
+
 def test_positive_rhs_that_overflows_a_covering_entry_exits_3(tmp_path, capsys):
     # 0.4 scaled by 1 / 5e-324 is inf: the replay used to store it and exit 0
     err = _exits_3(tmp_path, capsys, "positive", "set b 0 5e-324\n")

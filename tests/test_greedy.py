@@ -9,6 +9,7 @@ from hypothesis import strategies as hst
 
 from conftest import positive
 from pclp.certificates import CertificateSlack, OutcomeTag, check_certificate
+from pclp.formats import SetLine
 from pclp.generate import random_positive, relaxing_stream_positive
 from pclp.greedy import (
     _MANT_HI,
@@ -332,6 +333,35 @@ def test_non_monotone_relaxing_rejected():
         st.relax_packing_entry(0, 0, 1.5)
     with pytest.raises(NonMonotoneUpdate):
         st.relax_covering_entry(0, 0, 0.1)
+
+
+def _greedy_snapshot(st, outcome) -> tuple:
+    vector = None if outcome.vector is None else outcome.vector.tobytes()
+    return (outcome.tag, vector, list(st.x), list(st.S_p), list(st.S_c),
+            sorted(st.P.entries()), sorted(st.C.entries()), st.stats.as_dict())
+
+
+@pytest.mark.parametrize("line, method, args", [
+    (SetLine("P", 0, 1, 0.5), "relax_packing_entry", (0, 1, 0.5)),
+    (SetLine("C", 0, 1, 0.6), "relax_covering_entry", (0, 1, 0.6)),
+    (SetLine("a", None, 0, 1.5), "translate_packing_rhs", (0, 1.5)),
+    (SetLine("b", 0, None, 0.8), "translate_covering_rhs", (0, 0.8)),
+], ids=["P", "C", "a", "b"])
+def test_apply_sends_each_target_to_its_method(line, method, args):
+    got, want = (GreedyState(positive([[1.0, 1.0]], [[0.4, 0.4]])) for _ in range(2))
+    got.run_static(), want.run_static()
+    assert _greedy_snapshot(got, got.apply(line)) == \
+        _greedy_snapshot(want, getattr(want, method)(*args))
+    assert got.stats.translations_applied == (line.target in "ab")
+
+
+@pytest.mark.parametrize("line, match", [(SetLine("P", 0, 0, 1.5), r"P\[0,0\] must decrease"),
+                                         (SetLine("C", 0, 0, 0.1), r"C\[0,0\] must increase")])
+def test_apply_rejects_a_line_that_does_not_relax(line, match):
+    st = GreedyState(positive([[1.0]], [[0.4]]))
+    st.run_static()
+    with pytest.raises(NonMonotoneUpdate, match=match):
+        st.apply(line)
 
 
 def test_relax_then_translate():

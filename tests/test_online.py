@@ -142,3 +142,26 @@ def test_rescan_visits_the_stored_arrays():
     # and the rates the kernel keeps are keyed to those arrays
     assert state._rates and all(rated is state.rows[i][2]
                                 for i, (rated, _) in state._rates.items())
+
+
+def _online_state_snapshot(state):
+    return ([(i, c.tobytes(), v.tobytes()) for i, c, v in state.rows], list(state.whack_counts),
+            state.x_hat.tobytes(), state.t, state.stats.phases)
+
+
+@pytest.mark.parametrize("cols, vals, match", [
+    ([0, 1], [0.5], "of one length"),           # numpy used to raise from the visit
+    ([0.7, 2.9], [0.5, 0.5], "integers"),       # used to be truncated to columns [0, 2]
+    ([[0, 1]], [[0.5, 0.5]], "1-D"),
+], ids=["short-vals", "float-cols", "2-d"])
+def test_malformed_row_changes_no_state(cols, vals, match):
+    state = OnlineState(3, 1.0, 0.1)
+    state.insert_row([0, 1, 2], [1.0, 1.0, 1.0])
+    before = _online_state_snapshot(state)
+    with pytest.raises(ValueError, match=match):
+        state.insert_row(cols, vals)
+    assert _online_state_snapshot(state) == before
+    # the state kept no part of the row, so the next insert's rescan runs clean
+    for _ in range(3):
+        assert state.insert_row([0, 1], [1.0, 0.5]).terminal is None
+    assert state.stats.phases > before[-1]

@@ -2,7 +2,9 @@
 
 ``ReferenceChain`` keeps that chain as the reference: ``scan`` restarts
 once per phase and hands each row to ``visit``, which tests it and passes a
-violated row to ``_enforce``; that reads the row's rates through
+violated row to ``_enforce``; a visit given a row source rescans it with
+``scan`` when the enforcement breaks the phase, as the caller of a visit
+once did. ``_enforce`` reads the row's rates through
 ``_row_rates`` (a stored row's from the state's cache), takes the step
 through ``_step`` and the total through ``_settle`` at every enforcement,
 and keeps every count on the state as it goes. Mixed into each setting's
@@ -17,9 +19,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pclp.generate import random_covering, random_packing, restricting_stream
+from conftest import covering
+from pclp.generate import random_covering, random_general, random_packing, restricting_stream
 from pclp.online import OnlineState
 from pclp.packing import PackingState
+from pclp.reductions import solve_general_stream
 from pclp.sparse import UpdateEvent, UpdateKind
 from pclp.whack_dynamic import DynamicWhackState
 from pclp.whack_static import Step, StoredRowsState, WhackState, run_phases
@@ -41,13 +45,16 @@ class ReferenceChain:
             else:
                 return False
 
-    def visit(self, i, cols, vals):
+    def visit(self, i, cols, vals, rows=None):
         xh = self.x_hat[cols]
         dot = float(vals.dot(xh))
         violated = dot < self.threshold if self._RATE_SIGN > 0 else dot > self.threshold
         if not violated:
             return None
-        return self._enforce(i, cols, vals, xh, dot)
+        step = self._enforce(i, cols, vals, xh, dot)
+        if step is Step.BROKE and rows is not None:
+            return Step.BUDGET if self.scan(rows) else None
+        return step
 
     def _enforce(self, i, cols, vals, xh, dot):
         if self._enforced is not None:
@@ -225,7 +232,8 @@ def test_dynamic_replays_match_the_reference(seed, m, n, eps, lam, density, halv
         stream = restricting_stream(np.random.default_rng(seed + 1), inst, 200, halve=halve)
         state = cls(inst)
         state.record_trace = True
-        state._run_to_certificate()
+        if state.scan(inst.C.rows):  # the preprocessing scan, run on either class
+            state.terminal = state.budget_outcome()
         seen = [snapshot(state)]
         for line in stream:
             if state.terminal is not None:
@@ -235,3 +243,76 @@ def test_dynamic_replays_match_the_reference(seed, m, n, eps, lam, density, halv
             seen.append(snapshot(state))
         got.append(seen)
     assert got[0] == got[1]
+
+
+# -- a visit with a row source --------------------------------------------------------------
+
+def visit_with_source(cls, dense, lam, eps, x_hat, T=None):
+    """Visit row 0 of ``dense`` with the matrix rows as its source, on a state
+    whose weights are ``x_hat`` (and budget ``T``); the Step, the rows()
+    passes the visit started and the state."""
+    inst = covering(dense, lam=lam, eps=eps)
+    state = cls(inst.n, inst.lam, inst.eps, [0] * inst.m, record_trace=True)
+    state.x_hat[:] = x_hat
+    state.total = float(state.x_hat.sum())
+    state.start_phase()
+    if T is not None:
+        state.T = T
+    passes = []
+
+    def rows():
+        passes.append(1)
+        return inst.C.rows()
+    step = state.visit(0, *inst.C.row(0), rows)
+    return step, len(passes), state, inst
+
+
+def assert_visits_match_the_reference(*args, **kwargs):
+    got, want = (visit_with_source(cls, *args, **kwargs) for cls in (StoredRowsState, RefStored))
+    assert got[:2] == want[:2] and snapshot(got[2]) == snapshot(want[2])
+    return got
+
+
+def test_visit_without_a_break_reads_no_row_source():
+    # dot 4 x 0.47 = 1.88 is below 0.95 W = 1.9; two whacks of 1.05 lift it
+    # past W = 2, and the total 2.048 stays below the cap 2 / 0.95
+    step, passes, state, _ = assert_visits_match_the_reference(
+        [[4.0, 0.0], [0.0, 1.0]], 8.0, 0.1, [0.47, 1.53])
+    assert step is None and passes == 0
+    assert state.t == 2 and state.stats.phases == 1 and state.stats.enforcements == 1
+
+
+def test_visit_that_breaks_rescans_its_source_to_a_clean_pass():
+    # row 0 needs 0.3 x 1.1^d >= 1, d = 13, and the total 1.245 breaks the
+    # phase; the source is then scanned, phase by phase, until a pass
+    # enforces nothing, as x = (1/2, 1/2) covers both rows
+    step, passes, state, inst = assert_visits_match_the_reference(
+        [[3.0, 0.0], [1.0, 3.0]], 3.0, 0.1, [0.1, 0.9])
+    assert step is None and passes >= 1 and state.stats.phases == 1 + passes
+    assert state.t < state.T
+    assert np.all(inst.C.matvec(state.x_hat) >= state.threshold)
+
+
+def test_visit_that_breaks_stops_its_rescan_at_the_budget():
+    # the visit spends 8 of the 9 rounds and breaks; the rescan finds row 0
+    # short again under the new anchor and spends the last round on it
+    step, passes, state, _ = assert_visits_match_the_reference(
+        [[1.0, 0.0]], 1.0, 0.1, [0.5, 0.5], T=9)
+    assert step is Step.BUDGET and passes == 1
+    assert state.t == state.T == 9 and state.whack_counts == [9]
+    assert state.stats.trace == [(0, 8), (0, 1)]
+
+
+def test_the_streaming_reduction_still_receives_broke(monkeypatch):
+    # its guesses visit without a row source and wait for the next physical pass
+    seen = []
+    visit = WhackState.visit
+
+    def recording(self, i, cols, vals, rows=None):
+        step = visit(self, i, cols, vals, rows)
+        seen.append((rows, step))
+        return step
+    monkeypatch.setattr(WhackState, "visit", recording)
+    solve_general_stream(random_general(np.random.default_rng(4), 6, 5), 0.1)
+    assert {rows for rows, _ in seen} == {None}
+    assert Step.BROKE in {step for _, step in seen}

@@ -312,7 +312,8 @@ def test_online_reduction_rejects_an_empty_row_before_any_state_changes():
 
 
 def _online_snapshot(solver):
-    return ([(len(st.rows), st.t, st.x_hat.tobytes(), st.terminal) for st in solver.states],
+    return ([(len(st.rows), list(st.whack_counts), st.t, st.x_hat.tobytes(), st.terminal)
+             for st in solver.states],
             list(solver.grid.guesses), len(solver.seen_rows))
 
 
@@ -331,6 +332,21 @@ def test_online_reduction_rejects_a_bad_constraint_before_any_state_changes(cols
     before = _online_snapshot(solver)
     with pytest.raises(ValueError):
         solver.insert_constraint(cols, vals, b_i)
+    assert _online_snapshot(solver) == before
+
+
+@pytest.mark.parametrize("cols, vals, match", [
+    ([0, 1], [1.0], "of one length"),         # used to broadcast, storing C' = [1.0, 0.5]
+    ([0.0, 1.5], [1.0, 1.0], "integers"),     # used to be truncated to columns [0, 1]
+    ([[0, 1]], [[1.0, 1.0]], "1-D"),
+], ids=["short-vals", "float-cols", "2-d"])
+def test_online_reduction_rejects_a_malformed_row_before_any_state_changes(cols, vals, match):
+    gen = random_general(np.random.default_rng(3), 2, 2)
+    solver = GeneralOnlineSolver(gen.n, gen.a, gen.L, gen.U, 0.1)
+    solver.insert_constraint(*gen.C.row(0), float(gen.b[0]))
+    before = _online_snapshot(solver)
+    with pytest.raises(ValueError, match=match):
+        solver.insert_constraint(cols, vals, 1.0)
     assert _online_snapshot(solver) == before
 
 
