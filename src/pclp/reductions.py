@@ -400,8 +400,8 @@ class GeneralOnlineSolver:
 
         The constraint is checked once for all guesses, before any guess
         state changes. It raises ValueError when the row is not one
-        ``online.checked_row`` takes or is empty, b_i is not positive or an entry
-        C'_ij = vals_j / (a_j b_i) is not finite and nonnegative, and when
+        ``online.checked_row`` takes or is empty, b_i is not positive or an
+        entry C'_ij = vals_j / (a_j b_i) is not finite and nonnegative, and when
         some live guess mu cannot take it, mu max C' being above that
         guess's lambda: rounding is monotone, so that is the bound
         ``OnlineState.insert_row`` checks on the row mu C'. Each live guess
