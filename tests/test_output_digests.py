@@ -9,22 +9,31 @@ The general-LP reductions are pinned on their static, streaming, dynamic
 and online wrappers. The certificate check is pinned on the reports it gives
 for the static covering and packing runs, and on every tag: greedy positive
 solutions (as found, halved and doubled), dynamic covering vectors, and every
-early exit. A change that moves any output bit of any run fails its digest; a
-change meant to be byte-identical must leave every digest as it is.
+early exit. The text writers are pinned on the instances and update streams
+they emit for every kind and target, and on the files ``pclp gen`` writes. A
+change that moves any output bit of any run fails its digest; a change meant
+to be byte-identical must leave every digest as it is.
 
 ``PYTHONPATH=src python tests/test_output_digests.py`` prints each setting's
 current digest and the cases its runs reached.
 """
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pclp.certificates import CertificateSlack, Outcome, OutcomeTag, check_certificate
+from pclp.cli import main
+from pclp.formats import emit_instance, emit_updates
 from pclp.generate import (general_restricting_stream, random_covering, random_general,
-                           random_packing, random_positive, restricting_stream)
+                           random_packing, random_positive, relaxing_stream_positive,
+                           restricting_stream)
 from pclp.greedy import solve_static_positive
 from pclp.online import OnlineState
 from pclp.packing import _RESCALE_BELOW, solve_packing_fast
@@ -339,6 +348,50 @@ def digest_certificate_tags() -> tuple[str, set[str]]:
     return h.hexdigest(), cases
 
 
+def _gen_files() -> list[tuple[str, bytes]]:
+    """(kind, bytes) of every file ``pclp gen`` writes for each kind at its
+    default flags, with an update stream for each kind that has one."""
+    files = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for kind in ("covering", "packing", "positive", "general"):
+            out = Path(tmp, kind)
+            argv = ["gen", "--kind", kind, "--seed", "7", "--out", str(out)]
+            if kind != "packing":
+                argv += ["--updates-out", f"{out}.ups"]
+            assert main(argv) == 0
+            files += [(kind, path.read_bytes()) for path in sorted(Path(tmp).glob(f"{kind}*"))]
+    return files
+
+
+def digest_formats() -> tuple[str, set[str]]:
+    h = hashlib.sha256()
+    cases = set()
+    rng = np.random.default_rng(2035)
+    for _ in range(12):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        eps = float(rng.choice([0.05, 0.1, 0.2]))
+        lam = float(rng.choice([1.0, 2.5, 8.0]))
+        cover = random_covering(rng, m, n, eps=eps, lam=lam, density=0.6)
+        pack = random_packing(rng, m, n, eps=eps, lam=lam, density=0.6)
+        mixed = random_positive(rng, int(rng.integers(1, 4)), m, n)
+        gen = random_general(rng, m, n, density=0.6)
+        for kind, inst in (("covering", cover), ("packing", pack), ("positive", mixed),
+                           ("general", gen)):
+            _feed(h, emit_instance(inst))
+            cases.add(kind)
+        for stream in (restricting_stream(rng, cover, 15),
+                       relaxing_stream_positive(rng, mixed, 15),
+                       general_restricting_stream(rng, gen, 15)):
+            _feed(h, emit_updates(stream))
+            cases.update(f"set {line.target}" for line in stream)
+    _feed(h, emit_updates([]))
+    cases.add("empty")
+    for kind, data in _gen_files():
+        h.update(data)
+        cases.add(f"gen {kind}")
+    return h.hexdigest(), cases
+
+
 # per setting: the runs, their digest captured before any refactor of the
 # code they run, and the cases the runs must reach for the digest to pin them
 DIGESTS = {
@@ -348,6 +401,11 @@ DIGESTS = {
     "packing": (digest_packing,
                 "61f6d7d1951b9f51f13d5edb527dd02692607ce4286529a04458fa8e0b807498",
                 {"packing_primal", "covering_dual", "rescale", "flush"}),
+    "formats": (digest_formats,
+                "def68d3d5606dea67acfcb804a5becc92bb80923d3aae8452272b199f382f7c3",
+                {"covering", "packing", "positive", "general", "set C", "set P", "set a",
+                 "set b", "empty", "gen covering", "gen packing", "gen positive",
+                 "gen general"}),
     "fast": (digest_fast,
              "06f3eb5cb5c241ed4a43f34b3f117105834f25819342b7e09aeafb6137ce6fa8",
              {"covering_primal", "packing_dual"}),
