@@ -4,7 +4,8 @@ Exit codes: 0 on a clean run, 2 when --verify finds a certificate
 violation or an optimality gap above its bound, 3 on parse errors,
 paths that cannot be read or written, files that are not UTF-8, invalid
 (non-monotone) update streams and flags the chosen command or setting
-does not support.
+does not support, an eps the general reductions cannot use, and
+``gen --kind packing --updates-out`` (no packing stream exists).
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .online import OnlineState
 from .oracle import TooLarge, positive_feasible_exact, solve_covering_exact
 from .packing import solve_packing_fast
 from .reductions import (
+    EpsOutOfRange,
     GeneralOnlineSolver,
     GuessLadderExhausted,
     solve_general_dynamic,
@@ -214,6 +216,9 @@ def cmd_general(args) -> int:
     if args.updates and args.setting != "dynamic":
         raise UsageError(f"general --updates applies to --setting dynamic only, "
                          f"not --setting {args.setting}")
+    if args.verify and not args.eps < 0.25:
+        # the gap bound 4 eps / (1 - 4 eps) holds below 1/4 only
+        raise UsageError(f"general --verify needs --eps below 1/4, got {args.eps}")
     instance = _load_as(args, GeneralInstance, "general")
     eps = args.eps
     payload: dict = {"setting": args.setting}
@@ -263,26 +268,30 @@ def cmd_general(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.kind == "packing" and args.updates_out:
+        raise UsageError("gen --updates-out writes no packing stream: none exists")
     rng = np.random.default_rng(args.seed)
+    density = args.density
+    if density is None:
+        density = 0.7 if args.kind == "positive" else 0.5
+    stream = None
+    # no file holds eps, so the generators that take one get a constant
     if args.kind == "covering":
-        inst = generate.random_covering(rng, args.m, args.n, eps=args.eps,
-                                        density=args.density)
-        stream = (generate.restricting_stream(rng, inst, args.tau)
-                  if args.updates_out else None)
+        inst = generate.random_covering(rng, args.m, args.n, eps=0.1, density=density)
+        if args.updates_out:
+            stream = generate.restricting_stream(rng, inst, args.tau)
     elif args.kind == "packing":
-        inst = generate.random_packing(rng, args.m, args.n, eps=args.eps,
-                                       density=args.density)
-        stream = None
+        inst = generate.random_packing(rng, args.m, args.n, eps=0.1, density=density)
     elif args.kind == "positive":
-        inst = generate.random_positive(rng, args.m, args.mc, args.n)
-        stream = (generate.relaxing_stream_positive(rng, inst, args.tau)
-                  if args.updates_out else None)
+        inst = generate.random_positive(rng, args.m, args.mc, args.n, density=density)
+        if args.updates_out:
+            stream = generate.relaxing_stream_positive(rng, inst, args.tau)
     else:  # general
-        inst = generate.random_general(rng, args.m, args.n, density=args.density)
-        stream = (generate.general_restricting_stream(rng, inst, args.tau)
-                  if args.updates_out else None)
+        inst = generate.random_general(rng, args.m, args.n, density=density)
+        if args.updates_out:
+            stream = generate.general_restricting_stream(rng, inst, args.tau)
     Path(args.out).write_text(emit_instance(inst))
-    if args.updates_out and stream is not None:
+    if stream is not None:
         Path(args.updates_out).write_text(emit_updates(stream))
     print(f"wrote {args.out}" + (f" and {args.updates_out}" if args.updates_out else ""))
     return 0
@@ -337,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, default=5)
     sp.add_argument("--n", type=int, default=5)
     sp.add_argument("--mc", type=int, default=3, help="covering rows (positive kind)")
-    sp.add_argument("--eps", type=float, default=0.1)
-    sp.add_argument("--density", type=float, default=0.5)
+    sp.add_argument("--density", type=float, default=None,
+                    help="chance of each entry (default 0.5; 0.7 for positive)")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--tau", type=int, default=50)
     sp.add_argument("--out", required=True)
@@ -352,7 +361,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, UsageError, NonMonotoneUpdate, SparseError, GuessLadderExhausted,
-            OSError, UnicodeDecodeError) as exc:
+            EpsOutOfRange, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

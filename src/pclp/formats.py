@@ -39,6 +39,14 @@ Update streams are ``set`` lines against the same names::
 Direction (restricting vs. relaxing) is not encoded in the line; each
 replay driver classifies a ``set`` against the current value and rejects
 updates that move the wrong way for its setting.
+
+Each format is stated once, in one table that its reader and its writer
+both walk: ``_KINDS`` gives each instance kind's class, header fields and
+record tags, and ``_SET_ARGS`` each ``set`` target's indexes. The writers
+give a header's integers as integers and every other number as the repr of
+a Python float, numpy scalars included, so it parses back to the same
+float; ``emit_instance`` writes a matrix's entries in (i, j) order and a
+vector by index.
 """
 from __future__ import annotations
 
@@ -88,18 +96,31 @@ def _tokens(text: str) -> Iterator[tuple[int, list[str]]]:
     return ((lineno, parts) for lineno, parts in enumerate(_lines(text), start=1) if parts)
 
 
-#: per kind: the header's fields after the kind word (name, type), and per
-#: record tag the names of its indexes and the header fields that bound them
+#: per kind: its instance class, the header's fields after the kind word
+#: (name, type, the instance attribute that holds it), and per record tag the
+#: names of its indexes and the header fields that bound them; the tag is also
+#: the attribute that holds the tag's matrix or vector
 _KINDS = {
-    "covering": ((("m", int), ("n", int), ("lambda", float)),
+    "covering": (NormalizedCoveringInstance,
+                 (("m", int, "m"), ("n", int, "n"), ("lambda", float, "lam")),
                  {"C": ("i j", ("m", "n"))}),
-    "packing": ((("m", int), ("n", int), ("lambda", float)),
+    "packing": (PackingInstanceView,
+                (("m", int, "m"), ("n", int, "n"), ("lambda", float, "lam")),
                 {"P": ("i j", ("m", "n"))}),
-    "positive": ((("mp", int), ("mc", int), ("n", int)),
+    "positive": (PositiveInstance,
+                 (("mp", int, "m_p"), ("mc", int, "m_c"), ("n", int, "n")),
                  {"P": ("i j", ("mp", "n")), "C": ("i j", ("mc", "n"))}),
-    "general": ((("m", int), ("n", int)),
+    "general": (GeneralInstance,
+                (("m", int, "m"), ("n", int, "n")),
                 {"C": ("i j", ("m", "n")), "a": ("j", ("n",)), "b": ("i", ("m",))}),
 }
+
+
+def _number(v) -> str:
+    """A value as a file holds it: the repr of the float, which parses back
+    to the same float; a numpy scalar is converted first, since its own repr
+    does not parse."""
+    return repr(float(v))
 
 
 def _convert(records: Iterator[list[str]], tags: dict) -> dict[str, list[tuple]]:
@@ -169,14 +190,14 @@ def parse_instance(text: str, eps: float = 0.1):
     kind, *fields = head
     if kind not in _KINDS:
         raise ParseError(f"line {next(_tokens(text))[0]}: unknown instance kind {kind!r}")
-    spec, tags = _KINDS[kind]
+    cls, spec, tags = _KINDS[kind]
     try:
         if len(fields) != len(spec):
             raise ValueError
-        header = {name: convert(t) for (name, convert), t in zip(spec, fields)}
+        header = {name: convert(t) for (name, convert, _), t in zip(spec, fields)}
     except ValueError:
         raise ParseError(f"line {next(_tokens(text))[0]}: {kind} header needs "
-                         f"{' '.join(name for name, _ in spec)}: {' '.join(head)}") from None
+                         f"{' '.join(name for name, *_ in spec)}: {' '.join(head)}") from None
     shapes = {tag: tuple(map(header.get, bounds)) for tag, (_, bounds) in tags.items()}
     try:
         built = {tag: _build(entries, shapes[tag])
@@ -190,10 +211,8 @@ def parse_instance(text: str, eps: float = 0.1):
             if why is not None:
                 raise ParseError(f"line {lineno}: {why}") from None
         raise ParseError(f"bad entry: {exc}") from None
-    if kind == "covering":
-        return NormalizedCoveringInstance(C=built["C"], lam=header["lambda"], eps=eps)
-    if kind == "packing":
-        return PackingInstanceView(P=built["P"], lam=header["lambda"], eps=eps)
+    if kind in ("covering", "packing"):
+        return cls(*built.values(), lam=header["lambda"], eps=eps)
     if kind == "positive":
         P, C = built["P"], built["C"]
         vals = P.values() + C.values()
@@ -208,36 +227,27 @@ def parse_instance(text: str, eps: float = 0.1):
 
 
 def emit_instance(instance) -> str:
-    lines: list[str] = []
-    if isinstance(instance, NormalizedCoveringInstance):
-        lines.append(f"covering {instance.m} {instance.n} {instance.lam!r}")
-        for i, j, v in sorted(instance.C.entries()):
-            lines.append(f"C {i} {j} {v!r}")
-    elif isinstance(instance, PackingInstanceView):
-        lines.append(f"packing {instance.m} {instance.n} {instance.lam!r}")
-        for i, j, v in sorted(instance.P.entries()):
-            lines.append(f"P {i} {j} {v!r}")
-    elif isinstance(instance, PositiveInstance):
-        lines.append(f"positive {instance.m_p} {instance.m_c} {instance.n}")
-        for i, j, v in sorted(instance.P.entries()):
-            lines.append(f"P {i} {j} {v!r}")
-        for i, j, v in sorted(instance.C.entries()):
-            lines.append(f"C {i} {j} {v!r}")
-    elif isinstance(instance, GeneralInstance):
-        lines.append(f"general {instance.m} {instance.n}")
-        for i, j, v in sorted(instance.C.entries()):
-            lines.append(f"C {i} {j} {v!r}")
-        for j, v in enumerate(instance.a):
-            lines.append(f"a {j} {float(v)!r}")
-        for i, v in enumerate(instance.b):
-            lines.append(f"b {i} {float(v)!r}")
+    """The file ``parse_instance`` reads back as ``instance``: the header,
+    then each record tag's matrix entries in (i, j) order or its vector by
+    index."""
+    for kind, (cls, spec, tags) in _KINDS.items():
+        if isinstance(instance, cls):
+            break
     else:
         raise TypeError(f"cannot emit {type(instance)!r}")
+    # a header field is written as its type converts it: a float as its repr
+    header = [str(convert(getattr(instance, attr))) for _, convert, attr in spec]
+    lines = [" ".join([kind, *header])]
+    for tag, (_, bounds) in tags.items():
+        data = getattr(instance, tag)
+        records = sorted(data.entries()) if len(bounds) == 2 else enumerate(data)
+        lines += [" ".join([tag, *map(str, index), _number(v)]) for *index, v in records]
     return "\n".join(lines) + "\n"
 
 
-#: the arguments of each ``set`` target: its indexes, then the value
-_SET_ARGS = {"C": "i j v", "P": "i j v", "a": "j v", "b": "i v"}
+#: the names of each ``set`` target's indexes, which its value follows: an
+#: ``i`` is a SetLine's row, a ``j`` its column
+_SET_ARGS = {"C": "i j", "P": "i j", "a": "j", "b": "i"}
 
 
 def parse_updates(text: str) -> list[SetLine]:
@@ -246,36 +256,28 @@ def parse_updates(text: str) -> list[SetLine]:
         if parts[0] != "set":
             raise ParseError(f"line {lineno}: update lines must start with 'set'")
         target = parts[1] if len(parts) > 1 else ""
-        args = _SET_ARGS.get(target)
-        if args is None:
+        names = _SET_ARGS.get(target)
+        if names is None:
             raise ParseError(f"line {lineno}: unknown set target {target!r}")
-        if len(parts) != 2 + len(args.split()):
-            raise ParseError(f"line {lineno}: set {target} needs {args}")
+        if len(parts) != 3 + len(names.split()):
+            raise ParseError(f"line {lineno}: set {target} needs {names} v")
         try:
-            idx = [int(t) for t in parts[2:-1]]
+            index = dict(zip(names.split(), map(int, parts[2:-1])))
             value = float(parts[-1])
         except ValueError:
             raise ParseError(f"line {lineno}: set {target} needs integer indexes and a "
                              f"number: {' '.join(parts)}") from None
         if not math.isfinite(value):
             raise ParseError(f"line {lineno}: set {target} value is not finite: {value}")
-        if target in ("C", "P"):
-            out.append(SetLine(target, idx[0], idx[1], value))
-        elif target == "a":
-            out.append(SetLine("a", None, idx[0], value))
-        else:
-            out.append(SetLine("b", idx[0], None, value))
+        out.append(SetLine(target, index.get("i"), index.get("j"), value))
     return out
 
 
 def emit_updates(lines: Iterable[SetLine]) -> str:
+    """The stream ``parse_updates`` reads back as ``lines``."""
     out = []
     for s in lines:
-        value = float(s.value)  # a numpy scalar's repr does not parse
-        if s.target in ("C", "P"):
-            out.append(f"set {s.target} {s.row} {s.col} {value!r}")
-        elif s.target == "a":
-            out.append(f"set a {s.col} {value!r}")
-        else:
-            out.append(f"set b {s.row} {value!r}")
+        index = {"i": s.row, "j": s.col}
+        fields = [str(index[name]) for name in _SET_ARGS[s.target].split()]
+        out.append(" ".join(["set", s.target, *fields, _number(s.value)]))
     return "\n".join(out) + "\n"

@@ -135,9 +135,8 @@ def _matrix_errors(mat: SparseNonnegMatrix, lam: float | None, name: str) -> lis
     if _all_within(mat.values(), 0.0, inf if lam is None else lam):
         return errors
     for i, j, v in mat.entries():
-        if not (0.0 <= v < inf):
-            code = "NegativeEntry" if -inf < v < 0.0 else "NonFinite"
-            errors.append(ValidationError(code, f"{name}[{i},{j}]={v}"))
+        if not (0.0 <= v < inf):  # NaN or +inf: a matrix refuses a negative value
+            errors.append(ValidationError("NonFinite", f"{name}[{i},{j}]={v}"))
         elif lam is not None and v > lam:
             errors.append(
                 ValidationError("EntryAboveLambda", f"{name}[{i},{j}]={v} > {lam}"))

@@ -53,6 +53,11 @@ class GuessLadderExhausted(ValueError):
     """The guess grid was extended MAX_EXTENSIONS times without a primal answer."""
 
 
+class EpsOutOfRange(ValueError):
+    """An eps no guess ladder can use: the per-guess covering solves need
+    0 < eps < 1/2, and a ratio 1 + eps <= 1 never climbs."""
+
+
 # ---------------------------------------------------------------------------
 # normalization and guess grids
 # ---------------------------------------------------------------------------
@@ -105,7 +110,10 @@ class GuessGrid:
 
 
 def guess_grid(n: int, L: float, U: float, eps: float) -> GuessGrid:
-    """Geometric (1+eps) ladder from L^2/U up past n U^2/L."""
+    """Geometric (1+eps) ladder from L^2/U up past n U^2/L; raises
+    EpsOutOfRange, before any guess is laid, unless 0 < eps < 1/2."""
+    if not 0.0 < eps < 0.5:
+        raise EpsOutOfRange(f"EpsOutOfRange: eps={eps} outside (0, 1/2)")
     lo = L * L / U
     hi = n * U * U / L
     guesses = [lo]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,9 @@ import pytest
 from pclp.cli import main
 from pclp.formats import emit_instance, emit_updates, parse_instance
 from pclp.generate import random_covering, restricting_stream
+from pclp.oracle import MAX_DIM
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write(tmp_path, name, text):
@@ -259,6 +266,63 @@ def test_general_other_settings(tmp_path, capsys):
     assert onl["recourse"] >= 0 and onl["objective"] > 0
 
 
+def _pclp(*argv) -> subprocess.CompletedProcess:
+    """``pclp`` run in its own process, so that a run that never returns
+    fails its test at the timeout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "pclp", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def _general_3x3(tmp_path) -> str:
+    out = tmp_path / "g.txt"
+    assert main(["gen", "--kind", "general", "--m", "3", "--n", "3", "--seed", "1",
+                 "--out", str(out)]) == 0
+    return str(out)
+
+
+@pytest.mark.parametrize("eps, setting", [
+    *(("0", setting) for setting in ("static", "dynamic", "stream", "online")),
+    ("-0.1", "static"), ("nan", "static"), ("nan", "online"), ("0.5", "stream"),
+    ("0.7", "dynamic"),
+])
+def test_general_eps_outside_the_guess_ladder_exits_3(tmp_path, eps, setting):
+    # eps <= 0 used to run for ever, nan to end in a traceback, and eps >= 1/2
+    # to run covering solves that validate refuses
+    proc = _pclp("general", _general_3x3(tmp_path), "--eps", eps, "--setting", setting)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: EpsOutOfRange: eps={float(eps)} outside (0, 1/2)\n"
+
+
+@pytest.mark.parametrize("eps", ["0.25", "0.3"])
+def test_general_verify_needs_eps_below_a_quarter(tmp_path, eps):
+    # the gap bound 4 eps / (1 - 4 eps) used to divide by zero at 1/4 and be
+    # negative above it, so that every run exited 2
+    proc = _pclp("general", _general_3x3(tmp_path), "--eps", eps, "--verify")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: general --verify needs --eps below 1/4, got {float(eps)}\n"
+
+
+@pytest.mark.parametrize("kind", ["positive", "general"])
+def test_verify_above_the_oracle_scale_reports_null(tmp_path, capsys, kind):
+    n = MAX_DIM + 1
+    if kind == "positive":  # x sums to at most 1 and must reach 1 at 0.4: infeasible
+        text = f"positive 1 1 {n}\n" + "".join(f"P 0 {j} 1.0\nC 0 {j} 0.4\n" for j in range(n))
+    else:
+        text = (f"general 1 {n}\n" + "".join(f"C 0 {j} 1.0\na {j} 1.0\n" for j in range(n))
+                + "b 0 1.0\n")
+    assert main([kind, write(tmp_path, "wide.txt", text), "--verify"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    if kind == "positive":
+        assert payload["outcome_tag"] == "infeasible"
+        assert payload["verify_result"] == {"ok": True, "oracle_feasible": None}
+    else:
+        assert payload["verify_result"] == {"ok": True, "opt": None}
+
+
 @pytest.mark.parametrize("setting", ["dynamic", "stream", "online"])
 def test_general_verify_rejected_outside_static(tmp_path, capsys, setting):
     text = ("general 2 2\nC 0 0 1.0\nC 0 1 2.0\nC 1 0 2.0\nC 1 1 1.0\n"
@@ -405,6 +469,24 @@ def test_bad_instance_record_exits_3_naming_its_line(tmp_path, capsys, kind):
     assert captured.err.startswith(f"error: line {4 if kind == 'covering' else 5}: ")
 
 
+def test_command_on_an_instance_of_another_kind_exits_3(tmp_path, capsys):
+    inst = write(tmp_path, "p.txt", "packing 1 1 1.0\nP 0 0 1.0\n")
+    assert main(["solve", inst]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: solve expects a covering instance\n"
+
+
+@pytest.mark.parametrize("command, line, detail", [
+    ("dynamic", "set a 0 1.0", "dynamic covering streams may only set C entries"),
+    ("general", "set P 0 0 0.5", "unknown restricting target 'P'"),
+])
+def test_update_line_of_a_target_the_setting_lacks_exits_3(tmp_path, capsys, command, line,
+                                                          detail):
+    err = _exits_3(tmp_path, capsys, command, f"{line}\n")
+    assert err == f"error: {detail}\n"
+
+
 @pytest.mark.parametrize("line", ["set b 0 0", "set b 0 -1", "set a 0 -1"])
 def test_positive_non_positive_rhs_exits_3(tmp_path, capsys, line):
     # `set b 0 0` used to end in a ZeroDivisionError, `set b 0 -1` to be accepted
@@ -450,6 +532,42 @@ def test_gen_same_seed_byte_identical(tmp_path):
                      "--updates-out", str(out) + ".ups", "--tau", "20"]) == 0
     assert a1.read_bytes() == a2.read_bytes()
     assert (tmp_path / "a1.txt.ups").read_bytes() == (tmp_path / "a2.txt.ups").read_bytes()
+
+
+def test_gen_packing_updates_out_exits_3_before_writing(tmp_path, capsys):
+    # no packing stream exists: the flag used to be reported written and ignored
+    out, ups = tmp_path / "p.txt", tmp_path / "p.ups"
+    assert main(["gen", "--kind", "packing", "--seed", "1", "--out", str(out),
+                 "--updates-out", str(ups)]) == 3
+    assert not out.exists() and not ups.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: gen --updates-out writes no packing stream: none exists\n"
+
+
+def test_gen_has_no_eps_flag(tmp_path, capsys):
+    # no file holds eps, so the flag changed no byte
+    with pytest.raises(SystemExit) as exit_:
+        main(["gen", "--kind", "covering", "--seed", "2", "--eps", "0.3",
+              "--out", str(tmp_path / "c.txt")])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --eps 0.3" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["gen", "--help"])
+    assert "--eps" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind, default", [("covering", "0.5"), ("packing", "0.5"),
+                                           ("positive", "0.7"), ("general", "0.5")])
+def test_gen_density_reaches_every_kind(tmp_path, kind, default):
+    # positive files used to be drawn at 0.7 whatever --density said
+    def written(*flags) -> bytes:
+        out = tmp_path / "inst.txt"
+        assert main(["gen", "--kind", kind, "--seed", "2", "--out", str(out), *flags]) == 0
+        return out.read_bytes()
+
+    assert written() == written("--density", default)
+    assert written("--density", "0.2") != written("--density", "0.9")
 
 
 def test_gen_streams_are_monotone(tmp_path):

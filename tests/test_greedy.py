@@ -271,6 +271,17 @@ def test_relax_packing_with_zero_coordinate_is_pure_bookkeeping():
     assert st.S_p[0] == sp_before
 
 
+def test_relax_packing_entry_to_zero_drops_its_representative():
+    st = GreedyState(positive([[1.0, 1.0], [0.5, 1.0]], [[0.4, 0.4]]))
+    assert st.run_static().tag is OutcomeTag.INFEASIBLE
+    assert st.prep[0] == {0: 1.0, 1: 0.5}
+    readjusts = st.stats.heap_readjusts
+    assert st.relax_packing_entry(0, 0, 0.0).tag is OutcomeTag.INFEASIBLE
+    assert st.prep[0] == {1: 0.5}
+    assert 0 not in st.P.row_map(0)
+    assert st.stats.heap_readjusts == readjusts + 1
+
+
 def test_pseudo_update_keeps_packing_dot_fixed():
     # one column: boosting it shifts the packing weight onto row 0, so its
     # cost rises past the bar well short of C x = 1
@@ -355,13 +366,19 @@ def test_apply_sends_each_target_to_its_method(line, method, args):
     assert got.stats.translations_applied == (line.target in "ab")
 
 
-@pytest.mark.parametrize("line, match", [(SetLine("P", 0, 0, 1.5), r"P\[0,0\] must decrease"),
-                                         (SetLine("C", 0, 0, 0.1), r"C\[0,0\] must increase")])
+@pytest.mark.parametrize("line, match", [
+    (SetLine("P", 0, 0, 1.5), r"P\[0,0\] must decrease"),
+    (SetLine("C", 0, 0, 0.1), r"C\[0,0\] must increase"),
+    (SetLine("a", None, 0, 0.5), "packing rhs 0 must increase"),
+    (SetLine("b", 0, None, 1.5), "covering rhs 0 must decrease"),
+])
 def test_apply_rejects_a_line_that_does_not_relax(line, match):
     st = GreedyState(positive([[1.0]], [[0.4]]))
     st.run_static()
+    before = copy.deepcopy(st)
     with pytest.raises(NonMonotoneUpdate, match=match):
         st.apply(line)
+    assert_unchanged(st, before)
 
 
 def test_relax_then_translate():
@@ -433,6 +450,16 @@ def test_translation_below_factor_is_noop():
     st.translate_packing_rhs(0, 1.004)
     assert st.P.get(0, 0) == before
     assert st.stats.translations_applied == 0
+
+
+def test_covering_translation_below_factor_only_records_the_rhs():
+    st = GreedyState(positive([[1.0]], [[0.4]]))
+    st.run_static()
+    before = copy.deepcopy(st)
+    st.translate_covering_rhs(0, 1.0 / 1.004)  # a factor below 1 + eps = 1.005
+    assert st.rhs_true_c[0] == 1.0 / 1.004
+    st.rhs_true_c[0] = before.rhs_true_c[0]
+    assert_unchanged(st, before)
 
 
 def test_translation_expands_to_row_scaling():

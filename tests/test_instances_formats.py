@@ -18,6 +18,7 @@ from pclp.formats import (
 from pclp.generate import random_covering, random_general, random_packing, random_positive
 from pclp.instances import (GeneralInstance, NormalizedCoveringInstance, PackingInstanceView,
                             PositiveInstance, validate)
+from pclp.reductions import normalize
 from pclp.sparse import SparseNonnegMatrix
 
 
@@ -68,6 +69,27 @@ def test_validate_flags_non_finite_numbers(bad):
     assert "NonFinite" in codes(pos)
 
 
+@pytest.mark.parametrize("name, value", [("a", 0.0), ("b", -1.0)])
+def test_validate_flags_a_non_positive_scale(name, value):
+    gen = GeneralInstance(C=SparseNonnegMatrix.from_dense([[1.0]]), a=[1.0], b=[1.0],
+                          L=1.0, U=1.0)
+    getattr(gen, name)[0] = value
+    assert [str(e) for e in validate(gen)] == [
+        f"NegativeEntry: {name}[0]={value} must be positive"]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda C: GeneralInstance(C=C, a=[1.0], b=[1.0], L=1.0, U=1.0), "a must have length n=2"),
+    (lambda C: GeneralInstance(C=C, a=[1.0, 1.0], b=[1.0, 1.0], L=1.0, U=1.0),
+     "b must have length m=1"),
+    (lambda C: PositiveInstance(P=C, C=SparseNonnegMatrix(1, 3), L=1.0, U=1.0, eps=0.005),
+     "P and C must agree on the number of variables"),
+], ids=["a", "b", "positive"])
+def test_instance_of_the_wrong_shape_is_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(SparseNonnegMatrix.from_dense([[1.0, 1.0]]))
+
+
 def test_validate_lists_entry_errors_in_entry_order():
     inst = covering([[1.0, 1.0], [1.0, 0.5]], lam=1.5)
     for (i, j), v in zip([(0, 0), (0, 1), (1, 0)], [float("inf"), float("nan"), 2.0]):
@@ -106,6 +128,23 @@ def test_parse_positive_roundtrip():
     assert np.allclose(back.C.to_dense(), inst.C.to_dense())
 
 
+@pytest.mark.parametrize("make", [
+    lambda: normalize(random_general(np.random.default_rng(5), 4, 3)).instance_for(1.5, 0.1),
+    lambda: NormalizedCoveringInstance(SparseNonnegMatrix.from_dense([[0.5]]),
+                                       np.float64(2.0), 0.1),
+    lambda: PackingInstanceView(SparseNonnegMatrix.from_dense([[0.5]]), 1, 0.1),
+], ids=["numpy-entries", "numpy-lambda", "int-lambda"])
+def test_emit_writes_numpy_and_int_numbers_that_parse_back(make):
+    # every entry of C' is a numpy scalar, whose repr used to be written as
+    # np.float64(...), which the parser refuses
+    inst = make()
+    back = parse_instance(emit_instance(inst), eps=0.1)
+    assert type(back) is type(inst)
+    name = "C" if isinstance(inst, NormalizedCoveringInstance) else "P"
+    assert list(getattr(back, name).entries()) == list(getattr(inst, name).entries())
+    assert back.lam == inst.lam
+
+
 def test_generated_instances_roundtrip_many(rng):
     for _ in range(10):
         inst = random_covering(rng, int(rng.integers(1, 8)), int(rng.integers(1, 8)), eps=0.1)
@@ -137,6 +176,9 @@ def test_parse_rejects_garbage():
     ("set a 0 inf", "set a value is not finite: inf"),
     ("set C 0 0 nan", "set C value is not finite: nan"),
     ("set", "unknown set target ''"),
+    ("put C 0 0 1.0", "update lines must start with 'set'"),
+    ("set C 0 1.0", "set C needs i j v"),
+    ("set b 0 1 1.0", "set b needs i v"),
 ])
 def test_parse_updates_names_the_bad_line(line, detail):
     with pytest.raises(ParseError, match=f"^line 2: {re.escape(detail)}"):

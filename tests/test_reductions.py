@@ -9,6 +9,7 @@ from pclp.generate import general_restricting_stream, random_general
 from pclp.instances import GeneralInstance
 from pclp.oracle import solve_covering_exact
 from pclp.reductions import (
+    EpsOutOfRange,
     GeneralDynamicSolver,
     GeneralOnlineSolver,
     GuessLadderExhausted,
@@ -70,6 +71,21 @@ def test_grid_covers_range_with_exact_ratio():
     assert len(grid.guesses) == k + 1
     ratios = [b / a for a, b in zip(grid.guesses, grid.guesses[1:])]
     assert np.allclose(ratios, 1.1, rtol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, 0.5, 0.7, math.inf])
+def test_every_reduction_rejects_an_eps_its_ladder_cannot_use(eps):
+    # a ratio 1 + eps <= 1 used to loop for ever, and eps >= 1/2 to run
+    # covering solves that validate refuses
+    gen = gen_of([[1.0, 0.5], [0.5, 1.0]], [1.0, 1.0], [1.0, 1.0], L=0.5, U=2.0)
+    message = f"^EpsOutOfRange: eps={eps} outside \\(0, 1/2\\)$"
+    for build in (lambda: guess_grid(2, 0.5, 2.0, eps),
+                  lambda: solve_general_static(gen, eps),
+                  lambda: solve_general_stream(gen, eps),
+                  lambda: GeneralDynamicSolver(gen, eps),
+                  lambda: GeneralOnlineSolver(gen.n, gen.a, gen.L, gen.U, eps)):
+        with pytest.raises(EpsOutOfRange, match=message):
+            build()
 
 
 def test_grid_guess_sandwich(rng):
@@ -158,6 +174,18 @@ def test_non_monotone_general_update_rejected():
         solver.apply(SetLine("b", 0, None, 0.5))
     with pytest.raises(NonMonotoneUpdate):
         solver.apply(SetLine("C", 0, 0, 2.0))
+
+
+def test_dynamic_reduction_rejects_a_packing_line_before_any_state_changes():
+    gen = gen_of([[1.0, 0.5], [0.5, 1.0]], [1.0, 1.0], [1.0, 1.0], L=0.5, U=2.0)
+    solver = GeneralDynamicSolver(gen, 0.1)
+    before = solver.current()
+    with pytest.raises(NonMonotoneUpdate, match="^unknown restricting target 'P'$"):
+        solver.apply(SetLine("P", 0, 0, 0.5))
+    assert (solver.updates_seen, solver.updates_applied) == (0, 0)
+    assert sorted(solver.applied_C.entries()) == sorted(gen.C.entries())
+    mu, x = solver.current()
+    assert mu == before[0] and np.array_equal(x, before[1])
 
 
 def test_repeated_zero_update_is_absorbed():

@@ -75,6 +75,13 @@ def test_restrict_update_rejects_increase():
         m.apply_update(UpdateEvent(UpdateKind.RESTRICT_COVERING_ENTRY, 0, 0, 0.9))
 
 
+def test_restrict_update_rejects_a_negative_value():
+    m = SparseNonnegMatrix.from_dense([[0.5]])
+    with pytest.raises(SparseError, match="^negative value -0.25$"):
+        m.apply_update(UpdateEvent(UpdateKind.RESTRICT_COVERING_ENTRY, 0, 0, -0.25))
+    assert list(m.entries()) == [(0, 0, 0.5)]
+
+
 def test_relax_insertion_lands_in_both_indexes():
     m = SparseNonnegMatrix.from_dense([[1.0, 0.0], [0.0, 1.0]])
     m.set(0, 1, 0.3)
@@ -102,7 +109,8 @@ def test_from_entries_keeps_the_order_set_gives():
 
 @pytest.mark.parametrize("entry, error", [((2, 0, 1.0), IndexOutOfRange),
                                           ((0, -1, 1.0), IndexOutOfRange),
-                                          ((1, 1, -0.5), SparseError)])
+                                          ((1, 1, -0.5), SparseError),
+                                          ((1, 1, -np.inf), SparseError)])
 def test_from_entries_raises_what_set_raises(entry, error):
     with pytest.raises(error) as built:
         SparseNonnegMatrix.from_entries(2, 2, [(0, 0, 1.0), entry])
