@@ -212,7 +212,7 @@ def parse_instance(text: str, eps: float = 0.1):
                 raise ParseError(f"line {lineno}: {why}") from None
         raise ParseError(f"bad entry: {exc}") from None
     if kind in ("covering", "packing"):
-        return cls(*built.values(), lam=header["lambda"], eps=eps)
+        return cls(**built, lam=header["lambda"], eps=eps)
     if kind == "positive":
         P, C = built["P"], built["C"]
         vals = P.values() + C.values()
