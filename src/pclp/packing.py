@@ -104,8 +104,13 @@ class PackingState(StoredRowsState):
             total = float(np.add.reduce(self.x_hat))
         return total
 
+    def certifies(self, t: int) -> bool:
+        # the mirror of the covering test: P^T y >= 1 - 2 eps, 2 eps above
+        # the promise P^T y >= 1 - 4 eps
+        return t > 0 and float(np.minimum.reduce(self.z)) >= (1.0 - 2.0 * self.eps) * t
+
     def budget_outcome(self) -> Outcome:
-        return Outcome.covering_dual(np.asarray(self.whack_counts, dtype=float) / float(self.T))
+        return Outcome.covering_dual(np.asarray(self.whack_counts, dtype=float) / float(self.t))
 
     def primal_outcome(self) -> Outcome:
         return Outcome.packing_primal(self.x_hat / self.W)

@@ -21,8 +21,9 @@ the streaming wrapper makes one physical pass over the normalized rows for
 all guesses, visiting each row, scaled by the guess, once per guess whose
 phase is still running (a guess added above the grid runs the same passes
 on its own). Its visits take no row source, so a guess whose phase breaks
-gets ``Step.BROKE`` back and is rescanned on the next physical pass; it is
-the only caller that reads the break. The online wrapper's per-guess
+gets ``Step.BROKE`` back and is rescanned on the next physical pass, unless
+its column sums certify a dual at that pass's start; it is the only caller
+that reads the break. The online wrapper's per-guess
 states visit each arriving row, which it checks once for all guesses
 before any guess state changes, and rescan their own stored rows on a
 break within the visit.
@@ -324,7 +325,9 @@ class GeneralStreamResult:
 
 def solve_general_stream(gen: GeneralInstance, eps: float) -> GeneralStreamResult:
     """Lifted primal of the smallest primal guess; no per-guess dual tallies
-    are kept, since only the primal answer is lifted."""
+    are kept, since only the primal answer is lifted. A guess's column sums
+    z alone prove that its dual exists, so a guess stops at the start of the
+    first physical pass where they certify (``WhackState.certifies``)."""
     view = normalize(gen)
     grid = guess_grid(gen.n, gen.L, gen.U, eps)
     states = [WhackState(gen.n, mu * view.lam_unit, eps) for mu in grid.guesses]
@@ -332,10 +335,17 @@ def solve_general_stream(gen: GeneralInstance, eps: float) -> GeneralStreamResul
     physical = 0
 
     def run(live: list[int]) -> None:
-        # one physical pass serves every guess still running: each is anchored at
-        # the pass start and visits the pass's rows until its phase breaks
+        # one physical pass serves every guess still running: a guess whose
+        # column sums certify a dual stops at the pass start, and the others are
+        # anchored there and visit the pass's rows until their phase breaks
         nonlocal physical
-        while live:
+        while True:
+            for idx in live:
+                if states[idx].certifies(states[idx].t):
+                    outcomes[idx] = states[idx].budget_outcome()
+            live = [idx for idx in live if idx not in outcomes]
+            if not live:
+                return
             physical += 1
             for idx in live:
                 states[idx].start_phase()
@@ -353,7 +363,6 @@ def solve_general_stream(gen: GeneralInstance, eps: float) -> GeneralStreamResul
                     break
             for idx in running:
                 outcomes[idx] = states[idx].primal_outcome()
-            live = [idx for idx in live if idx not in outcomes]
 
     def primal(idx: int) -> bool:
         return outcomes[idx].tag is OutcomeTag.COVERING_PRIMAL

@@ -14,7 +14,10 @@ scan, in the same call. The kernel also counts each row's enforcements
 and the coordinates they touch, as plain ints.
 
 Once a dual is returned it is frozen: restricting updates only shrink
-C^T y, so the certificate stands forever. An update is still checked
+C^T y, so the certificate stands forever. The same holds for the stop
+rule's column sums z: a dual that an update's phase break stops with was
+tested on z summed over entries that have only fallen since, which bounds
+C^T y from above. An update is still checked
 against the stored matrix, frozen or not: one outside its shape, or one
 that does not lower the stored entry, raises.
 """

@@ -62,6 +62,22 @@ for packing, in the sign:
 - packing (``packing.solve_packing_fast``) scans the matrix rows in
   ascending order on a state with the signs flipped (``PackingState``).
 
+Every setting stops its dual early by one rule. A dual answer needs only
+some y on the simplex with C^T y <= 1 + 4 eps (``check_certificate``'s
+promise; P^T y >= 1 - 4 eps for packing), not t = T, and y_t = tallies / t
+is such a y once it certifies. Each state keeps z = C^T tallies, raised by
+d vals at each enforcement of d whacks, and at every phase start with
+t > 0 (before a scan's first row, and at each break before the next phase
+is anchored) the run stops with ``Step.BUDGET`` when max z <= (1 + 2 eps) t
+(min z >= (1 - 2 eps) t for packing, ``WhackState.certifies``); the 2 eps
+under the promise is float headroom. A run whose tallies never certify is
+bit for bit the T-round run. When lambda <= 1 + 2 eps every y certifies
+(C x >= 1 needs entries up to lambda, so C^T y <= lambda on the simplex),
+and every run answers at its first phase start with t > 0. Dynamic updates
+only lower entries, so a z summed over older entries bounds C^T y from
+above and a frozen dual stays valid. ``solve_basic`` keeps the plain T
+rounds.
+
 Weights are stored as ``x_hat * exp(log_scale)`` with a shared offset so
 that the 1-norm can reach n^(1/eps) without overflowing doubles.
 """
@@ -315,7 +331,7 @@ def covering_step(base: np.ndarray, growth: np.ndarray, g_max: float, dot: float
 
 class Step(Enum):
     """What an enforcement ended in, besides going on."""
-    BUDGET = "budget"  # t reached T: the tallies form the dual
+    BUDGET = "budget"  # t reached T, or the tallies certified: tallies / t form the dual
     BROKE = "broke"    # the weight total left the phase band (floor, cap)
 
 
@@ -338,15 +354,18 @@ class WhackState:
 
     Holds x_hat (true weights are ``x_hat * exp(log_scale)``), its total
     as of the last enforcement, the phase anchor W with the row threshold
-    and the phase band, t of the T rounds, the whack tallies and the stats.
-    The tallies are a list of ints indexed by row, grown row by row online,
-    and None when no dual is kept. What depends on the sign of the template
-    is in ``_anchor``, ``_step``, ``_RATE_SIGN`` (which also flips the row
-    test), ``_settle`` with ``_SETTLE_PAST``, and the two outcomes.
+    and the phase band, t of the T rounds, the whack tallies, their column
+    sums z and the stats. The tallies are a list of ints indexed by row,
+    grown row by row online, and None when no dual is kept; z = C^T tallies
+    (P^T tallies for packing) is kept either way, as n floats that each
+    enforcement of d whacks raises by d vals on the row's support. What
+    depends on the sign of the template is in ``_anchor``, ``_step``,
+    ``_RATE_SIGN`` (which also flips the row test), ``_settle`` with
+    ``_SETTLE_PAST``, ``certifies`` and the two outcomes.
     """
 
     __slots__ = ("n", "lam", "eps", "x_hat", "log_scale", "total", "W", "threshold", "cap",
-                 "floor", "t", "T", "whack_counts", "stats", "record_trace")
+                 "floor", "t", "T", "whack_counts", "z", "stats", "record_trace")
 
     #: the step search: (base, rate, g_max, dot, W, budget, powers) -> (d, exp(d rate))
     _step = staticmethod(covering_step)
@@ -374,6 +393,7 @@ class WhackState:
         self.t = 0
         self.T = total_rounds(lam, n, eps)
         self.whack_counts = whack_counts
+        self.z = np.zeros(n)
         self.stats = WhackStats()
         self.record_trace = record_trace
         self.total = float(n)
@@ -394,6 +414,14 @@ class WhackState:
         self.stats.phases += 1
         self._anchor(self.total)
 
+    def certifies(self, t: int) -> bool:
+        """Whether t > 0 rounds have been spent and z / t, the column sums
+        of y = tallies / t, is at most 1 + 2 eps everywhere: then C^T y
+        keeps the dual's promise C^T y <= 1 + 4 eps with 2 eps of headroom,
+        and the run may stop with y. Every setting tests it at each phase
+        start with t > 0."""
+        return t > 0 and float(np.maximum.reduce(self.z)) <= (1.0 + 2.0 * self.eps) * t
+
     # -- the phase kernel ------------------------------------------------------
 
     def scan(self, rows: Callable[[], Iterable[tuple[int, np.ndarray, np.ndarray]]]) -> bool:
@@ -402,8 +430,11 @@ class WhackState:
 
         Each phase anchors W and tests the rows of one ``rows()`` pass in
         order; an enforcement that breaks the phase starts the next one.
-        Returns True once the round budget is spent, False after a pass with
-        no break."""
+        Returns True once the round budget is spent or the tallies certify
+        at a phase start (``certifies``), this one included, and False after
+        a pass with no break."""
+        if self.certifies(self.t):
+            return True
         self.start_phase()
         return self._phases(rows, 0, None, None, None, 0.0) is Step.BUDGET
 
@@ -415,8 +446,9 @@ class WhackState:
         phase, the next phase is anchored and ``rows()`` scanned to the next
         certificate, as ``scan`` does, in the same kernel frame; without
         ``rows`` the visit returns Step.BROKE and the caller decides when to
-        rescan. Otherwise returns Step.BUDGET once the round budget is
-        spent, else None."""
+        rescan, and tests ``certifies`` itself before it does. Otherwise
+        returns Step.BUDGET once the round budget is spent or the tallies
+        certify at the next phase start, else None."""
         xh = self.x_hat[cols]
         dot = float(vals.dot(xh))
         sign = self._RATE_SIGN
@@ -432,7 +464,8 @@ class WhackState:
         empty pass after it; else the rows of one ``rows()`` pass are tested
         in order. An enforcement that breaks the phase re-anchors W at the
         total and starts a new ``rows()`` pass, or, with ``rows`` None,
-        returns Step.BROKE.
+        returns Step.BROKE; before it re-anchors, it stops with Step.BUDGET
+        when the tallies certify (``certifies``).
 
         A row is violated when sign dot < sign threshold, sign = +-1, which
         reads dot < threshold for covering and dot > threshold for packing;
@@ -441,10 +474,11 @@ class WhackState:
         come from one ``_step`` call, with the rates computed by
         ``_row_rates``, or kept per stored row in ``_rates``. The anchor,
         band, budget, t and counts live in locals while the kernel runs and
-        are written back when it returns. Returns Step.BUDGET once t reaches
-        T, else None after a pass with no break."""
+        are written back when it returns; each enforcement of d whacks adds
+        d vals to z on the row's support. Returns Step.BUDGET once t reaches
+        T or the tallies certify, else None after a pass with no break."""
         # three to an assignment, which compiles to no tuple
-        x_hat = self.x_hat  # a rescale divides it in place
+        x_hat, z = self.x_hat, self.z  # a rescale divides x_hat in place
         step, rated, enforced = self._step, self._rates, self._enforced
         counts, stats, settle_past = self.whack_counts, self.stats, self._SETTLE_PAST
         W, cap, floor = self.W, self.cap, self.floor
@@ -470,6 +504,7 @@ class WhackState:
                                 rated[i] = (vals, (rate, g_max, powers))
                         delta, power = step(vals * xh, rate, g_max, dot, W, T - t, powers)
                         x_hat[cols] = xh * power
+                        z[cols] += delta * vals
                     else:
                         delta = T - t
                         rate = power = None
@@ -494,6 +529,8 @@ class WhackState:
                     if total > cap or total < floor:
                         if rows is None:
                             return Step.BROKE
+                        if self.certifies(t):
+                            return Step.BUDGET
                         stats.phases += 1
                         self._anchor(total)
                         W, cap, floor = self.W, self.cap, self.floor
@@ -559,10 +596,11 @@ class WhackState:
     # -- outcomes --------------------------------------------------------------
 
     def budget_outcome(self) -> Outcome:
-        """The answer once t reaches T: the packing dual, or null without tallies."""
+        """The answer once t reaches T or the tallies certify: the packing
+        dual tallies / t, or null without tallies."""
         if self.whack_counts is None:
             return Outcome.null()
-        return Outcome.packing_dual(np.asarray(self.whack_counts, dtype=float) / float(self.T))
+        return Outcome.packing_dual(np.asarray(self.whack_counts, dtype=float) / float(self.t))
 
     def primal_outcome(self) -> Outcome:
         """The answer after a pass with no break: x_hat over its total."""

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from pclp.certificates import OutcomeTag
+from pclp.certificates import ABS_TOL, OutcomeTag
 from pclp.greedy import _logsumexp
 from pclp.oracle import ExactLPResult, TooLarge, _frac, _frac_matrix
 from pclp.sparse import SparseNonnegMatrix
@@ -166,8 +166,9 @@ def invariant_report(st) -> dict[str, float]:
 def replay_fast_as_basic(inst, outcome, stats):
     """Expand a fast covering run's trace round for round under the T-round
     template's rules: every whacked row is violated when it is whacked, a
-    packing dual is the tallies after T rounds, and a primal is the weights
-    the rounds reach, with C x >= 1 - eps."""
+    packing dual is the tallies over the rounds, after T rounds or fewer with
+    max C^T y <= 1 + 2 eps (the stop rule, recomputed here with ``rmatvec``),
+    and a primal is the weights the rounds reach, with C x >= 1 - eps."""
     C, lam, eps = inst.C, inst.lam, inst.eps
     x_hat = np.ones(inst.n)
     rounds = 0
@@ -180,15 +181,28 @@ def replay_fast_as_basic(inst, outcome, stats):
                 x_hat[cols] *= 1.0 + eps * vals / lam
             rounds += 1
     if outcome.tag is OutcomeTag.PACKING_DUAL:
-        assert rounds == total_rounds(lam, inst.n, eps)
+        T = total_rounds(lam, inst.n, eps)
         counts = np.zeros(inst.m)
         for i, delta in stats.trace:
             counts[i] += delta
+        assert rounds == T or (rounds < T and float(C.rmatvec(counts / rounds).max())
+                                <= 1.0 + 2.0 * eps + ABS_TOL)
         assert np.allclose(counts / rounds, outcome.vector)
     else:
         x = x_hat / x_hat.sum()
         assert np.all(C.matvec(x) >= 1.0 - eps - 1e-9)
         assert np.allclose(x, outcome.vector, atol=1e-9)
+
+
+def diagonal_with_column(n: int, big: float, c: float) -> SparseNonnegMatrix:
+    """n x (n + 1) matrix with ``big`` on the diagonal and ``c`` in every row of
+    the last column. Every y on the simplex has (M^T y)_n = c, so no tallies
+    certify a dual when c > 1 + 2 eps (covering) or c < 1 - 2 eps (packing),
+    and the run goes on until it finds a primal or spends T. With big just
+    under n (covering) or just over it (packing) the diagonal alone cannot be
+    satisfied, so the run is deep while the last column takes over."""
+    entries = [(i, i, big) for i in range(n)] + [(i, n, c) for i in range(n)]
+    return SparseNonnegMatrix.from_entries(n, n + 1, entries)
 
 
 # -- step sizes ----------------------------------------------------------------

@@ -42,15 +42,30 @@ def _report(name: str, detail: str) -> None:
 
 # -- criterion 1: static certificate soundness ---------------------------------
 
-def test_criterion_1_static_certificates():
+def _criterion_1_instances():
+    """500 draws at lambda = 1, where every y certifies, so every run answers
+    a dual at its first phase start with t > 0; then 100 draws at lambda = 2
+    with a planted full column, which admits no dual (its column sum is 2 >
+    1 + 4 eps), so every one of them answers a primal."""
     rng = np.random.default_rng(101)
     epss = [0.05, 0.1, 0.2]
-    primal = dual = 0
     for trial in range(500):
         eps = epss[trial % 3]
         m, n = int(rng.integers(2, 51)), int(rng.integers(2, 51))
-        inst = random_covering(rng, m, n, eps=eps, density=float(rng.uniform(0.1, 0.7)),
-                               nonempty_rows=False, hot_column=trial % 3 == 0)
+        yield random_covering(rng, m, n, eps=eps, density=float(rng.uniform(0.1, 0.7)),
+                              nonempty_rows=False, hot_column=trial % 3 == 0)
+    rng = np.random.default_rng(102)
+    for trial in range(100):
+        m, n = int(rng.integers(2, 51)), int(rng.integers(2, 51))
+        yield random_covering(rng, m, n, eps=epss[trial % 3], lam=2.0,
+                              density=float(rng.uniform(0.1, 0.7)), nonempty_rows=False,
+                              hot_column=True)
+
+
+def test_criterion_1_static_certificates():
+    primal = dual = 0
+    for trial, inst in enumerate(_criterion_1_instances()):
+        eps = inst.eps
         outcome, _ = solve_fast(inst)
         report = check_certificate(inst, outcome, CertificateSlack.whack_static(eps))
         assert report.ok, f"trial {trial}: {report.worst()}"
@@ -60,7 +75,7 @@ def test_criterion_1_static_certificates():
         else:
             dual += 1
     assert primal >= 50 and dual >= 50, "both certificate classes must occur"
-    _report("criterion 1", f"500 instances certified, {primal} primal / {dual} dual")
+    _report("criterion 1", f"{trial + 1} instances certified, {primal} primal / {dual} dual")
 
 
 # -- criterion 2: template equivalence ------------------------------------------
@@ -112,13 +127,19 @@ def test_criterion_4_dynamic_budget():
     streams = 0
     max_tau = 0
     maintained_updates = 0
-    while streams < 100:
+    while streams < 200:
+        if streams == 100:
+            rng = np.random.default_rng(405)
         eps = [0.1, 0.2][streams % 2]
         m, n = int(rng.integers(2, 11)), int(rng.integers(2, 11))
         # streams alternate between halving everything (drives the run to the
         # frozen dual) and sparing one planted column (keeps maintenance live
-        # for the whole stream)
-        inst = random_covering(rng, m, n, eps=eps, density=0.6, hot_column=0)
+        # for the whole stream). The first 100 plant it at lambda = 1, where
+        # every y certifies, so preprocessing freezes a dual at its first phase
+        # break; the last 100 plant it at lambda = 2, which admits no dual while
+        # the column stands
+        lam = 1.0 if streams < 100 else 2.0
+        inst = random_covering(rng, m, n, eps=eps, lam=lam, density=0.6, hot_column=0)
         state, outcome = preprocess(inst)
         budget = enforcement_budget(inst)
         slack = CertificateSlack.whack_dynamic(eps)
@@ -136,7 +157,7 @@ def test_criterion_4_dynamic_budget():
             assert int(state.enforce_log.max()) <= budget
         streams += 1
     assert maintained_updates >= 500, "streams must exercise live maintenance"
-    _report("criterion 4", f"100 halving streams (longest {max_tau}, "
+    _report("criterion 4", f"{streams} halving streams (longest {max_tau}, "
                            f"{maintained_updates} maintained updates), "
                            "budget & certificates held")
 

@@ -103,9 +103,14 @@ def test_stream_and_online_commands(tmp_path, capsys):
 
 
 def test_stream_and_online_verify(tmp_path, capsys):
+    # at lambda = 1 every y certifies, so "primal.txt" answers a dual at its
+    # first phase break; the column of 2s at lambda = 2 admits no dual
     primal = write(tmp_path, "primal.txt", "covering 2 2 1.0\nC 0 0 1.0\nC 0 1 1.0\nC 1 1 1.0\n")
+    forced = write(tmp_path, "forced.txt",
+                   "covering 2 3 2.0\nC 0 0 2.0\nC 0 1 1.0\nC 1 0 2.0\nC 1 2 1.0\n")
     dual = write(tmp_path, "dual.txt", "covering 2 2 1.0\nC 0 0 0.4\nC 1 1 0.4\n")
-    for inst, tag in ((primal, "covering_primal"), (dual, "packing_dual")):
+    for inst, tag in ((primal, "packing_dual"), (forced, "covering_primal"),
+                      (dual, "packing_dual")):
         for argv in (["stream", inst], ["stream", inst, "--mode", "primalonly"],
                      ["online", inst]):
             assert main(argv + ["--verify"]) == 0
@@ -116,8 +121,9 @@ def test_stream_and_online_verify(tmp_path, capsys):
 
 
 def test_overflow_instance_verifies_in_every_setting(tmp_path, capsys):
-    # at eps = 0.003 the weights pass 1e300 long before the budget runs out,
-    # so every setting must rescale its shared exponent to finish
+    # at eps = 0.003 the weights would pass 1e300 long before the budget runs
+    # out; every setting now stops at its first phase break, where the one
+    # row's tallies certify, and static and streaming stop at the same phase
     inst = write(tmp_path, "ovf.txt", "covering 1 20 1.0\nC 0 0 0.9\n")
     payloads = {}
     for command in ("solve", "stream", "online"):
@@ -134,7 +140,12 @@ def test_stream_and_online_verify_catch_tampering(tmp_path, capsys, monkeypatch)
     from pclp.certificates import Outcome
     from pclp.online import OnlineState
 
+    # at lambda = 1 the run answers a dual, which online returns as it is and
+    # the stream passes off as a halved primal; the column of 2s at lambda = 2
+    # admits no dual, so there both settings answer a primal to tamper with
     inst = write(tmp_path, "inst.txt", "covering 2 2 1.0\nC 0 0 1.0\nC 0 1 1.0\nC 1 1 1.0\n")
+    forced = write(tmp_path, "forced.txt",
+                   "covering 2 3 2.0\nC 0 0 2.0\nC 0 1 1.0\nC 1 0 2.0\nC 1 2 1.0\n")
     solve_stream = pclp.cli.solve_stream
 
     def halved_stream(cursor, eps):
@@ -143,11 +154,13 @@ def test_stream_and_online_verify_catch_tampering(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(pclp.cli, "solve_stream", halved_stream)
     monkeypatch.setattr(OnlineState, "maintained_vector", lambda state: 0.5 * state.x_hat / state.W)
-    for command in ("stream", "online"):
-        assert main([command, inst, "--verify"]) == 2
+    for command, path in (("stream", inst), ("stream", forced), ("online", forced)):
+        assert main([command, path, "--verify"]) == 2
         payload = json.loads(capsys.readouterr().out)
         assert not payload["verify_result"]["ok"]
         assert "RowBelowCover" in payload["verify_result"]["violation"]
+    assert main(["online", inst, "--verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome_tag"] == "packing_dual"
 
 
 def test_positive_command_with_updates(tmp_path, capsys):

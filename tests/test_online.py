@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
 
-from pclp.certificates import OutcomeTag
+from pclp.certificates import CertificateSlack, OutcomeTag, check_certificate
+from pclp.instances import NormalizedCoveringInstance
 from pclp.online import OnlineState, RowAfterTermination
+from pclp.sparse import SparseNonnegMatrix
+
+
+def dual_certifies(state, terminal) -> bool:
+    """The terminal dual checked against the rows the state has seen."""
+    C = SparseNonnegMatrix.from_entries(len(state.rows), state.n,
+                                        [(i, int(j), float(v)) for i, cols, vals in state.rows
+                                         for j, v in zip(cols, vals)])
+    inst = NormalizedCoveringInstance(C, state.lam, state.eps)
+    return (terminal.tag is OutcomeTag.PACKING_DUAL
+            and check_certificate(inst, terminal, CertificateSlack.whack_static(state.eps)).ok)
 
 
 def test_fresh_state_has_zero_recourse():
@@ -20,11 +32,15 @@ def test_first_enforcement_step_is_eight():
 
 
 def test_covered_row_is_free():
+    # at lambda = 1 the first row's tallies certify a dual at its first phase
+    # break; a column of 2s at lambda = 2 admits no dual, so the state lives on
     state = OnlineState(2, 1.0, 0.1)
-    state.insert_row([0], [1.0])
+    assert dual_certifies(state, state.insert_row([0], [1.0]).terminal)
+    state = OnlineState(3, 2.0, 0.1)
+    assert state.insert_row([0], [2.0]).terminal is None and state.t > 0
     t_before = state.t
     recourse_before = state.recourse
-    result = state.insert_row([0, 1], [1.0, 1.0])
+    result = state.insert_row([0, 1], [2.0, 2.0])
     assert state.t == t_before
     assert state.recourse == recourse_before
     assert result.maintained is not None
@@ -107,16 +123,27 @@ def test_repeated_columns_rejected():
 def test_reused_buffers_leave_stored_rows_alone():
     # a caller that refills one buffer per insert must not rewrite the rows
     # already stored, nor the growth rates the scan keeps for them
-    rows = [([0, 1], [1.0, 0.5]), ([0, 1], [1.0, 0.25]), ([1, 0], [0.75, 1.0])]
-    cols_buf, vals_buf = np.zeros(2, dtype=np.int64), np.zeros(2)
-    reused, fresh = OnlineState(2, 1.0, 0.1), OnlineState(2, 1.0, 0.1)
-    for cols, vals in rows:
-        cols_buf[:], vals_buf[:] = cols, vals
-        got = reused.insert_row(cols_buf, vals_buf)
-        want = fresh.insert_row(list(cols), list(vals))
-        assert np.array_equal(got.maintained, want.maintained)
-    assert [v.tolist() for _, _, v in reused.rows] == [vals for _, vals in rows]
-    assert reused.whack_counts == fresh.whack_counts and reused.t == fresh.t
+    # at lambda = 1 the first row certifies a dual; the column of 2s at
+    # lambda = 2 admits none, so there every row is inserted
+    for n, lam, rows in ((2, 1.0, [([0, 1], [1.0, 0.5]), ([0, 1], [1.0, 0.25]),
+                                   ([1, 0], [0.75, 1.0])]),
+                         (3, 2.0, [([0, 1], [2.0, 0.5]), ([0, 1], [2.0, 0.25]),
+                                   ([1, 0], [0.75, 2.0])])):
+        cols_buf, vals_buf = np.zeros(2, dtype=np.int64), np.zeros(2)
+        reused, fresh = OnlineState(n, lam, 0.1), OnlineState(n, lam, 0.1)
+        for cols, vals in rows:
+            cols_buf[:], vals_buf[:] = cols, vals
+            got = reused.insert_row(cols_buf, vals_buf)
+            want = fresh.insert_row(list(cols), list(vals))
+            if got.terminal is not None:
+                assert np.array_equal(got.terminal.vector, want.terminal.vector)
+                assert dual_certifies(reused, got.terminal)
+                break
+            assert np.array_equal(got.maintained, want.maintained)
+        stored = len(reused.rows)
+        assert [v.tolist() for _, _, v in reused.rows] == [vals for _, vals in rows[:stored]]
+        assert reused.whack_counts == fresh.whack_counts and reused.t == fresh.t > 0
+    assert stored == len(rows)
 
 
 def test_rescan_visits_the_stored_arrays():
@@ -131,9 +158,15 @@ def test_rescan_visits_the_stored_arrays():
                 visited.append(row)
                 yield row
 
+    # at lambda = 1 the second row's tallies certify a dual at its first phase
+    # break, before any rescan
     state = OnlineState(3, 1.0, 0.1)
+    assert state.insert_row([0, 1, 2], [1.0, 1.0, 1.0]).terminal is None
+    assert dual_certifies(state, state.insert_row([0, 1], [1.0, 0.5]).terminal)
+    # the column of 2s at lambda = 2 admits no dual, so the state rescans
+    state = OnlineState(4, 2.0, 0.1)
     state.rows = Recording()
-    for cols, vals in [([0, 1, 2], [1.0, 1.0, 1.0]), ([0, 1], [1.0, 0.5])]:
+    for cols, vals in [([0, 1, 2], [2.0, 1.0, 1.0]), ([0, 1], [2.0, 0.5])]:
         assert state.insert_row(cols, vals).terminal is None
     assert state.phase_transitions > 1 and len(visited) > len(state.rows)
     for i, cols, vals in visited:
@@ -155,13 +188,19 @@ def _online_state_snapshot(state):
     ([[0, 1]], [[0.5, 0.5]], "1-D"),
 ], ids=["short-vals", "float-cols", "2-d"])
 def test_malformed_row_changes_no_state(cols, vals, match):
-    state = OnlineState(3, 1.0, 0.1)
-    state.insert_row([0, 1, 2], [1.0, 1.0, 1.0])
-    before = _online_state_snapshot(state)
-    with pytest.raises(ValueError, match=match):
-        state.insert_row(cols, vals)
-    assert _online_state_snapshot(state) == before
-    # the state kept no part of the row, so the next insert's rescan runs clean
-    for _ in range(3):
-        assert state.insert_row([0, 1], [1.0, 0.5]).terminal is None
-    assert state.stats.phases > before[-1]
+    for lam in (1.0, 2.0):
+        state = OnlineState(3, lam, 0.1)
+        state.insert_row([0, 1, 2], [lam, 1.0, 1.0])
+        before = _online_state_snapshot(state)
+        with pytest.raises(ValueError, match=match):
+            state.insert_row(cols, vals)
+        assert _online_state_snapshot(state) == before
+        # the state kept no part of the row, so the next insert runs clean: at
+        # lambda = 1 its tallies certify a dual over the rows seen; the column
+        # of 2s at lambda = 2 admits no dual, and the next inserts rescan
+        if lam == 1.0:
+            assert dual_certifies(state, state.insert_row([0, 1], [1.0, 0.5]).terminal)
+            continue
+        for _ in range(3):
+            assert state.insert_row([0, 1], [lam, 0.5]).terminal is None
+        assert state.stats.phases > before[-1]

@@ -10,10 +10,12 @@ from pclp.certificates import CertificateSlack, OutcomeTag, check_certificate
 from pclp.cli import main
 from pclp.formats import emit_instance
 from pclp.generate import random_packing
+from pclp.instances import PackingInstanceView
 from pclp.oracle import solve_packing_exact
 from pclp.packing import PackingState, packing_floor, solve_packing_fast
 from pclp.whack_static import (WhackState, anchor_log_ratio, jensen_guess, run_phases,
                                solve_basic)
+from reference import diagonal_with_column
 
 
 def test_unit_and_stacked_instances_primal():
@@ -137,14 +139,19 @@ def test_packing_row_enforced_twice_is_rated_once(monkeypatch):
         return fresh(self, i, vals)
 
     monkeypatch.setattr(WhackState, "_row_rates", counting)
-    inst = random_packing(np.random.default_rng(33), 4, 4, eps=0.2, lam=2.0,
-                          density=0.7, lo_frac=0.3)
-    state = PackingState(inst.n, inst.lam, inst.eps, np.zeros(inst.m, dtype=np.int64),
-                         record_trace=True)
-    run_phases(state, inst.P)
-    enforced = [i for i, _ in state.stats.trace]
+    # the draw's tallies certify after a few enforcements; the last column of
+    # the second admits no covering dual, and its rows are enforced again and again
+    enforced = []
+    for inst in (random_packing(np.random.default_rng(33), 4, 4, eps=0.2, lam=2.0,
+                                density=0.7, lo_frac=0.3),
+                 PackingInstanceView(diagonal_with_column(4, 4.8, 0.7), 4.8, 0.1)):
+        state = PackingState(inst.n, inst.lam, inst.eps, np.zeros(inst.m, dtype=np.int64),
+                             record_trace=True)
+        rated.clear()
+        run_phases(state, inst.P)
+        enforced = [i for i, _ in state.stats.trace]
+        assert sorted(rated) == sorted(set(enforced))
     assert len(enforced) > len(set(enforced))
-    assert sorted(rated) == sorted(set(enforced))
 
 
 def test_nan_dot_is_skipped():
@@ -194,11 +201,17 @@ def test_golden_outputs(case):
 def test_weights_flushed_to_zero_keep_a_certificate(seed, tmp_path):
     # one enforcement powers a heavy column past the float range, so a
     # weight reads zero; the smallest weight is then reported at its e^-745
-    # clamp, and the run ends with a certificate that checks
-    inst = random_packing(np.random.default_rng(seed), 14, 29, eps=0.05, lam=20.0)
-    outcome, stats = solve_packing_fast(inst)
-    assert check_certificate(inst, outcome, CertificateSlack.packing_template(0.05)).ok
+    # clamp, and the run ends with a certificate that checks. The draw's
+    # tallies now certify a dual before any weight gets that low. On the row
+    # (0, lam, 4) the empty column admits no covering dual, and the one
+    # enforcement that brings 4 x_2 under W powers x_1 by (1 - eps)^(1.44 lam)
+    draw = random_packing(np.random.default_rng(seed), 14, 29, eps=0.05, lam=20.0)
+    lam = 5000.0 * (1 + seed)
+    flushed = packing([[0.0, lam, 4.0]], lam=lam, eps=0.05)
+    for inst in (draw, flushed):
+        outcome, stats = solve_packing_fast(inst)
+        assert check_certificate(inst, outcome, CertificateSlack.packing_template(0.05)).ok
+        path = tmp_path / "p.txt"
+        path.write_text(emit_instance(inst))
+        assert main(["packing", str(path), "--eps", "0.05", "--verify"]) == 0
     assert stats.min_weight == math.exp(-745.0)
-    path = tmp_path / "p.txt"
-    path.write_text(emit_instance(inst))
-    assert main(["packing", str(path), "--eps", "0.05", "--verify"]) == 0

@@ -7,7 +7,9 @@ violated row to ``_enforce``; a visit given a row source rescans it with
 once did. ``_enforce`` reads the row's rates through
 ``_row_rates`` (a stored row's from the state's cache), takes the step
 through ``_step`` and the total through ``_settle`` at every enforcement,
-and keeps every count on the state as it goes. Mixed into each setting's
+and keeps every count, and the column sums z of the tallies, on the state as
+it goes. ``scan`` stops at a phase start with t > 0 once z / t certifies a
+dual, which it tests on its own (``certified``). Mixed into each setting's
 state, it must leave every output bit and count where the kernel leaves
 them: on static covering (a rescale mid-phase included), packing (a flushed
 weight included), online inserts, streaming in both modes and dynamic
@@ -16,6 +18,7 @@ replays.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +27,10 @@ from pclp.generate import random_covering, random_general, random_packing, restr
 from pclp.online import OnlineState
 from pclp.packing import PackingState
 from pclp.reductions import solve_general_stream
-from pclp.sparse import UpdateEvent, UpdateKind
+from pclp.sparse import SparseNonnegMatrix, UpdateEvent, UpdateKind
 from pclp.whack_dynamic import DynamicWhackState
 from pclp.whack_static import Step, StoredRowsState, WhackState, run_phases
+from reference import diagonal_with_column
 
 
 class ReferenceChain:
@@ -35,6 +39,8 @@ class ReferenceChain:
 
     def scan(self, rows):
         while True:
+            if self.t > 0 and self.certified():
+                return True
             self.start_phase()
             for i, cols, vals in rows():
                 step = self.visit(i, cols, vals)
@@ -66,6 +72,7 @@ class ReferenceChain:
             rate, g_max, powers = self._stored_rates(i, vals)
             delta, power = self._step(vals * xh, rate, g_max, dot, self.W, budget, powers)
             self.x_hat[cols] = xh * power
+            self.z[cols] += delta * vals
         else:
             delta = budget
         total = self._settle(float(np.add.reduce(self.x_hat)), cols, xh, delta, rate, power)
@@ -80,6 +87,13 @@ class ReferenceChain:
         if self.t >= self.T:
             return Step.BUDGET
         return Step.BROKE if total > self.cap or total < self.floor else None
+
+    def certified(self):
+        """z / t within 2 eps of the dual's promise: at most 1 + 2 eps for
+        covering, at least 1 - 2 eps for packing."""
+        if self._RATE_SIGN > 0:
+            return max(self.z) <= (1.0 + 2.0 * self.eps) * self.t
+        return min(self.z) >= (1.0 - 2.0 * self.eps) * self.t
 
     def _stored_rates(self, i, vals):
         if self._rates is None:
@@ -115,7 +129,8 @@ class RefDynamic(ReferenceChain, DynamicWhackState):
 
 def snapshot(state) -> dict:
     """Every output bit and count a run leaves on its state."""
-    out = {"x_hat": state.x_hat.tobytes(), "log_scale": state.log_scale.hex(),
+    out = {"x_hat": state.x_hat.tobytes(), "z": state.z.tobytes(),
+           "log_scale": state.log_scale.hex(),
            "total": float(state.total).hex(), "W": float(state.W).hex(), "t": state.t,
            "tallies": None if state.whack_counts is None else list(state.whack_counts),
            "stats": state.stats.as_dict(), "trace": list(state.stats.trace)}
@@ -174,20 +189,57 @@ def test_packing_scan_matches_the_reference(seed, m, n, eps, lam, density, lo):
     assert got[0] == got[1]
 
 
+def edge_runs():
+    """(state class, matrix, lam, eps, starting weight) of runs that reach the
+    kernel's edge cases with no tallies to stop them: deep runs on both signs
+    (``diagonal_with_column``), one of them from weights past the rescale
+    point, so that it rescales mid-phase; and the packing row (0.5, lam, 4),
+    whose first column admits no covering dual, where one enforcement drives
+    x_1 below the rescale point (lam = 1,000) or flushes it to zero (2,000)."""
+    return {"deep": (StoredRowsState, diagonal_with_column(24, 21.6, 1.3), 21.6, 0.1, 1.0),
+            "rescale": (StoredRowsState, diagonal_with_column(24, 21.6, 1.3), 21.6, 0.1, 1e150),
+            "pack-deep": (PackingState, diagonal_with_column(16, 19.2, 0.7), 19.2, 0.1, 1.0),
+            "pack-rescale": (PackingState, SparseNonnegMatrix.from_dense([[0.5, 1000.0, 4.0]]),
+                             1000.0, 0.05, 1.0),
+            "flush": (PackingState, SparseNonnegMatrix.from_dense([[0.5, 2000.0, 4.0]]),
+                      2000.0, 0.05, 1.0)}
+
+
+def edge_run(cls, M, lam, eps, weight):
+    state = cls(M.n, lam, eps, [0] * M.m, record_trace=True)
+    state.x_hat *= weight
+    state.total = float(state.x_hat.sum())
+    outcome = run_phases(state, M)
+    return outcome, state
+
+
+@pytest.mark.parametrize("case", sorted(edge_runs()))
+def test_edge_runs_match_the_reference(case):
+    cls, M, lam, eps, weight = edge_runs()[case]
+    got = []
+    for kind in (cls, RefPacking if cls is PackingState else RefStored):
+        outcome, state = edge_run(kind, M, lam, eps, weight)
+        got.append((outcome.tag, outcome.vector.tobytes(), snapshot(state)))
+    assert got[0] == got[1]
+
+
 def test_the_examples_reach_their_edge_cases():
-    # the rescale and flush examples above do what they are there for
-    inst = covering_case(7, 1, 20, 0.003, 1.0, 0.05)
-    state = StoredRowsState(inst.n, inst.lam, inst.eps, [0] * inst.m)
-    run_phases(state, inst.C)
-    assert state.log_scale > 0.0 and state.stats.phases > 1
-    inst = packing_case(0, 14, 29, 0.05, 20.0, 0.5, 0.5)
-    state = PackingState(inst.n, inst.lam, inst.eps, [0] * inst.m)
-    run_phases(state, inst.P)
-    assert state.stats.min_weight == math.exp(-745.0)
-    inst = packing_case(35, 3, 3, 0.005, 4.0, 0.7, 0.5)
-    state = PackingState(inst.n, inst.lam, inst.eps, [0] * inst.m)
-    run_phases(state, inst.P)
-    assert state.log_scale < 0.0
+    # the rescale and flush examples above reached their edge cases deep in
+    # runs that their tallies now stop at a phase start long before T
+    for cls, inst, M in ((StoredRowsState, covering_case(7, 1, 20, 0.003, 1.0, 0.05), "C"),
+                         (PackingState, packing_case(0, 14, 29, 0.05, 20.0, 0.5, 0.5), "P"),
+                         (PackingState, packing_case(35, 3, 3, 0.005, 4.0, 0.7, 0.5), "P")):
+        state = cls(inst.n, inst.lam, inst.eps, [0] * inst.m)
+        assert run_phases(state, getattr(inst, M)).vector.sum() == pytest.approx(1.0)
+        assert 0 < state.t < state.T and state.log_scale == 0.0
+    # the edge runs reach theirs
+    runs = {case: edge_run(*args)[1] for case, args in edge_runs().items()}
+    assert runs["rescale"].log_scale > 0.0 and runs["rescale"].stats.phases > 1
+    assert runs["pack-rescale"].log_scale < 0.0
+    assert runs["pack-rescale"].stats.min_weight > math.exp(-745.0)
+    assert runs["flush"].stats.min_weight == math.exp(-745.0)
+    for case in ("deep", "pack-deep"):
+        assert runs[case].stats.enforcements > 300
 
 
 # -- streaming, online and dynamic --------------------------------------------------------
@@ -294,10 +346,16 @@ def test_visit_that_breaks_rescans_its_source_to_a_clean_pass():
 
 
 def test_visit_that_breaks_stops_its_rescan_at_the_budget():
-    # the visit spends 8 of the 9 rounds and breaks; the rescan finds row 0
-    # short again under the new anchor and spends the last round on it
+    # the visit spends 8 of the 9 rounds and breaks; at lambda = 1 the
+    # tallies certify there, so no rescan starts
     step, passes, state, _ = assert_visits_match_the_reference(
         [[1.0, 0.0]], 1.0, 0.1, [0.5, 0.5], T=9)
+    assert step is Step.BUDGET and passes == 0
+    assert state.t == 8 and state.whack_counts == [8] and state.stats.trace == [(0, 8)]
+    # the row (2, 0) at lambda = 2 admits no dual: the rescan finds row 0
+    # short again under the new anchor and spends the last round on it
+    step, passes, state, _ = assert_visits_match_the_reference(
+        [[2.0, 0.0]], 2.0, 0.1, [0.25, 0.75], T=9)
     assert step is Step.BUDGET and passes == 1
     assert state.t == state.T == 9 and state.whack_counts == [9]
     assert state.stats.trace == [(0, 8), (0, 1)]

@@ -50,13 +50,16 @@ def test_pass_count_equals_fast_phase_count(rng):
 
 def test_stream_matches_fast_in_both_regimes(rng):
     # the lazy static scan and the stream make the same decisions on the same
-    # floats: a planted full column keeps the primal side, small entries
-    # drive the run to the dual
+    # floats, and stop at the same phase: small entries drive the run to the
+    # dual, and so does a planted full column at lambda = 1, where every y
+    # certifies; the last four plant it at lambda = 2, which keeps the primal side
     tags = set()
-    for trial in range(12):
+    for trial in range(16):
         eps = [0.1, 0.2][trial % 2]
         m, n = int(rng.integers(5, 25)), int(rng.integers(5, 25))
-        if trial % 4 < 2:
+        if trial >= 12:
+            inst = random_covering(rng, m, n, eps=eps, lam=2.0, density=0.3, hot_column=True)
+        elif trial % 4 < 2:
             inst = random_covering(rng, m, n, eps=eps, density=0.3, hot_column=True)
         else:
             inst = random_covering(rng, m, n, eps=eps, density=0.3, lo_frac=0.1, hi_frac=0.3)

@@ -11,6 +11,7 @@ from conftest import covering
 from pclp import whack_static
 from pclp.certificates import CertificateSlack, OutcomeTag, check_certificate
 from pclp.generate import random_covering, random_general, random_packing, restricting_stream
+from pclp.instances import NormalizedCoveringInstance, PackingInstanceView
 from pclp.online import OnlineState
 from pclp.oracle import solve_covering_exact
 from pclp.packing import solve_packing_fast
@@ -34,7 +35,8 @@ from pclp.whack_static import (
     total_rounds,
     weight_cap,
 )
-from reference import brute_force_step_size, replay_fast_as_basic, row_step_size
+from reference import (brute_force_step_size, diagonal_with_column, replay_fast_as_basic,
+                       row_step_size)
 
 
 def state_for(inst):
@@ -436,36 +438,54 @@ def exp_calls_per_run(monkeypatch, run):
     return len(calls), enforcements
 
 
+# Each run below makes its setting's enforcements first on lambda = 1 draws
+# (packing: 14 x 29 draws at lambda = 20), whose tallies certify a dual after
+# one to a few dozen enforcements, then on a deep run that no tallies can stop
+# (``diagonal_with_column``), where rows are enforced again and again.
+
+def deep_covering():
+    return NormalizedCoveringInstance(diagonal_with_column(24, 21.6, 1.3), 21.6, 0.1)
+
+
 def static_run():
-    inst = random_covering(np.random.default_rng(7), 12, 12, eps=0.1, density=0.4)
-    return solve_fast(inst)[1].enforcements
+    insts = (random_covering(np.random.default_rng(7), 12, 12, eps=0.1, density=0.4),
+             deep_covering())
+    return sum(solve_fast(inst)[1].enforcements for inst in insts)
 
 
 def dynamic_run():
     rng = np.random.default_rng(8)
-    inst = random_covering(rng, 8, 8, eps=0.1, density=0.5, hot_column=True)
-    state, _ = preprocess(inst)
-    for line in restricting_stream(rng, inst, 300):
-        if state.terminal is not None:
-            break
-        state.handle_update(UpdateEvent(UpdateKind.RESTRICT_COVERING_ENTRY,
-                                        line.row, line.col, line.value))
-    return state.stats.enforcements
+    enforcements = 0
+    for inst, spared in ((random_covering(rng, 8, 8, eps=0.1, density=0.5, hot_column=True),
+                          None), (deep_covering(), 24)):
+        state, _ = preprocess(inst)
+        for line in restricting_stream(rng, inst, 300 if spared is None else 100):
+            if state.terminal is not None:
+                break
+            if line.col != spared:
+                state.handle_update(UpdateEvent(UpdateKind.RESTRICT_COVERING_ENTRY,
+                                                line.row, line.col, line.value))
+        enforcements += state.stats.enforcements
+    return enforcements
 
 
 def online_run():
-    inst = random_covering(np.random.default_rng(9), 20, 10, eps=0.1, density=0.4)
-    state = OnlineState(inst.n, inst.lam, inst.eps)
-    for i in range(inst.m):
-        if state.insert_row(*inst.C.row(i)).terminal is not None:
-            break
-    return state.stats.enforcements
+    enforcements = 0
+    for inst in (random_covering(np.random.default_rng(9), 20, 10, eps=0.1, density=0.4),
+                 deep_covering()):
+        state = OnlineState(inst.n, inst.lam, inst.eps)
+        for i in range(inst.m):
+            if state.insert_row(*inst.C.row(i)).terminal is not None:
+                break
+        enforcements += state.stats.enforcements
+    return enforcements
 
 
 def packing_run():
-    return sum(solve_packing_fast(random_packing(np.random.default_rng(seed), 14, 29, eps=0.05,
-                                                 lam=20.0))[1].enforcements
-               for seed in range(3))
+    insts = [random_packing(np.random.default_rng(seed), 14, 29, eps=0.05, lam=20.0)
+             for seed in range(3)]
+    insts.append(PackingInstanceView(diagonal_with_column(24, 28.8, 0.8), 28.8, 0.05))
+    return sum(solve_packing_fast(inst)[1].enforcements for inst in insts)
 
 
 # before the power tables every enforcement computed at least one power:
@@ -479,8 +499,9 @@ def test_stored_rows_reuse_their_powers(monkeypatch, run):
 
 
 def stream_run():
-    inst = random_covering(np.random.default_rng(7), 12, 12, eps=0.1, density=0.4)
-    solve_stream(StreamCursor.from_instance(inst, StreamMode.FULL_DUAL), inst.eps)
+    for inst in (random_covering(np.random.default_rng(7), 12, 12, eps=0.1, density=0.4),
+                 deep_covering()):
+        solve_stream(StreamCursor.from_instance(inst, StreamMode.FULL_DUAL), inst.eps)
 
 
 @pytest.mark.parametrize("run, most", [(static_run, 0.6), (stream_run, 0.6), (online_run, 0.6),
