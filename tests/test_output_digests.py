@@ -35,14 +35,16 @@ from pclp.generate import (general_restricting_stream, random_covering, random_g
                            random_packing, random_positive, relaxing_stream_positive,
                            restricting_stream)
 from pclp.greedy import solve_static_positive
+from pclp.instances import NormalizedCoveringInstance, PackingInstanceView
 from pclp.online import OnlineState
 from pclp.packing import _RESCALE_BELOW, solve_packing_fast
 from pclp.reductions import (GeneralDynamicSolver, GeneralOnlineSolver, solve_general_static,
                              solve_general_stream)
-from pclp.sparse import UpdateEvent, UpdateKind
+from pclp.sparse import SparseNonnegMatrix, UpdateEvent, UpdateKind
 from pclp.streaming import StreamCursor, StreamMode, solve_stream
 from pclp.whack_dynamic import preprocess
 from pclp.whack_static import solve_basic, solve_fast
+from reference import diagonal_with_column
 
 
 def _feed(h, *parts) -> None:
@@ -74,6 +76,13 @@ def _packing_instances():
     # weights flushed to zero by one enforcement
     for seed in (0, 3, 4, 5):
         yield random_packing(np.random.default_rng(seed), 14, 29, eps=0.05, lam=20.0)
+    # the draws above now certify a dual before their weights get that low; on
+    # the row (0.5, lam, 4), whose first column admits no covering dual, one
+    # enforcement drives a weight below the rescale point (lam = 1,000) or
+    # flushes it (2,000); and a deep run (``diagonal_with_column``)
+    for lam in (1000.0, 2000.0):
+        yield PackingInstanceView(SparseNonnegMatrix.from_dense([[0.5, lam, 4.0]]), lam, 0.05)
+    yield PackingInstanceView(diagonal_with_column(16, 19.2, 0.7), 19.2, 0.1)
 
 
 def _covering_instances():
@@ -84,8 +93,11 @@ def _covering_instances():
         lam = float(rng.choice([1.0, 3.0, 8.0]))
         yield random_covering(rng, m, n, eps=eps, lam=lam, density=0.6,
                               hot_column=0 if k % 3 == 0 else False)
-    # weights that pass the rescale point long before the budget runs out
+    # weights that passed the rescale point long before the budget ran out,
+    # until the tallies began to certify at the first phase break
     yield random_covering(np.random.default_rng(7), 1, 20, eps=0.003, density=0.05)
+    # a deep run that no tallies stop (``diagonal_with_column``)
+    yield NormalizedCoveringInstance(diagonal_with_column(12, 10.8, 1.3), 10.8, 0.1)
 
 
 def digest_packing() -> tuple[str, set[str]]:
@@ -149,12 +161,12 @@ def _digest_stream(mode: StreamMode) -> tuple[str, set[str]]:
     for inst in _covering_instances():
         outcome, stats = solve_stream(StreamCursor.from_instance(inst, mode), inst.eps)
         _outcome(h, outcome)
-        # peak_live_words is measured by walking the state: x_hat, the tallies
-        # (one word for None) and 17 scalars. The digest was captured when it
-        # was the formula n + 6 plus the tallies, so the measured figure is
-        # pinned here and the digest is fed the figure it was captured with.
+        # peak_live_words is measured by walking the state: x_hat, the column
+        # sums z, the tallies (one word for None) and 17 scalars. The digest
+        # was captured when it was the formula n + 6 plus the tallies, so the
+        # measured figure is pinned here and the digest is fed that formula.
         tallies = inst.m if mode is StreamMode.FULL_DUAL else 0
-        assert stats.peak_live_words == inst.n + max(tallies, 1) + 17
+        assert stats.peak_live_words == 2 * inst.n + max(tallies, 1) + 17
         _feed(h, {**stats.as_dict(), "peak_live_words": inst.n + 6 + tallies})
         cases.add(outcome.tag.value)
     return h.hexdigest(), cases
@@ -393,13 +405,15 @@ def digest_formats() -> tuple[str, set[str]]:
 
 
 # per setting: the runs, their digest captured before any refactor of the
-# code they run, and the cases the runs must reach for the digest to pin them
+# code they run, and the cases the runs must reach for the digest to pin them.
+# Every digest but "basic" and "formats" hashes runs that stop where their
+# tallies certify, and was re-captured when that rule came in.
 DIGESTS = {
     "basic": (digest_basic,
               "b2ce0d4eda4264d1b0549a4b56daed24aae349c3253199d30db98551dcebe028",
               {"covering_primal", "packing_dual", "packing_primal", "covering_dual"}),
     "packing": (digest_packing,
-                "61f6d7d1951b9f51f13d5edb527dd02692607ce4286529a04458fa8e0b807498",
+                "8f05d4065fca6b666b10d15c5277299effbb02aa58805bfa26f6095fbe45146a",
                 {"packing_primal", "covering_dual", "rescale", "flush"}),
     "formats": (digest_formats,
                 "def68d3d5606dea67acfcb804a5becc92bb80923d3aae8452272b199f382f7c3",
@@ -407,34 +421,34 @@ DIGESTS = {
                  "set b", "empty", "gen covering", "gen packing", "gen positive",
                  "gen general"}),
     "fast": (digest_fast,
-             "06f3eb5cb5c241ed4a43f34b3f117105834f25819342b7e09aeafb6137ce6fa8",
+             "024f998c444c5e371755148762b4748a1a94bd5eccf21185ce83605ac5bb2740",
              {"covering_primal", "packing_dual"}),
     "stream_full": (digest_stream_full,
-                    "c0186064ed6ff7da4be87477cb438996308d1a1ebfe1015843306e5dece42b1d",
+                    "c63f5f097e90abb2ca241dde8a77deb70837e13b4ac90b623d48dff4ff57438f",
                     {"covering_primal", "packing_dual"}),
     "stream_primal": (digest_stream_primal,
-                      "3c08e6bcc50403b36174518d0c561a74dbf733925cb38321792e93b3db368127",
+                      "6b8e4a23e6ccfb92e67b880462bb9c29b168a726a44a4ee63bdab64e77733147",
                       {"covering_primal", "null"}),
     "online": (digest_online,
-               "784abfeafa274ec2b7f5b2129c53182b1222b74607ec7c4ab937ede2c94dfe4f",
+               "168a0ab6803327386719cbd47e78c279e39d34c66f16abf4fdb86e4d7423cda9",
                {"maintained", "packing_dual"}),
     "dynamic": (digest_dynamic,
-                "80b1efb82b800b08986c51232ad20e12f2f3d7c9739b7dab1809940ba1e0d1c0",
+                "229d829241a487b843efa83b58d81202332964a946990e842ba4408d7694229b",
                 {"covering_primal", "packing_dual"}),
     "general": (digest_general,
-                "a06277312dc4a3a1ead0c964d26961b143653f73bf71b3f235cbafb8667a7604",
+                "522ecfc66c54c6ebc08b51752702822fb41fc69730f37cda7aa4d67b18a5674b",
                 {"static", "stream"}),
     "general_online": (digest_general_online,
-                       "8129c2c599c7e6badc0457a64d2125d88b05236bfeb6058439ab24fc60cada5e",
+                       "9caef8bbc4c1fc67977e4c33d74caffdfb6c5ddb3767a0cd05e3805ce9f78be3",
                        {"recourse", "dual_guess"}),
     "general_dynamic": (digest_general_dynamic,
-                        "74f6247937defbb6e836ace3499e0ce5c6a94140de89bb88bf689078fb965af2",
+                        "1dd1b55c59855911d689585883b290156bc48b7be94a3349ec768e801a316d9f",
                         {"C", "a", "b", "absorbed", "moved"}),
     "certificates": (digest_certificates,
-                     "63e8be6fae67703f64f12c42bf22f8197a3bf2f6c305a76a326fbf8bcdf00221",
+                     "7df33695caafdbc460f4b621598ae43c7e16d88029837eb121be44833a5e1403",
                      {"covering_primal", "packing_dual", "packing_primal", "covering_dual"}),
     "certificate_tags": (digest_certificate_tags,
-                         "e3a3f95e16fedf212ca459b5dde8ecf14ac58dad418094d2dfffee20cac00971",
+                         "7dd482f0d5fb5ea81f8700ff72550e00d188ca8ec393dd116d1018107e992a51",
                          {tag.value for tag in OutcomeTag}
                          | {"RowAbovePack", "RowBelowCover", "SumAboveBound", "NegativeCoordinate",
                             "VectorOnNullOutcome", "MissingVector", "NonFinite", "BadLength"}),

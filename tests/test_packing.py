@@ -164,34 +164,46 @@ def test_nan_dot_is_skipped():
 # -- golden outputs ------------------------------------------------------------
 
 # per case: random_packing arguments (seed, m, n, eps, lam, lo_frac; density 0.7),
-# then solve_packing_fast's tag, vector, stats and min_weight. "rescale"
-# drives a weight below _RESCALE_BELOW. Captured before the scan computed its
-# own row dots and seeded its step search; every value must stay exactly as it is.
+# or the arguments of ``diagonal_with_column`` (n, big, c) with eps, then
+# solve_packing_fast's tag, vector, stats and min_weight. "rescale" drove a
+# weight below _RESCALE_BELOW. Captured before the scan computed its own row
+# dots and seeded its step search; "primal", "dual" and "rescale" were
+# re-captured when runs began to stop where their tallies certify ("primal"
+# answered its primal after 16 phases, "dual" and "rescale" their duals after
+# 48 and 3,755); "deep" was captured before that change, and no tallies stop
+# it. Every value must stay exactly as it is.
 GOLDEN = {
     "primal": ((30, 4, 4, 0.2, 2.0, 0.3),
-               ("packing_primal",
-                [0.17098206583727452, 0.32852513191976257, 0.20421244641120814,
-                 0.2962803558317548],
-                {"phases": 16, "enforcements": 15, "whacks": 15, "outcome": "packing_primal"},
-                0.11386782309136803)),
+               ("covering_dual", [0.0, 0.0, 0.6666666666666666, 0.3333333333333333],
+                {"phases": 3, "enforcements": 3, "whacks": 3, "outcome": "covering_dual"},
+                0.6448875180527485)),
     "dual": ((33, 4, 4, 0.2, 2.0, 0.3),
-             ("covering_dual", [0.38571428571428573, 0.0, 0.0, 0.6142857142857143],
-              {"phases": 48, "enforcements": 48, "whacks": 70, "outcome": "covering_dual"},
-              1.839216815631775e-06)),
+             ("covering_dual", [0.25, 0.0, 0.0, 0.75],
+              {"phases": 2, "enforcements": 2, "whacks": 4, "outcome": "covering_dual"},
+              0.45452703758758256)),
     "rescale": ((35, 3, 3, 0.005, 4.0, 0.5),
-                ("covering_dual",
-                 [0.2404624014381777, 0.38716449157459976, 0.37237310698722254],
-                 {"phases": 3755, "enforcements": 3910, "whacks": 175778,
-                  "outcome": "covering_dual"},
-                 4.5372128143717234e-142)),
+                ("covering_dual", [0.0, 0.6517509727626459, 0.34824902723735407],
+                 {"phases": 7, "enforcements": 7, "whacks": 514, "outcome": "covering_dual"},
+                 0.20148354168743615)),
+    "deep": ((6, 7.2, 0.7, 0.1),
+             ("packing_primal",
+              [0.10530264304338817, 0.11700293671487577, 0.11700293671487573,
+               0.1170029367148757, 0.11700293671487573, 0.11700293671487577, 0.2950853287968911],
+              {"phases": 28, "enforcements": 68, "whacks": 121, "outcome": "packing_primal"},
+              0.10941898913151232)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_outputs(case):
-    (seed, m, n, eps, lam, lo), (tag, vector, stats, min_weight) = GOLDEN[case]
-    inst = random_packing(np.random.default_rng(seed), m, n, eps=eps, lam=lam,
-                          density=0.7, lo_frac=lo)
+    args, (tag, vector, stats, min_weight) = GOLDEN[case]
+    if case == "deep":
+        n, big, c, eps = args
+        inst = PackingInstanceView(diagonal_with_column(n, big, c), big, eps)
+    else:
+        seed, m, n, eps, lam, lo = args
+        inst = random_packing(np.random.default_rng(seed), m, n, eps=eps, lam=lam,
+                              density=0.7, lo_frac=lo)
     outcome, got = solve_packing_fast(inst)
     assert (outcome.tag.value, got.as_dict(), got.min_weight) == (tag, stats, min_weight)
     assert np.array_equal(outcome.vector, vector)

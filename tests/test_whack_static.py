@@ -665,8 +665,11 @@ def test_basic_rejects_bad_pick():
 # -- golden outputs --------------------------------------------------------------------------
 
 def scan_instance(case):
-    if case == "primal":
-        return random_covering(np.random.default_rng(21), 5, 4, eps=0.2, density=0.5,
+    if case in ("primal", "forced"):
+        # a planted full column: at lambda = 1 the tallies certify at the first
+        # phase break; at lambda = 2 the column admits no dual
+        return random_covering(np.random.default_rng(21), 5, 4, eps=0.2,
+                               lam=2.0 if case == "forced" else 1.0, density=0.5,
                                hot_column=True)
     if case == "dual":
         return random_covering(np.random.default_rng(22), 3, 3, eps=0.2, density=0.5,
@@ -677,20 +680,28 @@ def scan_instance(case):
 # per case: solve_fast (tag, vector, stats, trace or its length, max_weight_ratio);
 # solve_stream in FULL_DUAL and PRIMAL_ONLY (tag, vector, passes); OnlineState fed
 # the rows in order (last maintained vector, terminal tag and vector, recourse,
-# phase transitions). Captured before the settings shared one scan; every value
-# must stay exactly as it is.
+# phase transitions). Captured before the settings shared one scan; "primal" and
+# "rescale" were re-captured when the runs began to stop where their tallies
+# certify, here at the first phase break ("primal" answered its primal after 18
+# phases, "rescale" its dual after 2,857); "forced" was captured before that
+# change, and no tallies stop it. Every value must stay exactly as it is.
 GOLDEN = {
     "primal": (
+        ("packing_dual", [1.0, 0.0, 0.0, 0.0, 0.0],
+         {"phases": 1, "enforcements": 1, "whacks": 5, "outcome": "packing_dual"},
+         [(0, 5)], 0.27260934809446796),
+        [("packing_dual", [1.0, 0.0, 0.0, 0.0, 0.0], 1), ("null", None, 1)],
+        (None, "packing_dual", [1.0], 0, 0),
+    ),
+    "forced": (
         ("covering_primal",
-         [0.0038202162976798456, 0.01096901968947579, 0.9068288626610453, 0.07838190135179904],
-         {"phases": 18, "enforcements": 17, "whacks": 30, "outcome": "covering_primal"},
-         [(0, 5), (0, 3), (0, 2), (0, 2), (0, 2), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1),
-          (0, 1), (1, 3), (1, 2), (1, 2), (1, 1), (1, 1), (1, 1)],
-         0.8032129959815765),
-        [("covering_primal", [0.0038202162976798456, 0.01096901968947579,
-                              0.9068288626610453, 0.07838190135179904], 18)] * 2,
-        ([0.0038202162976798456, 0.01096901968947579, 0.9068288626610453, 0.07838190135179904],
-         None, None, 68, 17),
+         [0.22011494821878147, 0.2430179675749696, 0.34006829967316654, 0.19679878453308247],
+         {"phases": 2, "enforcements": 2, "whacks": 3, "outcome": "covering_primal"},
+         [(1, 2), (3, 1)], 0.23452067845430827),
+        [("covering_primal", [0.22011494821878147, 0.2430179675749696, 0.34006829967316654,
+                              0.19679878453308247], 2)] * 2,
+        ([0.2392538737039541, 0.26414830338638623, 0.36963713132218734, 0.21391037692256212],
+         None, None, 4, 1),
     ),
     "dual": (
         ("packing_dual", [1.0, 0.0, 0.0],
@@ -701,25 +712,31 @@ GOLDEN = {
     ),
     "rescale": (
         ("packing_dual", [1.0],
-         {"phases": 2857, "enforcements": 2857, "whacks": 86644, "outcome": "packing_dual"},
-         2857, 0.8983901239797127),
-        [("packing_dual", [1.0], 2857), ("null", None, 2857)],
-        (None, "packing_dual", [1.0], 11424, 2856),
+         {"phases": 1, "enforcements": 1, "whacks": 416, "outcome": "packing_dual"},
+         [(0, 416)], 0.005797940730432653),
+        [("packing_dual", [1.0], 1), ("null", None, 1)],
+        (None, "packing_dual", [1.0], 0, 0),
     ),
 }
 
-# a 4x4 replay of 22 halving updates that spare the planted column: outcome tag
-# and vector, dynamic stats, per-row enforcements
-GOLDEN_DYNAMIC = ("covering_primal",
-                  [0.9519075219124444, 0.0026465966544767724, 0.0021353197083037196,
-                   0.04331056172477497],
-                  {"updates": 22, "enforcements": 31, "phases": 32, "column_touches": 71},
-                  [22, 0, 0, 9])
+# a 4x4 replay of 22 halving updates that spare the planted column, until the
+# dual freezes, per planted lambda: outcome tag and vector, dynamic stats,
+# per-row enforcements. At lambda = 1 preprocessing now freezes the dual at its
+# first phase break (re-captured; it kept its primal through all 22 updates,
+# with 31 enforcements); at lambda = 2 no tallies stop it
+GOLDEN_DYNAMIC = {
+    1.0: ("packing_dual", [1.0, 0.0, 0.0, 0.0],
+          {"updates": 0, "enforcements": 1, "phases": 1, "column_touches": 2}, [1, 0, 0, 0]),
+    2.0: ("covering_primal",
+          [0.4669721257962285, 0.16351557135907402, 0.14879171029039587, 0.2207205925543016],
+          {"updates": 22, "enforcements": 7, "phases": 6, "column_touches": 19}, [2, 0, 0, 5]),
+}
 
 # a 3x3 general LP through the streaming reduction: x, primal guess, physical and
-# total passes
+# total passes (re-captured when guesses began to stop where their column sums
+# certify: 146 and 502 passes before)
 GOLDEN_GENERAL_STREAM = ([0.8012552718009457, 0.4395628260596938, 1.0645000014011579],
-                         2.639222093169075, 146, 502)
+                         2.639222093169075, 8, 73)
 
 
 def same_vector(got, want):
@@ -753,17 +770,19 @@ def test_golden_outputs(case):
 
 
 def test_golden_dynamic_replay():
-    rng = np.random.default_rng(28)
-    inst = random_covering(rng, 4, 4, eps=0.1, density=0.6, hot_column=0)
-    events = [ev for ev in restricting_stream(rng, inst, 30, halve=True) if ev.col != 0]
-    state, outcome = preprocess(inst)
-    for line in events:
-        outcome = state.handle_update(UpdateEvent(UpdateKind.RESTRICT_COVERING_ENTRY,
-                                                  line.row, line.col, line.value))
-    tag, vector, stats, enforce_log = GOLDEN_DYNAMIC
-    assert (outcome.tag.value, state.stats.as_dict(), state.enforce_log.tolist()) == \
-        (tag, stats, enforce_log)
-    assert np.array_equal(outcome.vector, vector)
+    for lam, (tag, vector, stats, enforce_log) in GOLDEN_DYNAMIC.items():
+        rng = np.random.default_rng(28)
+        inst = random_covering(rng, 4, 4, eps=0.1, lam=lam, density=0.6, hot_column=0)
+        events = [ev for ev in restricting_stream(rng, inst, 30, halve=True) if ev.col != 0]
+        state, outcome = preprocess(inst)
+        for line in events:
+            if state.terminal is not None:
+                break
+            outcome = state.handle_update(UpdateEvent(UpdateKind.RESTRICT_COVERING_ENTRY,
+                                                      line.row, line.col, line.value))
+        assert (outcome.tag.value, state.stats.as_dict(), state.enforce_log.tolist()) == \
+            (tag, stats, enforce_log)
+        assert np.array_equal(outcome.vector, vector)
 
 
 def test_golden_general_stream():
