@@ -9,12 +9,13 @@ break. An item that is not a well-formed (row_index, cols, vals) triple
 raises ``StreamExhaustedMidRow``.
 
 State between rows is only {x_hat, W, t, z} plus the whack tallies in
-FULL_DUAL mode, z being the n column sums of the tallies that the stop rule
-reads (``WhackState.certifies``), kept in both modes, so a run stops at the
-same phase as the static scan; the matrix is never materialized, and no
-per-row rates or powers are kept (the state is a plain ``WhackState``, not the stored-rows
-one). ``live_words`` measures the words the state holds by walking it, so
-tests pin the space bound on what is held rather than on a formula.
+FULL_DUAL mode. z, the n column sums of the tallies that the stop rule reads
+(``WhackState.certifies``), is kept in both modes, so a run stops at the
+same phase as the static scan. The matrix is never materialized, and no
+per-row rates or powers are kept (the state is a plain ``WhackState``, not
+the stored-rows one). ``live_words`` measures the words the state holds by
+walking it, so tests pin the space bound on what is held rather than on a
+formula.
 """
 from __future__ import annotations
 

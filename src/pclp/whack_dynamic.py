@@ -15,9 +15,9 @@ and the coordinates they touch, as plain ints.
 
 Once a dual is returned it is frozen: restricting updates only shrink
 C^T y, so the certificate stands forever. The same holds for the stop
-rule's column sums z: a dual that an update's phase break stops with was
-tested on z summed over entries that have only fallen since, which bounds
-C^T y from above. An update is still checked
+rule's column sums z: when an update's phase break stops the run, z was
+summed over entries that can only have fallen since, so it bounds C^T y
+from above. An update is still checked
 against the stored matrix, frozen or not: one outside its shape, or one
 that does not lower the stored entry, raises.
 """
