@@ -58,7 +58,7 @@ def test_early_covering_duals_certify_with_headroom(seed, m, n, eps, lam, densit
                 assert_early_dual(inst, np.append(result.terminal.vector, np.zeros(inst.m - i - 1)),
                                   eps)
             break
-    state, outcome = preprocess(covering_case(seed, m, n, eps, lam, density, hot))
+    state, outcome = preprocess(inst)
     if outcome.tag is OutcomeTag.PACKING_DUAL and state.t < T:
         assert_early_dual(inst, outcome.vector, eps)
 
