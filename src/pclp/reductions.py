@@ -341,7 +341,8 @@ def solve_general_stream(gen: GeneralInstance, eps: float) -> GeneralStreamResul
         nonlocal physical
         while True:
             for idx in live:
-                if states[idx].certifies(states[idx].t):
+                # a guess that answered primal at the last pass keeps its answer
+                if idx not in outcomes and states[idx].certifies(states[idx].t):
                     outcomes[idx] = states[idx].budget_outcome()
             live = [idx for idx in live if idx not in outcomes]
             if not live:

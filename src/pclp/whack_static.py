@@ -67,10 +67,11 @@ some y on the simplex with C^T y <= 1 + 4 eps (``check_certificate``'s
 promise; P^T y >= 1 - 4 eps for packing), not t = T, and y_t = tallies / t
 is such a y once it certifies. Each state keeps z = C^T tallies, raised by
 d vals at each enforcement of d whacks, and at every phase start with
-t > 0 (before a scan's first row, and at each break before the next phase
-is anchored) the run stops with ``Step.BUDGET`` when max z <= (1 + 2 eps) t
-(min z >= (1 - 2 eps) t for packing, ``WhackState.certifies``); the 2 eps
-under the promise is float headroom. A run whose tallies never certify is
+t > 0 (at each break, before the next phase is anchored; the streaming
+reduction tests each guess at its pass start) the run stops with
+``Step.BUDGET`` when max z <= (1 + 2 eps) t (min z >= (1 - 2 eps) t for
+packing, ``WhackState.certifies``); the 2 eps under the promise is float
+headroom. A run whose tallies never certify is
 bit for bit the T-round run. When lambda <= 1 + 2 eps every y certifies
 (C x >= 1 needs entries up to lambda, so C^T y <= lambda on the simplex),
 and every run answers at its first phase start with t > 0. Dynamic updates
@@ -431,10 +432,8 @@ class WhackState:
         Each phase anchors W and tests the rows of one ``rows()`` pass in
         order; an enforcement that breaks the phase starts the next one.
         Returns True once the round budget is spent or the tallies certify
-        at a phase start (``certifies``), this one included, and False after
-        a pass with no break."""
-        if self.certifies(self.t):
-            return True
+        at a phase start (``certifies``), and False after a pass with no
+        break."""
         self.start_phase()
         return self._phases(rows, 0, None, None, None, 0.0) is Step.BUDGET
 

@@ -23,7 +23,7 @@ from pclp.reductions import (
 )
 from pclp.sparse import NonMonotoneUpdate, SparseNonnegMatrix
 from pclp.streaming import StreamCursor, StreamMode, solve_stream
-from pclp.whack_static import weight_cap
+from pclp.whack_static import WhackState, weight_cap
 
 
 def gen_of(dense, a, b, L=None, U=None) -> GeneralInstance:
@@ -293,6 +293,31 @@ def test_interleaved_stream_shares_scans(rng):
     alone = sum(p for mu, p in result.per_guess_passes.items() if mu not in grid)
     assert result.physical_passes == shared + alone
     assert shared <= per_guess_cap
+
+
+def test_stream_guess_keeps_the_primal_its_last_pass_answered():
+    # guess 1.337 enforces 5 rounds in a first pass with no break, and its
+    # tallies then certify; the pass answered primal, so no later pass start
+    # may turn it into a dual and lift a larger guess instead
+    gen = gen_of([[1.8796547739692064, 0.0, 1.395878321021195],
+                  [1.380334720749473, 1.7600162590400203, 1.0172645904721178],
+                  [0.8385852092952841, 1.1340205770348781, 1.4396414328404867]],
+                 [1.362826690062834, 0.7071199645047428, 1.0846410601834897],
+                 [1.323342906528171, 1.2995584110171365, 1.3181145952554496], L=0.5, U=2.0)
+    eps = 0.2
+    result = solve_general_stream(gen, eps)
+    mu = result.primal_guess
+    inst = normalize(gen).instance_for(mu, eps)
+    state = WhackState(inst.n, inst.lam, eps)
+    assert not state.scan(inst.C.rows)
+    assert (state.t, state.stats.phases) == (5, 1) and state.certifies(state.t)
+    solos = solo_streams(gen, eps, result)
+    assert solos[mu][0].tag is OutcomeTag.COVERING_PRIMAL
+    assert mu == min(g for g, (outcome, _) in solos.items()
+                     if outcome.tag is OutcomeTag.COVERING_PRIMAL)
+    assert result.per_guess_passes == {g: st.passes for g, (_, st) in solos.items()}
+    assert np.array_equal(result.x, mu * solos[mu][0].vector / gen.a)
+    assert mu == solve_general_static(gen, eps).primal_guess
 
 
 # -- online reduction ---------------------------------------------------------------------
